@@ -11,10 +11,8 @@ from .polyring import (Polynomial, determinant, determinant_naive, diff,
                        evaluate, leading_monomial, poly_from_json,
                        poly_text, poly_to_json, y_compare)
 from .hwv import (SymbolicMatrix, admissible_grids, build_Xtilde,
-                  build_Ytilde, build_Yo, build_Ztilde,
-                  coefficient_via_specialization, delta, delta_eval,
-                  delta_MT, delta_MT_eval, delta_reduced_expansion,
-                  delta_TY)
+                  build_Ytilde, build_Yo, build_Ztilde, delta, delta_eval,
+                  delta_MT, delta_MT_eval, delta_TY)
 from .verify import (BasisReport, WeightProfile, check_basis,
                      check_e1_factorization, check_hwv, check_leading_term,
                      raising_operator_cols, raising_operator_rows,

@@ -4,11 +4,12 @@ Partitions are comma-separated part lists ("5,5,4,3,1,1"), with "-" for
 the empty partition.  Tableaux travel as JSON objects with keys "outer",
 "inner", and "rows"; pass a file path or "-" for stdin, or select one by
 its position in the canonical enumeration with --index.  Exit status is
-0 on success, 1 on a domain error (reported as JSON on stderr), 2 on a
-usage error.
+0 on success, 1 on a domain error (reported as JSON on stderr; running
+out of memory or of recursion depth counts as one), 2 on a usage error.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -119,17 +120,19 @@ def cmd_verify(args):
     report = {}
     run_all = args.all or not (args.hwv or args.weights or args.leading or args.basis)
     tabs = enumerate_lr(triple)
+    polys = None
+    if args.hwv or args.weights or run_all:
+        polys = [hwv.delta_MT(triple, T) for T in tabs]
     if args.hwv or run_all:
-        report["hwv"] = all(verify.check_hwv(hwv.delta_MT(triple, T), triple)
-                            for T in tabs)
+        report["hwv"] = all(verify.check_hwv(p, triple) for p in polys)
     if args.weights or run_all:
-        report["weights"] = all(
-            verify.weight_profile(hwv.delta_MT(triple, T)).matches(triple)
-            for T in tabs)
+        report["weights"] = all(verify.weight_profile(p).matches(triple)
+                                for p in polys)
     if args.leading or run_all:
         report["leading"] = all(verify.check_leading_term(triple, T) for T in tabs)
     if args.basis or run_all:
-        basis = verify.check_basis(triple, seed=args.seed)
+        basis = verify.check_basis(triple, seed=args.seed, tableaux=tabs,
+                                   polys=polys)
         report["rank"] = basis.rank
         report["lr_count"] = basis.lr_count
         report["oracle_count"] = basis.oracle_count
@@ -168,6 +171,7 @@ def cmd_bz_grade(args):
     print(json.dumps(out))
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="lrb",
@@ -241,7 +245,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         rc = args.fn(args)
-    except (LRBError, OSError, json.JSONDecodeError) as exc:
+    except (LRBError, OSError, json.JSONDecodeError, MemoryError,
+            RecursionError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

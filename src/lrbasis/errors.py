@@ -49,10 +49,6 @@ class NotHomogeneous(LRBError):
     """A polynomial is not multihomogeneous, so it has no weight profile."""
 
 
-class NotUnique(LRBError):
-    """A 0/1 specialization does not isolate a single exponent grid."""
-
-
 class ZeroCoefficient(LRBError):
     """A coefficient extraction produced zero where nonzero was required."""
 

@@ -6,7 +6,9 @@ supercolumns have widths D_k and entries a[j,k] * x[u,v] (the upper-left
 F_j-by-D_k corner of the x matrix), the right supercolumns have widths E_k
 and entries b[j,k] * y[u,v].  Its determinant is the master polynomial;
 extracting the coefficient of a b-monomial given by a tableau's exponent
-grid yields one member of the spanning family.
+grid yields one member of the spanning family.  That coefficient is built
+directly as a sum of products of minors, without expanding the
+determinant in the b variables.
 
 The companion matrix Yo keeps only the rows of each superrow below the
 diagonal x block: superrow j has height F_j - D_j and entries
@@ -16,13 +18,13 @@ is the pure-y part used for leading-term arguments.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .errors import (DimensionMismatch, NotUnique, ShapeError,
-                     ZeroCoefficient)
+from .errors import DimensionMismatch, ZeroCoefficient
 from .intlinalg import bareiss_det
-from .polyring import (Polynomial, avar, bvar, coefficient_of, determinant,
-                       mono, split_by_family, xvar, yvar)
-from .tableaux import ExponentMatrix, monomial_M
+from .polyring import (ONE, Polynomial, avar, bvar, determinant, mono_mul,
+                       xvar, yvar)
+from .tableaux import monomial_M
 
 
 @dataclass
@@ -125,60 +127,114 @@ def build_Yo(triple, B="symbolic"):
     return SymbolicMatrix(rows, heights, widths)
 
 
-def delta(triple, A="J", B="symbolic", beta_cap=None):
+def delta(triple, A="J", B="symbolic"):
     """Determinant of the block matrix for the given coefficient specs."""
-    Z = build_Ztilde(triple, A, B)
-    return determinant(Z.rows, beta_cap=beta_cap)
+    return determinant(build_Ztilde(triple, A, B).rows)
 
 
-def _beta_mono(grid):
-    return mono(*((bvar(i, h), e)
-                  for i, row in enumerate(grid, start=1)
-                  for h, e in enumerate(row, start=1) if e))
+def _add_product(acc, p, q, c):
+    """acc += c * p * q, on term dicts."""
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = mono_mul(m1, m2)
+            v = acc.get(m, 0) + c * c1 * c2
+            if v:
+                acc[m] = v
+            else:
+                del acc[m]
 
 
-def _beta_cap(grid):
-    return {bvar(i, h): e
-            for i, row in enumerate(grid, start=1)
-            for h, e in enumerate(row, start=1) if e}
+def _tableau_coefficient(triple, grid, with_x):
+    """Coefficient of b^grid in det Z (with_x) or in det Yo, with A = J.
 
+    Expand the determinant by generalized Laplace along Z's column blocks
+    x_1..x_r, y_1..y_s.  A term gives each block as many rows as it has
+    columns, and its b-monomial is b^grid exactly when y block k takes
+    grid[j][k] rows of superrow j; with A = J, x block j takes the other
+    D_j rows of superrow j.  A block then contributes the column-initial
+    minor det x[R, 1..D_j] or det y[R, 1..E_k] on the local row indices R
+    of its rows, which vanishes when R repeats an index.  The sign of a
+    term is the parity of its rows concatenated in block order, times the
+    sign that sorts each minor's local rows.  det Yo is the same sum
+    without the x blocks, over the rows D_j + 1..F_j of each superrow.
 
-def grid_from_beta(m, t, s):
-    """Exponent grid of a b-monomial, as a t-by-s tuple of tuples."""
-    grid = [[0] * s for _ in range(t)]
-    for (fam, i, h), e in m:
-        if fam != "b":
-            raise ShapeError(f"unexpected variable {(fam, i, h)}")
-        grid[i - 1][h - 1] = e
-    return tuple(tuple(row) for row in grid)
+    The y blocks are summed one at a time, keyed by the set of rows still
+    free; the x blocks take the rows left at the end, which moves them
+    past all |E| y rows: a sign of (-1)^(|D| |E|).
+    """
+    if triple.D.width > triple.k or triple.E.width > triple.ell:
+        raise DimensionMismatch(f"D and E need {triple.D.width} x and "
+                                f"{triple.E.width} y columns; k = {triple.k}, "
+                                f"ell = {triple.ell}")
+    rows = []                      # (superrow, local index), in matrix order
+    for j in range(1, triple.t + 1):
+        first = 1 if with_x else triple.d(j) + 1
+        rows.extend((j, u) for u in range(first, triple.f(j) + 1))
+    superrow = [[p for p, (i, _) in enumerate(rows) if i == j]
+                for j in range(1, triple.t + 1)]
+    minors = {}
 
+    def minor(make_var, local):
+        key = (make_var, local)
+        if key not in minors:
+            minors[key] = determinant(
+                [[Polynomial.variable(make_var(u, v))
+                  for v in range(1, len(local) + 1)] for u in local]).terms
+        return minors[key]
 
-def delta_reduced_expansion(triple):
-    """All coefficients of the J-reduced determinant, keyed by grid."""
-    d = delta(triple, A="J", B="symbolic")
-    return {grid_from_beta(m, triple.t, triple.s): p
-            for m, p in split_by_family(d, {"b"}).items()}
+    def choices(mask, counts):
+        """(rows taken, sign, sorted local rows) for each way to fill a y block."""
+        picks = [(0, ())]
+        for j, c in counts:
+            free = [p for p in superrow[j - 1] if mask >> p & 1]
+            picks = [(taken | sum(1 << p for p in combo), chosen + combo)
+                     for taken, chosen in picks
+                     for combo in combinations(free, c)]
+        for taken, chosen in picks:          # chosen is in row order
+            local = [rows[p][1] for p in chosen]
+            if len(set(local)) < len(local):
+                continue
+            rest = mask & ~taken
+            inv = sum((rest & ((1 << p) - 1)).bit_count() for p in chosen)
+            inv += sum(a > b for i, a in enumerate(local) for b in local[i + 1:])
+            yield taken, -1 if inv % 2 else 1, tuple(sorted(local))
+
+    level = {(1 << len(rows)) - 1: {ONE: 1}}
+    for k in range(triple.s):
+        counts = [(j, grid[j - 1][k]) for j in range(1, triple.t + 1)
+                  if grid[j - 1][k]]
+        nxt = {}
+        for mask, acc in level.items():
+            for taken, sign, local in choices(mask, counts):
+                _add_product(nxt.setdefault(mask & ~taken, {}), acc,
+                             minor(yvar, local), sign)
+        level = {mask: acc for mask, acc in nxt.items() if acc}
+    if with_x:
+        out = {}
+        for mask, acc in level.items():
+            xs = {ONE: -1 if triple.D.size * triple.E.size % 2 else 1}
+            for j in range(1, triple.r + 1):
+                local = tuple(rows[p][1] for p in superrow[j - 1]
+                              if mask >> p & 1)
+                prod = {}
+                _add_product(prod, xs, minor(xvar, local), 1)
+                xs = prod
+            _add_product(out, acc, xs, 1)
+    else:
+        out = level.get(0, {})
+    if not out:
+        raise ZeroCoefficient("the tableau coefficient vanished")
+    return Polynomial(out)
 
 
 def delta_MT(triple, T):
     """Coefficient of the tableau's b-monomial in the J-reduced determinant."""
-    grid = monomial_M(T).m
-    d = delta(triple, A="J", B="symbolic", beta_cap=_beta_cap(grid))
-    p = coefficient_of(d, _beta_mono(grid), {"b"})
-    if p.is_zero():
-        raise ZeroCoefficient("the tableau coefficient vanished")
-    return p
+    return _tableau_coefficient(triple, monomial_M(T).m, with_x=True)
 
 
 def delta_TY(triple, T):
     """Coefficient of the tableau's b-monomial in det Yo; pure y variables."""
-    grid = monomial_M(T).m
-    Yo = build_Yo(triple)
-    d = determinant(Yo.rows, beta_cap=_beta_cap(grid))
-    p = coefficient_of(d, _beta_mono(grid), {"b"})
-    if p.is_zero():
-        raise ZeroCoefficient("the tableau coefficient vanished")
-    return p
+    return _tableau_coefficient(triple, monomial_M(T).m, with_x=False)
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +317,6 @@ def delta_eval(triple, A, B, assignment):
                 row.extend(b * assignment[yvar(u, v)] for v in range(1, ek + 1))
             rows.append(row)
     return bareiss_det(rows)
-
-
-def coefficient_via_specialization(triple, N):
-    """det Yo with b set to the 0/1 indicator of the support of N.
-
-    Valid as the coefficient of N's b-monomial only when N is the sole
-    admissible grid inside its own support; otherwise raises NotUnique.
-    """
-    grid = N.m if isinstance(N, ExponentMatrix) else tuple(tuple(r) for r in N)
-    support = {(i + 1, h + 1)
-               for i, row in enumerate(grid)
-               for h, v in enumerate(row) if v}
-    others = admissible_grids(triple, support)
-    if len(others) != 1:
-        raise NotUnique(f"{len(others)} admissible grids share this support")
-    indicator = [[1 if (j, k) in support else 0 for k in range(1, triple.s + 1)]
-                 for j in range(1, triple.t + 1)]
-    Yo = build_Yo(triple, B=indicator)
-    return determinant(Yo.rows)
 
 
 def delta_MT_eval(triple, T, assignment):

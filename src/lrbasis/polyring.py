@@ -238,17 +238,6 @@ def coefficient_of(p, m, families):
     return Polynomial(out)
 
 
-def split_by_family(p, families):
-    """Group the terms of p by their sub-monomial in the given families."""
-    out = {}
-    for mm, c in p.terms.items():
-        key = mono_restrict(mm, families)
-        rest = tuple((v, e) for v, e in mm if v[0] not in families)
-        bucket = out.setdefault(key, {})
-        bucket[rest] = bucket.get(rest, 0) + c
-    return {k: Polynomial(v) for k, v in out.items()}
-
-
 # ---------------------------------------------------------------------------
 # The y-monomial order used for leading terms.
 #
@@ -293,20 +282,11 @@ def leading_monomial(p):
 # Determinants.
 # ---------------------------------------------------------------------------
 
-def _beta_prune(terms, cap):
-    """Drop terms whose b-family exponents exceed the cap (default 0)."""
-    return {m: c for m, c in terms.items()
-            if all(v[0] != "b" or e <= cap.get(v, 0) for v, e in m)}
-
-
-def determinant(matrix, beta_cap=None):
+def determinant(matrix):
     """Determinant of a square matrix of polynomials (or ints).
 
     Expands along columns (sparsest first) with memoization on the set of
-    unused rows.  When beta_cap is given, terms whose b-family exponents
-    exceed the cap are discarded as soon as they appear; since exponents
-    only grow under further multiplication this does not change any kept
-    coefficient of the full determinant.
+    unused rows.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -346,8 +326,6 @@ def determinant(matrix, beta_cap=None):
                 sub = minor(ci + 1, mask ^ bit)
                 if not sub.is_zero():
                     term = rows[r][col] * sub
-                    if beta_cap is not None:
-                        term = Polynomial(_beta_prune(term.terms, beta_cap))
                     acc = acc + term if pos % 2 else acc - term
         memo[(ci, key)] = acc
         return acc

@@ -167,7 +167,7 @@ class BasisReport:
                 "rank": self.rank, "mode": self.mode, "pass": self.passed}
 
 
-def check_basis(triple, seed=0, symbolic_limit=12):
+def check_basis(triple, seed=0, symbolic_limit=12, tableaux=None, polys=None):
     """Count, construct, and rank the tableau coefficients of a triple.
 
     For small |F| the rank is that of the exact coefficient matrix of the
@@ -175,15 +175,19 @@ def check_basis(triple, seed=0, symbolic_limit=12):
     exactly at random integer points instead; the evaluation matrix has
     rank at most that of the coefficient matrix, which in turn is at most
     the tableau count, so equality of all three is still conclusive.
+
+    A caller that already holds the enumerated tableaux, or their vectors
+    delta_MT in the same order, passes them in so they are not rebuilt.
     """
-    tabs = enumerate_lr(triple)
+    tabs = enumerate_lr(triple) if tableaux is None else tableaux
     oracle_count = lr_coefficient(triple)
     leading = [mono_text(monomial_bigE(T, triple)) for T in tabs]
     distinct = len(set(leading)) == len(leading)
     if not tabs:
         return BasisReport(0, oracle_count, [], True, 0, "empty")
     if triple.F.size <= symbolic_limit:
-        polys = [delta_MT(triple, T) for T in tabs]
+        if polys is None:
+            polys = [delta_MT(triple, T) for T in tabs]
         monos = sorted({m for p in polys for m in p.terms})
         matrix = [[p.terms.get(m, 0) for m in monos] for p in polys]
         mode = "symbolic"

@@ -40,3 +40,24 @@ def tableau_by_rows(tabs, rows):
         if T.to_json()["rows"] == rows:
             return T
     raise AssertionError(f"no tableau with rows {rows}")
+
+
+def b_variable_coefficients(tr, with_x=True):
+    """Each tableau's coefficient, read off the fully expanded determinant.
+
+    The whole determinant of Z (or of Yo when with_x is false) is expanded
+    with symbolic b coefficients, and the coefficient of each tableau's
+    b-monomial b^M(T) is read off it: the reference that delta_MT and
+    delta_TY must equal.  For small triples only, since the expansion
+    grows far beyond the one coefficient it is asked for.
+    """
+    from lrbasis import build_Yo, delta, enumerate_lr, monomial_M
+    from lrbasis.polyring import bvar, coefficient_of, determinant, mono
+    d = delta(tr) if with_x else determinant(build_Yo(tr).rows)
+    out = []
+    for T in enumerate_lr(tr):
+        grid = monomial_M(T).m
+        b = mono(*((bvar(i, h), e) for i, row in enumerate(grid, start=1)
+                   for h, e in enumerate(row, start=1) if e))
+        out.append(coefficient_of(d, b, {"b"}))
+    return out

@@ -2,6 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from lrbasis import cli, hwv, verify
+
 
 def run(*args, stdin=None):
     proc = subprocess.run([sys.executable, "-m", "lrbasis.cli", *args],
@@ -114,3 +118,34 @@ def test_usage_error_exit_2():
 def test_threads_flag_accepted():
     p = run("--threads", "4", "count", *SMALL)
     assert p.returncode == 0
+
+
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+def test_resource_error_exit_1(monkeypatch, capsys, exc):
+    def exhausted(*args):
+        raise exc("out of room")
+    monkeypatch.setattr(cli, "enumerate_lr", exhausted)
+    assert cli.main(["count", *SMALL]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": exc.__name__, "message": "out of room"}
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
+    cli.build_parser.cache_clear()
+    assert cli.main(["--threads", "3", "count", *SMALL]) == 0
+
+
+def test_verify_builds_each_vector_once(monkeypatch, capsys):
+    calls = []
+    original = hwv.delta_MT
+
+    def counting(triple, T):
+        calls.append(T)
+        return original(triple, T)
+    monkeypatch.setattr(hwv, "delta_MT", counting)
+    monkeypatch.setattr(verify, "delta_MT", counting)
+    assert cli.main(["verify", "--D", "2,1", "--E", "2,1", "--F", "3,2,1",
+                     "--all"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 2
+    assert len(calls) == len(set(calls)) == 2

@@ -2,15 +2,14 @@ import random
 
 import pytest
 
-from conftest import RUNNING_TABLEAUX, tableau_by_rows
-from lrbasis import (Partition, admissible_grids, build_Yo, build_Ztilde,
-                     coefficient_via_specialization, delta, delta_MT,
-                     delta_MT_eval, delta_TY, delta_eval,
-                     delta_reduced_expansion, enumerate_lr, monomial_M,
-                     validate_triple)
-from lrbasis.errors import DimensionMismatch, NotUnique, ZeroCoefficient
+from conftest import (RUNNING_TABLEAUX, b_variable_coefficients,
+                      tableau_by_rows)
+from lrbasis import (admissible_grids, build_Yo, build_Ztilde, delta,
+                     delta_MT, delta_MT_eval, delta_TY, delta_eval,
+                     enumerate_lr, monomial_M, validate_triple)
+from lrbasis.errors import DimensionMismatch
 from lrbasis.polyring import evaluate, poly_text
-from lrbasis.sampling import random_point, random_triple
+from lrbasis.sampling import all_triples, random_point, random_triple
 
 
 def test_tiny_symbolic_delta():
@@ -33,6 +32,8 @@ def test_dimension_guards():
     tr = validate_triple([2], [], [2], k=1)
     with pytest.raises(DimensionMismatch):
         build_Ztilde(tr)
+    with pytest.raises(DimensionMismatch):
+        delta_MT(tr, enumerate_lr(tr)[0])
     tr2 = validate_triple([1], [1], [2])
     with pytest.raises(DimensionMismatch):
         delta_eval(tr2, [[1, 2]], [[1]], {})
@@ -42,11 +43,39 @@ def test_delta_reduced_expansion_matches_delta_MT():
     rng = random.Random(12)
     for _ in range(12):
         tr = random_triple(rng, 7, require_tableaux=True)
-        expansion = delta_reduced_expansion(tr)
-        for T in enumerate_lr(tr):
-            grid = monomial_M(T).m
-            assert grid in expansion
-            assert expansion[grid] == delta_MT(tr, T)
+        for T, old in zip(enumerate_lr(tr), b_variable_coefficients(tr)):
+            assert delta_MT(tr, T) == old
+
+
+def test_delta_MT_TY_match_b_variable_path_small():
+    # every tableau of every triple with |F| <= 6, sign included
+    n = 0
+    for tr in all_triples(6):
+        tabs = enumerate_lr(tr)
+        if not tabs:
+            continue
+        full = b_variable_coefficients(tr)
+        reduced = b_variable_coefficients(tr, with_x=False)
+        for T, old_mt, old_ty in zip(tabs, full, reduced):
+            assert delta_MT(tr, T) == old_mt
+            assert delta_TY(tr, T) == old_ty
+            n += 1
+    assert n == 294
+
+
+def test_delta_MT_TY_match_b_variable_path_seeded():
+    rng = random.Random(18)
+    done = 0
+    while done < 15:
+        tr = random_triple(rng, 8, require_tableaux=True)
+        if tr.F.size < 7:
+            continue
+        tabs = enumerate_lr(tr)
+        for T, old in zip(tabs, b_variable_coefficients(tr)):
+            assert delta_MT(tr, T) == old
+        for T, old in zip(tabs, b_variable_coefficients(tr, with_x=False)):
+            assert delta_TY(tr, T) == old
+        done += 1
 
 
 def test_delta_MT_nonzero_and_beta_cap_agrees():
@@ -87,19 +116,6 @@ def test_admissible_grids_running(running):
     supports = {frozenset((i + 1, h + 1) for i, row in enumerate(g)
                           for h, v in enumerate(row) if v) for g in grids}
     assert len(supports) == 3
-
-
-def test_specialization_unique_case():
-    tr = validate_triple([1], [1], [2])
-    T = enumerate_lr(tr)[0]
-    q = coefficient_via_specialization(tr, monomial_M(T))
-    assert q == delta_TY(tr, T)
-
-
-def test_specialization_not_unique(running):
-    T1 = tableau_by_rows(enumerate_lr(running), RUNNING_TABLEAUX["T1"])
-    with pytest.raises(NotUnique):
-        coefficient_via_specialization(running, monomial_M(T1))
 
 
 def test_eval_agrees_with_symbolic():

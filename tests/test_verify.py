@@ -164,3 +164,23 @@ def test_check_basis_empty():
     rep = check_basis(validate_triple([2], [], [1, 1]))
     assert rep.lr_count == rep.oracle_count == rep.rank == 0
     assert rep.passed
+
+
+def test_check_basis_reuses_given_vectors():
+    tr = validate_triple([2, 1], [2, 1], [3, 2, 1])
+    tabs = enumerate_lr(tr)
+    polys = [delta_MT(tr, T) for T in tabs]
+    rep = check_basis(tr, tableaux=tabs, polys=polys)
+    assert rep.passed and rep.rank == 2 and rep.mode == "symbolic"
+    # the given vectors are what gets ranked: a repeated one drops the rank
+    rep = check_basis(tr, tableaux=tabs, polys=[polys[0], polys[0]])
+    assert rep.rank == 1 and not rep.passed
+
+
+def test_leading_term_deep_E():
+    # |E| = 16 rows of y: the b-variable determinant of Yo ran past 60 s
+    # and 940 MB here; the block Laplace sum takes a few seconds
+    tr = validate_triple([2, 1], [4, 4, 3, 3, 2], [5, 4, 4, 3, 2, 1])
+    tabs = enumerate_lr(tr)
+    assert tabs
+    assert all(check_leading_term(tr, T) for T in tabs)
