@@ -11,7 +11,6 @@ out of memory or of recursion depth counts as one), 2 on a usage error.
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import bz4, hwv, oracle, verify
@@ -178,10 +177,6 @@ def build_parser():
         description="Littlewood-Richardson tableaux and their determinantal "
                     "highest weight vectors, in exact arithmetic.")
     ap.add_argument("--format", choices=("json", "text"), default="json")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("LRB_THREADS", "1")),
-                    help="accepted for compatibility; results are deterministic "
-                         "and computed single-threaded")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="number of LR tableaux, with oracle cross-check")

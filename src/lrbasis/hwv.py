@@ -6,18 +6,24 @@ supercolumns have widths D_k and entries a[j,k] * x[u,v] (the upper-left
 F_j-by-D_k corner of the x matrix), the right supercolumns have widths E_k
 and entries b[j,k] * y[u,v].  Its determinant is the master polynomial;
 extracting the coefficient of a b-monomial given by a tableau's exponent
-grid yields one member of the spanning family.  That coefficient is built
-directly as a sum of products of minors, without expanding the
-determinant in the b variables.
+grid yields one member of the spanning family.
 
 The companion matrix Yo keeps only the rows of each superrow below the
 diagonal x block: superrow j has height F_j - D_j and entries
 b[j,k] * y[D_j + u, v].  The coefficient of the same b-monomial in det Yo
 is the pure-y part used for leading-term arguments.
+
+Neither determinant is expanded in the b variables.  A tableau's
+coefficient is a signed sum of products of column-initial minors, one
+per column block; the rows each block takes and the signs form a Laplace
+plan, built once per (triple, grid) and cached.  The plan is summed in
+two rings: over polynomial minors for the coefficient itself (delta_MT,
+delta_TY), and over integer minors at a point for its exact value there
+(delta_MT_eval).
 """
 
+import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import DimensionMismatch, ZeroCoefficient
@@ -133,7 +139,9 @@ def delta(triple, A="J", B="symbolic"):
 
 
 def _add_product(acc, p, q, c):
-    """acc += c * p * q, on term dicts."""
+    """acc + c * p * q on term dicts, summed into acc; None is zero."""
+    if acc is None:
+        acc = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             m = mono_mul(m1, m2)
@@ -142,25 +150,38 @@ def _add_product(acc, p, q, c):
                 acc[m] = v
             else:
                 del acc[m]
+    return acc
 
 
-def _tableau_coefficient(triple, grid, with_x):
-    """Coefficient of b^grid in det Z (with_x) or in det Yo, with A = J.
+def _add_int_product(acc, p, q, c):
+    """acc + c * p * q on integers; None is zero."""
+    return (acc or 0) + c * p * q
+
+
+@functools.lru_cache(maxsize=128)
+def _laplace_plan(triple, grid, with_x):
+    """The terms of the coefficient of b^grid in det Z (with_x) or det Yo.
 
     Expand the determinant by generalized Laplace along Z's column blocks
-    x_1..x_r, y_1..y_s.  A term gives each block as many rows as it has
-    columns, and its b-monomial is b^grid exactly when y block k takes
-    grid[j][k] rows of superrow j; with A = J, x block j takes the other
-    D_j rows of superrow j.  A block then contributes the column-initial
-    minor det x[R, 1..D_j] or det y[R, 1..E_k] on the local row indices R
-    of its rows, which vanishes when R repeats an index.  The sign of a
-    term is the parity of its rows concatenated in block order, times the
-    sign that sorts each minor's local rows.  det Yo is the same sum
-    without the x blocks, over the rows D_j + 1..F_j of each superrow.
+    x_1..x_r, y_1..y_s, with A = J.  A term gives each block as many rows
+    as it has columns, and its b-monomial is b^grid exactly when y block k
+    takes grid[j][k] rows of superrow j; x block j then takes the other
+    D_j rows of superrow j.  A block contributes the column-initial minor
+    det x[R, 1..D_j] or det y[R, 1..E_k] on the local row indices R of its
+    rows, which vanishes when R repeats an index.  The sign of a term is
+    the parity of its rows concatenated in block order, times the sign
+    that sorts each minor's local rows.  det Yo is the same sum without
+    the x blocks, over the rows D_j + 1..F_j of each superrow.
 
-    The y blocks are summed one at a time, keyed by the set of rows still
-    free; the x blocks take the rows left at the end, which moves them
-    past all |E| y rows: a sign of (-1)^(|D| |E|).
+    The plan is (start, levels, final), with rows as bit masks and start
+    the mask of all rows.  levels holds, for each y block in turn, the
+    edges (mask, next_mask, sign, local): from the free rows `mask` the
+    block takes its rows, leaving `next_mask`, with the factor sign *
+    det y[local, 1..E_k].  final holds (mask, sign, xsets): the rows left
+    fill the x blocks, with the factor sign times the product of
+    det x[local, 1..D_j] over local in xsets.  Taking the x blocks last
+    moves them past all |E| y rows: a sign of (-1)^(|D| |E|).  Only edges
+    that lead to `final` are kept.
     """
     if triple.D.width > triple.k or triple.E.width > triple.ell:
         raise DimensionMismatch(f"D and E need {triple.D.width} x and "
@@ -172,15 +193,6 @@ def _tableau_coefficient(triple, grid, with_x):
         rows.extend((j, u) for u in range(first, triple.f(j) + 1))
     superrow = [[p for p, (i, _) in enumerate(rows) if i == j]
                 for j in range(1, triple.t + 1)]
-    minors = {}
-
-    def minor(make_var, local):
-        key = (make_var, local)
-        if key not in minors:
-            minors[key] = determinant(
-                [[Polynomial.variable(make_var(u, v))
-                  for v in range(1, len(local) + 1)] for u in local]).terms
-        return minors[key]
 
     def choices(mask, counts):
         """(rows taken, sign, sorted local rows) for each way to fill a y block."""
@@ -199,29 +211,67 @@ def _tableau_coefficient(triple, grid, with_x):
             inv += sum(a > b for i, a in enumerate(local) for b in local[i + 1:])
             yield taken, -1 if inv % 2 else 1, tuple(sorted(local))
 
-    level = {(1 << len(rows)) - 1: {ONE: 1}}
+    start = (1 << len(rows)) - 1
+    levels = []
+    masks = {start}
     for k in range(triple.s):
         counts = [(j, grid[j - 1][k]) for j in range(1, triple.t + 1)
                   if grid[j - 1][k]]
+        edges = [(mask, mask & ~taken, sign, local) for mask in masks
+                 for taken, sign, local in choices(mask, counts)]
+        levels.append(edges)
+        masks = {edge[1] for edge in edges}
+    sign = -1 if with_x and triple.D.size * triple.E.size % 2 else 1
+    xblocks = range(1, triple.r + 1) if with_x else ()
+    final = tuple((mask, sign,
+                   tuple(tuple(rows[p][1] for p in superrow[j - 1]
+                               if mask >> p & 1) for j in xblocks))
+                  for mask in masks)
+    for i in reversed(range(len(levels))):
+        levels[i] = tuple(edge for edge in levels[i] if edge[1] in masks)
+        masks = {edge[0] for edge in levels[i]}
+    return start, tuple(levels), final
+
+
+def _plan_sum(plan, minor, add_product, one):
+    """Sum a Laplace plan's terms over the ring of `one`.
+
+    minor(make_var, local) is det make_var[local, 1..len(local)] in that
+    ring, and is called once per distinct minor; add_product(acc, p, q, c)
+    returns acc + c * p * q, with None for a zero acc.  Returns None when
+    no term survives.
+    """
+    minor = functools.cache(minor)
+    start, levels, final = plan
+    level = {start: one}
+    for edges in levels:
         nxt = {}
-        for mask, acc in level.items():
-            for taken, sign, local in choices(mask, counts):
-                _add_product(nxt.setdefault(mask & ~taken, {}), acc,
-                             minor(yvar, local), sign)
-        level = {mask: acc for mask, acc in nxt.items() if acc}
-    if with_x:
-        out = {}
-        for mask, acc in level.items():
-            xs = {ONE: -1 if triple.D.size * triple.E.size % 2 else 1}
-            for j in range(1, triple.r + 1):
-                local = tuple(rows[p][1] for p in superrow[j - 1]
-                              if mask >> p & 1)
-                prod = {}
-                _add_product(prod, xs, minor(xvar, local), 1)
-                xs = prod
-            _add_product(out, acc, xs, 1)
-    else:
-        out = level.get(0, {})
+        for mask, rest, sign, local in edges:
+            acc = level.get(mask)
+            if acc:
+                nxt[rest] = add_product(nxt.get(rest), acc,
+                                        minor(yvar, local), sign)
+        level = nxt
+    out = None
+    for mask, sign, xsets in final:
+        acc = level.get(mask)
+        if acc:
+            xs = one
+            for local in xsets:
+                xs = add_product(None, xs, minor(xvar, local), 1)
+            out = add_product(out, acc, xs, sign)
+    return out
+
+
+def _tableau_coefficient(triple, grid, with_x):
+    """Coefficient of b^grid in det Z (with_x) or in det Yo, with A = J."""
+    def minor(make_var, local):
+        return determinant(
+            [[Polynomial.variable(make_var(u, v))
+              for v in range(1, len(local) + 1)] for u in local]).terms
+
+    out = _plan_sum(_laplace_plan(triple, grid, with_x), minor, _add_product,
+                    {ONE: 1})
     if not out:
         raise ZeroCoefficient("the tableau coefficient vanished")
     return Polynomial(out)
@@ -229,75 +279,17 @@ def _tableau_coefficient(triple, grid, with_x):
 
 def delta_MT(triple, T):
     """Coefficient of the tableau's b-monomial in the J-reduced determinant."""
-    return _tableau_coefficient(triple, monomial_M(T).m, with_x=True)
+    return _tableau_coefficient(triple, monomial_M(T).m, True)
 
 
 def delta_TY(triple, T):
     """Coefficient of the tableau's b-monomial in det Yo; pure y variables."""
-    return _tableau_coefficient(triple, monomial_M(T).m, with_x=False)
+    return _tableau_coefficient(triple, monomial_M(T).m, False)
 
 
 # ---------------------------------------------------------------------------
-# 0/1 specializations and exact evaluation.
+# Exact evaluation at integer points.
 # ---------------------------------------------------------------------------
-
-def admissible_grids(triple, support):
-    """Nonnegative grids supported inside `support` with the forced margins.
-
-    Row i must sum to F_i - D_i and column h to E_h; these are exactly the
-    grids whose b-monomial survives setting every b outside the support
-    to zero.
-    """
-    t, s = triple.t, triple.s
-    rowsum = [triple.f(i) - triple.d(i) for i in range(1, t + 1)]
-    colrem = [triple.e(h) for h in range(1, s + 1)]
-    allowed = [[h for h in range(1, s + 1) if (i, h) in support]
-               for i in range(1, t + 1)]
-    out = []
-    grid = [[0] * s for _ in range(t)]
-
-    def fill_row(i, cols, need):
-        if not cols:
-            if need == 0:
-                next_row(i + 1)
-            return
-        h = cols[0]
-        for v in range(min(need, colrem[h - 1]), -1, -1):
-            grid[i - 1][h - 1] = v
-            colrem[h - 1] -= v
-            fill_row(i, cols[1:], need - v)
-            colrem[h - 1] += v
-            grid[i - 1][h - 1] = 0
-
-    def next_row(i):
-        if i > t:
-            if all(c == 0 for c in colrem):
-                out.append(tuple(tuple(r) for r in grid))
-            return
-        fill_row(i, allowed[i - 1], rowsum[i - 1])
-
-    next_row(1)
-    return out
-
-
-def _numeric_Z(triple, betavals, assignment):
-    """Integer Z with A = J and the b coefficients given by betavals."""
-    rows = []
-    dwidths = triple.D.parts
-    ewidths = triple.E.parts
-    for j, fj in enumerate(triple.F.parts, start=1):
-        for u in range(1, fj + 1):
-            row = []
-            for k, dk in enumerate(dwidths, start=1):
-                for v in range(1, dk + 1):
-                    row.append(assignment[xvar(u, v)] if j == k else 0)
-            for k, ek in enumerate(ewidths, start=1):
-                b = betavals.get((j, k), 0)
-                for v in range(1, ek + 1):
-                    row.append(b * assignment[yvar(u, v)] if b else 0)
-            rows.append(row)
-    return rows
-
 
 def delta_eval(triple, A, B, assignment):
     """Exact integer value of the determinant for numeric A, B."""
@@ -320,81 +312,15 @@ def delta_eval(triple, A, B, assignment):
 
 
 def delta_MT_eval(triple, T, assignment):
-    """Exact value of the tableau coefficient at an integer (x, y) point.
+    """Exact value of delta_MT(triple, T) at an integer (x, y) point.
 
-    Uses 0/1 specializations: evaluate the determinant with b restricted
-    to each admissible support and solve the triangular inclusion system
-    relating those values to the individual grid coefficients.
+    The same Laplace plan as delta_MT, summed over the integers: each
+    minor is the determinant of its entries at the point.
     """
-    m = monomial_M(T)
-    support = set(m.support())
-    grids = admissible_grids(triple, support)
-    supports = [frozenset((i + 1, h + 1)
-                          for i, row in enumerate(g)
-                          for h, v in enumerate(row) if v) for g in grids]
-    if len(set(supports)) != len(grids):
-        return _delta_MT_eval_interp(triple, m, assignment)
-    det_at = {}
+    def minor(make_var, local):
+        return bareiss_det([[assignment[make_var(u, v)]
+                             for v in range(1, len(local) + 1)]
+                            for u in local])
 
-    def value(U):
-        if U not in det_at:
-            betavals = {jk: 1 for jk in U}
-            det_at[U] = bareiss_det(_numeric_Z(triple, betavals, assignment))
-        return det_at[U]
-
-    order = sorted(range(len(grids)), key=lambda i: len(supports[i]))
-    coeffs = {}
-    for i in order:
-        c = value(supports[i])
-        for j in order:
-            if j != i and supports[j] < supports[i]:
-                c -= coeffs[j]
-        coeffs[i] = c
-    return coeffs[grids.index(m.m)]
-
-
-def _delta_MT_eval_interp(triple, m, assignment):
-    """Interpolation fallback when supports of admissible grids collide."""
-    support = sorted(m.support())
-    bounds = {(i, h): min(triple.f(i) - triple.d(i), triple.e(h))
-              for (i, h) in support}
-    weights = {v: _coeff_weights(bounds[v] + 1, m.m[v[0] - 1][v[1] - 1])
-               for v in support}
-
-    def rec(idx, betavals, scale):
-        if idx == len(support):
-            return scale * bareiss_det(_numeric_Z(triple, betavals, assignment))
-        v = support[idx]
-        total = Fraction(0)
-        for pt, w in enumerate(weights[v]):
-            if w == 0:
-                continue
-            betavals[v] = pt
-            total += rec(idx + 1, betavals, scale * w)
-            del betavals[v]
-        return total
-
-    total = rec(0, {}, Fraction(1))
-    assert total.denominator == 1
-    return int(total)
-
-
-def _coeff_weights(npoints, target):
-    """w[t] such that sum_t w[t] f(t) = [z^target] f, for deg f < npoints."""
-    weights = []
-    for tpt in range(npoints):
-        # expand prod_{u != tpt} (z - u) / (tpt - u); weight = [z^target]
-        poly = [Fraction(1)]
-        denom = 1
-        for u in range(npoints):
-            if u == tpt:
-                continue
-            denom *= tpt - u
-            new = [Fraction(0)] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                new[i + 1] += c
-                new[i] -= u * c
-            poly = new
-        w = poly[target] / denom if target < len(poly) else Fraction(0)
-        weights.append(w)
-    return weights
+    plan = _laplace_plan(triple, monomial_M(T).m, True)
+    return _plan_sum(plan, minor, _add_int_product, 1) or 0

@@ -1,4 +1,4 @@
-"""Fraction-free exact linear algebra over the integers."""
+"""Exact linear algebra over the integers, by fraction-free elimination."""
 
 
 def bareiss_det(matrix):

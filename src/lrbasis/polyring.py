@@ -78,14 +78,6 @@ def mono_divides(m1, m2):
     return all(d2.get(v, 0) >= e for v, e in m1)
 
 
-def mono_div(m1, m2):
-    """m1 / m2, assuming divisibility."""
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) - e
-    return mono_from_dict(d)
-
-
 def mono_restrict(m, families):
     """Sub-monomial of m supported on the given variable families."""
     return tuple((v, e) for v, e in m if v[0] in families)

@@ -172,10 +172,6 @@ def enumerate_lr(triple):
     return out
 
 
-def count_lr(triple):
-    return len(enumerate_lr(triple))
-
-
 @dataclass(frozen=True)
 class PeelingTrace:
     """Result of standard peeling.
@@ -187,12 +183,6 @@ class PeelingTrace:
 
     strips: tuple
     banal_shape: Partition
-
-    def column_assignment(self):
-        """(strip index h, value v) -> column of the skew shape."""
-        return {(h, v): cell[1]
-                for h, strip in enumerate(self.strips, start=1)
-                for v, cell in enumerate(strip, start=1)}
 
 
 def standard_peeling(T):

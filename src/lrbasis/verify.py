@@ -20,19 +20,23 @@ from .sampling import random_point
 from .tableaux import (enumerate_lr, monomial_bigE, monomial_e, monomial_e1)
 
 
-def raising_operator_rows(p, a, d, triple):
-    """Row operator moving content from row d up to row a."""
+def _move_one_power(p, families, axis, src, dst):
+    """Sum over the terms c*m of p and their variables v matching src of
+    c * e_v * m * w / v, where w is v with index `axis` set to dst.
+
+    A variable matches when its family is in `families` and its index
+    `axis` (1 for the row, 2 for the column) equals src.
+    """
     out = {}
     for m, c in p.terms.items():
         md = dict(m)
-        for (fam, i, j), e in m:
-            if fam not in ("x", "y") or i != d:
+        for v, e in m:
+            if v[0] not in families or v[axis] != src:
                 continue
-            src = (fam, d, j)
-            dst = (fam, a, j)
+            w = (v[0], dst, v[2]) if axis == 1 else (v[0], v[1], dst)
             new = dict(md)
-            new[src] = e - 1
-            new[dst] = new.get(dst, 0) + 1
+            new[v] = e - 1
+            new[w] = new.get(w, 0) + 1
             m2 = mono_from_dict(new)
             s = out.get(m2, 0) + c * e
             if s:
@@ -40,27 +44,16 @@ def raising_operator_rows(p, a, d, triple):
             elif m2 in out:
                 del out[m2]
     return Polynomial(out)
+
+
+def raising_operator_rows(p, a, d, triple):
+    """Row operator moving content from row d up to row a."""
+    return _move_one_power(p, ("x", "y"), 1, d, a)
 
 
 def raising_operator_cols(p, family, b, d, triple):
     """Column operator within one family, moving column d into column b."""
-    out = {}
-    for m, c in p.terms.items():
-        md = dict(m)
-        for (fam, i, j), e in m:
-            if fam != family or j != d:
-                continue
-            new = dict(md)
-            new[(fam, i, d)] = e - 1
-            dst = (fam, i, b)
-            new[dst] = new.get(dst, 0) + 1
-            m2 = mono_from_dict(new)
-            s = out.get(m2, 0) + c * e
-            if s:
-                out[m2] = s
-            elif m2 in out:
-                del out[m2]
-    return Polynomial(out)
+    return _move_one_power(p, (family,), 2, d, b)
 
 
 def check_hwv(p, triple):

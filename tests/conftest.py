@@ -61,3 +61,145 @@ def b_variable_coefficients(tr, with_x=True):
                    for h, e in enumerate(row, start=1) if e))
         out.append(coefficient_of(d, b, {"b"}))
     return out
+
+
+def admissible_grids(triple, support):
+    """Nonnegative grids supported inside `support` with the forced margins.
+
+    Row i must sum to F_i - D_i and column h to E_h; these are exactly the
+    grids whose b-monomial survives setting every b outside the support
+    to zero.
+    """
+    t, s = triple.t, triple.s
+    rowsum = [triple.f(i) - triple.d(i) for i in range(1, t + 1)]
+    colrem = [triple.e(h) for h in range(1, s + 1)]
+    allowed = [[h for h in range(1, s + 1) if (i, h) in support]
+               for i in range(1, t + 1)]
+    out = []
+    grid = [[0] * s for _ in range(t)]
+
+    def fill_row(i, cols, need):
+        if not cols:
+            if need == 0:
+                next_row(i + 1)
+            return
+        h = cols[0]
+        for v in range(min(need, colrem[h - 1]), -1, -1):
+            grid[i - 1][h - 1] = v
+            colrem[h - 1] -= v
+            fill_row(i, cols[1:], need - v)
+            colrem[h - 1] += v
+            grid[i - 1][h - 1] = 0
+
+    def next_row(i):
+        if i > t:
+            if all(c == 0 for c in colrem):
+                out.append(tuple(tuple(r) for r in grid))
+            return
+        fill_row(i, allowed[i - 1], rowsum[i - 1])
+
+    next_row(1)
+    return out
+
+
+def grid_support(grid):
+    """The 1-based (row, column) positions of a grid's nonzero entries."""
+    return frozenset((i, h) for i, row in enumerate(grid, start=1)
+                     for h, v in enumerate(row, start=1) if v)
+
+
+def _numeric_Z(triple, betavals, assignment):
+    """Integer Z with A = J and the b coefficients given by betavals."""
+    from lrbasis.polyring import xvar, yvar
+    rows = []
+    for j, fj in enumerate(triple.F.parts, start=1):
+        for u in range(1, fj + 1):
+            row = []
+            for k, dk in enumerate(triple.D.parts, start=1):
+                row.extend(assignment[xvar(u, v)] if j == k else 0
+                           for v in range(1, dk + 1))
+            for k, ek in enumerate(triple.E.parts, start=1):
+                b = betavals.get((j, k), 0)
+                row.extend(b * assignment[yvar(u, v)]
+                           for v in range(1, ek + 1))
+            rows.append(row)
+    return rows
+
+
+def zero_one_coefficient(triple, T, assignment):
+    """delta_MT's value at a point, from 0/1 specializations of the b's.
+
+    det Z is evaluated with b = 1 on the support of each admissible grid
+    and 0 elsewhere; each value is the sum of the grid coefficients whose
+    support it contains, a triangular system solved smallest support
+    first.  When two grids share a support, interpolation_coefficient
+    takes over.  The reference that delta_MT_eval must equal; it takes
+    full |F|-by-|F| determinants, so it is meant for small triples.
+    """
+    from lrbasis import monomial_M
+    from lrbasis.intlinalg import bareiss_det
+    m = monomial_M(T)
+    grids = admissible_grids(triple, set(m.support()))
+    supports = [grid_support(g) for g in grids]
+    if len(set(supports)) != len(grids):
+        return interpolation_coefficient(triple, T, assignment)
+    coeffs = {}
+    for i in sorted(range(len(grids)), key=lambda i: len(supports[i])):
+        betavals = {jk: 1 for jk in supports[i]}
+        coeffs[i] = (bareiss_det(_numeric_Z(triple, betavals, assignment))
+                     - sum(c for j, c in coeffs.items()
+                           if supports[j] < supports[i]))
+    return coeffs[grids.index(m.m)]
+
+
+def _coeff_weights(npoints, target):
+    """w[t] such that sum_t w[t] f(t) = [z^target] f, for deg f < npoints."""
+    from fractions import Fraction
+    weights = []
+    for tpt in range(npoints):
+        # expand prod_{u != tpt} (z - u) / (tpt - u); weight = [z^target]
+        poly = [Fraction(1)]
+        denom = 1
+        for u in range(npoints):
+            if u == tpt:
+                continue
+            denom *= tpt - u
+            new = [Fraction(0)] * (len(poly) + 1)
+            for i, c in enumerate(poly):
+                new[i + 1] += c
+                new[i] -= u * c
+            poly = new
+        weights.append(poly[target] / denom if target < len(poly)
+                       else Fraction(0))
+    return weights
+
+
+def interpolation_coefficient(triple, T, assignment):
+    """delta_MT's value at a point, by interpolating det Z in each b.
+
+    Each b on the tableau's support takes the values 0..bound, where bound
+    caps its degree, and the coefficient of its exponent is read off by
+    Lagrange weights; the b's off the support are 0.
+    """
+    from fractions import Fraction
+    from lrbasis import monomial_M
+    from lrbasis.intlinalg import bareiss_det
+    m = monomial_M(T)
+    support = sorted(m.support())
+    weights = {(i, h): _coeff_weights(
+        min(triple.f(i) - triple.d(i), triple.e(h)) + 1, m.m[i - 1][h - 1])
+        for (i, h) in support}
+
+    def rec(idx, betavals, scale):
+        if idx == len(support):
+            return scale * bareiss_det(_numeric_Z(triple, betavals, assignment))
+        v = support[idx]
+        total = Fraction(0)
+        for pt, w in enumerate(weights[v]):
+            if w:
+                total += rec(idx + 1, {**betavals, v: pt}, scale * w)
+        return total
+
+    total = rec(0, {}, Fraction(1))
+    assert total.denominator == 1
+    return int(total)

@@ -115,9 +115,11 @@ def test_usage_error_exit_2():
     assert p.returncode == 2
 
 
-def test_threads_flag_accepted():
-    p = run("--threads", "4", "count", *SMALL)
-    assert p.returncode == 0
+def test_thread_count_variable_ignored(monkeypatch, capsys):
+    monkeypatch.setenv("LRB_THREADS", "abc")
+    cli.build_parser.cache_clear()
+    assert cli.main(["count", *SMALL]) == 0
+    assert json.loads(capsys.readouterr().out)["lr_count"] == 1
 
 
 @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
@@ -133,7 +135,7 @@ def test_resource_error_exit_1(monkeypatch, capsys, exc):
 def test_parser_built_once():
     assert cli.build_parser() is cli.build_parser()
     cli.build_parser.cache_clear()
-    assert cli.main(["--threads", "3", "count", *SMALL]) == 0
+    assert cli.main(["count", *SMALL]) == 0
 
 
 def test_verify_builds_each_vector_once(monkeypatch, capsys):

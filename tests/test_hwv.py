@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from conftest import (RUNNING_TABLEAUX, b_variable_coefficients,
-                      tableau_by_rows)
-from lrbasis import (admissible_grids, build_Yo, build_Ztilde, delta,
-                     delta_MT, delta_MT_eval, delta_TY, delta_eval,
-                     enumerate_lr, monomial_M, validate_triple)
+from conftest import (RUNNING_TABLEAUX, admissible_grids,
+                      b_variable_coefficients, grid_support,
+                      interpolation_coefficient, tableau_by_rows,
+                      zero_one_coefficient)
+from lrbasis import (build_Yo, build_Ztilde, delta, delta_MT, delta_MT_eval,
+                     delta_TY, delta_eval, enumerate_lr, monomial_M,
+                     parse_partition, validate_triple)
 from lrbasis.errors import DimensionMismatch
 from lrbasis.polyring import evaluate, poly_text
 from lrbasis.sampling import all_triples, random_point, random_triple
@@ -113,9 +115,7 @@ def test_admissible_grids_running(running):
     assert len(admissible_grids(running, set(monomial_M(T).support()))) == 1
     grids = admissible_grids(running, set(monomial_M(T1).support()))
     assert len(grids) == 3
-    supports = {frozenset((i + 1, h + 1) for i, row in enumerate(g)
-                          for h, v in enumerate(row) if v) for g in grids}
-    assert len(supports) == 3
+    assert len(set(map(grid_support, grids))) == 3
 
 
 def test_eval_agrees_with_symbolic():
@@ -130,15 +130,44 @@ def test_eval_agrees_with_symbolic():
 
 
 def test_eval_interp_fallback():
-    # force the interpolation path and compare with the symbolic value
-    from lrbasis.hwv import _delta_MT_eval_interp
+    # the interpolation oracle alone against the symbolic value
     rng = random.Random(16)
     for _ in range(8):
         tr = random_triple(rng, 7, require_tableaux=True)
         for T in enumerate_lr(tr):
             p = delta_MT(tr, T)
             pt = random_point(rng, tr, lo=-15, hi=15)
-            assert _delta_MT_eval_interp(tr, monomial_M(T), pt) == evaluate(p, pt)
+            assert interpolation_coefficient(tr, T, pt) == evaluate(p, pt)
+
+
+# triples where two admissible grids share a support, so that the 0/1
+# oracle falls back to interpolation
+FALLBACK_TRIPLES = [("-", "4,3,1", "4,3,1"), ("1", "4,3", "4,3,1")]
+
+
+def test_delta_MT_eval_matches_zero_one_oracle(running):
+    rng = random.Random(19)
+    n = 0
+    for tr in all_triples(7):
+        for T in enumerate_lr(tr):
+            pt = random_point(rng, tr, lo=-9, hi=9)
+            assert delta_MT_eval(tr, T, pt) == zero_one_coefficient(tr, T, pt)
+            n += 1
+    assert n == 636
+    for D, E, F in FALLBACK_TRIPLES:
+        tr = validate_triple(*map(parse_partition, (D, E, F)))
+        collide = False
+        for T in enumerate_lr(tr):
+            grids = admissible_grids(tr, set(monomial_M(T).support()))
+            collide |= len(set(map(grid_support, grids))) < len(grids)
+            pt = random_point(rng, tr, lo=-9, hi=9)
+            assert delta_MT_eval(tr, T, pt) == zero_one_coefficient(tr, T, pt)
+        assert collide
+    for T in enumerate_lr(running):
+        for _ in range(2):
+            pt = random_point(rng, running)
+            assert (delta_MT_eval(running, T, pt)
+                    == zero_one_coefficient(running, T, pt))
 
 
 def test_delta_eval_matches_symbolic_numeric():
