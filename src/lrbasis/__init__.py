@@ -2,7 +2,7 @@
 Littlewood-Richardson tableaux, with independent combinatorial oracles."""
 
 from .shapes import (LRTriple, Partition, SkewShape, format_partition,
-                     parse_partition, skew, transpose, validate_triple)
+                     parse_partition, transpose, validate_triple)
 from .tableaux import (ExponentMatrix, LRTableau, PeelingTrace, check_lr1,
                        check_lr2, enumerate_lr, is_lr, monomial_M,
                        monomial_bigE, monomial_e, monomial_e1,
@@ -10,9 +10,8 @@ from .tableaux import (ExponentMatrix, LRTableau, PeelingTrace, check_lr1,
 from .polyring import (Polynomial, determinant, determinant_naive, diff,
                        evaluate, leading_monomial, poly_from_json,
                        poly_text, poly_to_json, y_compare)
-from .hwv import (SymbolicMatrix, build_Xtilde, build_Ytilde, build_Yo,
-                  build_Ztilde, delta, delta_eval, delta_MT, delta_MT_eval,
-                  delta_TY)
+from .hwv import (SymbolicMatrix, build_Yo, build_Ztilde, delta, delta_eval,
+                  delta_MT, delta_MT_eval, delta_TY)
 from .verify import (BasisReport, WeightProfile, check_basis,
                      check_e1_factorization, check_hwv, check_leading_term,
                      raising_operator_cols, raising_operator_rows,

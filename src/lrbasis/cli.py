@@ -104,7 +104,7 @@ def cmd_delta(args):
         T = _load_tableau(args, triple)
         p = hwv.delta_MT(triple, T)
     else:
-        p = hwv.delta(triple, A=args.A, B=args.B)
+        p = hwv.delta(triple, A=args.A)
     _poly_out(args, p)
 
 
@@ -198,7 +198,6 @@ def build_parser():
     p = sub.add_parser("delta", help="block determinant or one tableau coefficient")
     _add_triple_args(p)
     p.add_argument("--A", default="J", choices=("J", "symbolic"))
-    p.add_argument("--B", default="symbolic", choices=("symbolic",))
     p.add_argument("--tableau", help="extract the coefficient of this tableau")
     p.add_argument("--index", type=int)
     p.set_defaults(fn=cmd_delta)

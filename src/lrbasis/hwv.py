@@ -8,10 +8,14 @@ and entries b[j,k] * y[u,v].  Its determinant is the master polynomial;
 extracting the coefficient of a b-monomial given by a tableau's exponent
 grid yields one member of the spanning family.
 
-The companion matrix Yo keeps only the rows of each superrow below the
-diagonal x block: superrow j has height F_j - D_j and entries
-b[j,k] * y[D_j + u, v].  The coefficient of the same b-monomial in det Yo
-is the pure-y part used for leading-term arguments.
+The companion matrix Yo keeps only the y columns and, of superrow j, the
+rows D_j + 1..F_j below the diagonal x block.  The coefficient of the same
+b-monomial in det Yo is the pure-y part used for leading-term arguments.
+
+The layout is written down once: _rows lists the rows of Z or Yo as
+(superrow, local row) pairs and guards the widths of D and E; _entries
+fills them in, as polynomials (build_Ztilde, build_Yo) or as integers at
+a point (delta_eval); the Laplace plan below walks the same rows.
 
 Neither determinant is expanded in the b variables.  A tableau's
 coefficient is a signed sum of products of column-initial minors, one
@@ -50,87 +54,69 @@ class SymbolicMatrix:
         return len(self.rows[0]) if self.rows else 0
 
 
-def _coeff(spec, make_var, j, k, nrows, ncols):
-    """Scalar in front of block (j, k) under a coefficient specification.
+def _rows(triple, with_x=True):
+    """The rows of Z (with_x) or of Yo, as (superrow j, local row u) pairs.
 
-    spec is "J" (identity pattern), "symbolic" (a fresh variable per
-    block), or an integer matrix with nrows x ncols entries.
+    Superrow j of Z is rows 1..F_j of the x and y matrices; of Yo, rows
+    D_j + 1..F_j.  D and E must fit in the k columns of x and the ell
+    columns of y, and Yo needs D_j <= F_j.
     """
+    if triple.D.width > triple.k or triple.E.width > triple.ell:
+        raise DimensionMismatch(f"D and E need {triple.D.width} x and "
+                                f"{triple.E.width} y columns; k = {triple.k}, "
+                                f"ell = {triple.ell}")
+    if not with_x and any(triple.f(j) < triple.d(j)
+                          for j in range(1, triple.t + 1)):
+        raise DimensionMismatch("some F_j < D_j; the reduced matrix is undefined")
+    return [(j, u) for j in range(1, triple.t + 1)
+            for u in range(1 if with_x else triple.d(j) + 1, triple.f(j) + 1)]
+
+
+def _coefficients(triple, spec, name):
+    """The matrix A (t x r) or B (t x s) of a specification: "J" (identity
+    pattern), "symbolic" (a variable a[j,k] or b[j,k] per block) or integers."""
+    ncols = triple.r if name == "A" else triple.s
     if spec == "J":
-        return Polynomial.const(1 if j == k else 0)
+        return [[int(j == k) for k in range(ncols)] for j in range(triple.t)]
     if spec == "symbolic":
-        return Polynomial.variable(make_var(j, k))
-    if len(spec) != nrows or any(len(row) != ncols for row in spec):
-        raise DimensionMismatch(f"coefficient matrix must be {nrows}x{ncols}")
-    return Polynomial.const(spec[j - 1][k - 1])
+        make_var = avar if name == "A" else bvar
+        return [[Polynomial.variable(make_var(j, k)) for k in range(1, ncols + 1)]
+                for j in range(1, triple.t + 1)]
+    return spec
 
 
-def build_Xtilde(triple, A="J"):
-    """The left blocks: (j, k) is A[j,k] times the F_j-by-D_k x corner."""
-    if triple.D.width > triple.k:
-        raise DimensionMismatch(f"D has {triple.D.width} columns but k = {triple.k}")
-    heights = triple.F.parts
-    widths = triple.D.parts
-    rows = []
-    for j, fj in enumerate(heights, start=1):
-        coeffs = [_coeff(A, avar, j, k, triple.t, triple.r)
-                  for k in range(1, len(widths) + 1)]
-        for u in range(1, fj + 1):
-            row = []
-            for k, dk in enumerate(widths, start=1):
-                c = coeffs[k - 1]
-                row.extend(c * Polynomial.variable(xvar(u, v))
-                           for v in range(1, dk + 1))
-            rows.append(row)
-    return SymbolicMatrix(rows, heights, widths)
+def _entries(triple, A, B, value):
+    """The entries of Z, or of Yo when A is None, in the ring of `value`.
 
-
-def build_Ytilde(triple, B="symbolic"):
-    """The right blocks: (j, k) is B[j,k] times the F_j-by-E_k y corner."""
-    if triple.E.width > triple.ell:
-        raise DimensionMismatch(f"E has {triple.E.width} columns but ell = {triple.ell}")
-    heights = triple.F.parts
-    widths = triple.E.parts
-    rows = []
-    for j, fj in enumerate(heights, start=1):
-        coeffs = [_coeff(B, bvar, j, k, triple.t, triple.s)
-                  for k in range(1, len(widths) + 1)]
-        for u in range(1, fj + 1):
-            row = []
-            for k, ek in enumerate(widths, start=1):
-                c = coeffs[k - 1]
-                row.extend(c * Polynomial.variable(yvar(u, v))
-                           for v in range(1, ek + 1))
-            rows.append(row)
-    return SymbolicMatrix(rows, heights, widths)
+    Row (j, u) of _rows holds, block by block, A[j,k] * x[u,v] for
+    v = 1..D_k, then B[j,k] * y[u,v] for v = 1..E_k; value maps a variable
+    to its polynomial, or to its integer at a point.
+    """
+    blocks = [("A", A, xvar, triple.D.parts), ("B", B, yvar, triple.E.parts)]
+    blocks = [block for block in blocks if block[1] is not None]
+    for name, M, _, widths in blocks:
+        if len(M) != triple.t or any(len(row) != len(widths) for row in M):
+            raise DimensionMismatch(f"{name} must be {triple.t}x{len(widths)}")
+    return [[c * value(make_var(u, v))
+             for _, M, make_var, widths in blocks
+             for c, w in zip(M[j - 1], widths)
+             for v in range(1, w + 1)]
+            for j, u in _rows(triple, A is not None)]
 
 
 def build_Ztilde(triple, A="J", B="symbolic"):
-    """[X | Y]; square because |D| + |E| = |F|."""
-    X = build_Xtilde(triple, A)
-    Y = build_Ytilde(triple, B)
-    rows = [xr + yr for xr, yr in zip(X.rows, Y.rows)]
-    return SymbolicMatrix(rows, X.row_blocks, X.col_blocks + Y.col_blocks)
+    """Z = [X | Y]; square because |D| + |E| = |F|."""
+    rows = _entries(triple, _coefficients(triple, A, "A"),
+                    _coefficients(triple, B, "B"), Polynomial.variable)
+    return SymbolicMatrix(rows, triple.F.parts, triple.D.parts + triple.E.parts)
 
 
 def build_Yo(triple, B="symbolic"):
     """Below-diagonal y rows only: superrow j has height F_j - D_j."""
-    if not all(triple.f(j) >= triple.d(j) for j in range(1, triple.t + 1)):
-        raise DimensionMismatch("some F_j < D_j; the reduced matrix is undefined")
-    widths = triple.E.parts
+    rows = _entries(triple, None, _coefficients(triple, B, "B"),
+                    Polynomial.variable)
     heights = tuple(triple.f(j) - triple.d(j) for j in range(1, triple.t + 1))
-    rows = []
-    for j in range(1, triple.t + 1):
-        coeffs = [_coeff(B, bvar, j, k, triple.t, triple.s)
-                  for k in range(1, len(widths) + 1)]
-        for u in range(1, heights[j - 1] + 1):
-            row = []
-            for k, ek in enumerate(widths, start=1):
-                c = coeffs[k - 1]
-                row.extend(c * Polynomial.variable(yvar(triple.d(j) + u, v))
-                           for v in range(1, ek + 1))
-            rows.append(row)
-    return SymbolicMatrix(rows, heights, widths)
+    return SymbolicMatrix(rows, heights, triple.E.parts)
 
 
 def delta(triple, A="J", B="symbolic"):
@@ -183,14 +169,7 @@ def _laplace_plan(triple, grid, with_x):
     moves them past all |E| y rows: a sign of (-1)^(|D| |E|).  Only edges
     that lead to `final` are kept.
     """
-    if triple.D.width > triple.k or triple.E.width > triple.ell:
-        raise DimensionMismatch(f"D and E need {triple.D.width} x and "
-                                f"{triple.E.width} y columns; k = {triple.k}, "
-                                f"ell = {triple.ell}")
-    rows = []                      # (superrow, local index), in matrix order
-    for j in range(1, triple.t + 1):
-        first = 1 if with_x else triple.d(j) + 1
-        rows.extend((j, u) for u in range(first, triple.f(j) + 1))
+    rows = _rows(triple, with_x)   # (superrow, local index), in matrix order
     superrow = [[p for p, (i, _) in enumerate(rows) if i == j]
                 for j in range(1, triple.t + 1)]
 
@@ -233,15 +212,20 @@ def _laplace_plan(triple, grid, with_x):
     return start, tuple(levels), final
 
 
-def _plan_sum(plan, minor, add_product, one):
+def _plan_sum(plan, value, det, add_product, one):
     """Sum a Laplace plan's terms over the ring of `one`.
 
-    minor(make_var, local) is det make_var[local, 1..len(local)] in that
-    ring, and is called once per distinct minor; add_product(acc, p, q, c)
-    returns acc + c * p * q, with None for a zero acc.  Returns None when
-    no term survives.
+    value maps a variable into that ring and det takes the determinant of
+    a matrix over it; each distinct minor det x[local, 1..len(local)] or
+    det y[local, 1..len(local)] is computed once.  add_product(acc, p, q,
+    c) returns acc + c * p * q, with None for a zero acc.  Returns None
+    when no term survives.
     """
-    minor = functools.cache(minor)
+    @functools.cache
+    def minor(make_var, local):
+        return det([[value(make_var(u, v)) for v in range(1, len(local) + 1)]
+                    for u in local])
+
     start, levels, final = plan
     level = {start: one}
     for edges in levels:
@@ -265,13 +249,8 @@ def _plan_sum(plan, minor, add_product, one):
 
 def _tableau_coefficient(triple, grid, with_x):
     """Coefficient of b^grid in det Z (with_x) or in det Yo, with A = J."""
-    def minor(make_var, local):
-        return determinant(
-            [[Polynomial.variable(make_var(u, v))
-              for v in range(1, len(local) + 1)] for u in local]).terms
-
-    out = _plan_sum(_laplace_plan(triple, grid, with_x), minor, _add_product,
-                    {ONE: 1})
+    out = _plan_sum(_laplace_plan(triple, grid, with_x), Polynomial.variable,
+                    lambda rows: determinant(rows).terms, _add_product, {ONE: 1})
     if not out:
         raise ZeroCoefficient("the tableau coefficient vanished")
     return Polynomial(out)
@@ -292,23 +271,8 @@ def delta_TY(triple, T):
 # ---------------------------------------------------------------------------
 
 def delta_eval(triple, A, B, assignment):
-    """Exact integer value of the determinant for numeric A, B."""
-    if len(A) != triple.t or any(len(r) != triple.r for r in A):
-        raise DimensionMismatch(f"A must be {triple.t}x{triple.r}")
-    if len(B) != triple.t or any(len(r) != triple.s for r in B):
-        raise DimensionMismatch(f"B must be {triple.t}x{triple.s}")
-    rows = []
-    for j, fj in enumerate(triple.F.parts, start=1):
-        for u in range(1, fj + 1):
-            row = []
-            for k, dk in enumerate(triple.D.parts, start=1):
-                a = A[j - 1][k - 1]
-                row.extend(a * assignment[xvar(u, v)] for v in range(1, dk + 1))
-            for k, ek in enumerate(triple.E.parts, start=1):
-                b = B[j - 1][k - 1]
-                row.extend(b * assignment[yvar(u, v)] for v in range(1, ek + 1))
-            rows.append(row)
-    return bareiss_det(rows)
+    """Exact integer value of det Z for integer matrices A and B."""
+    return bareiss_det(_entries(triple, A, B, assignment.__getitem__))
 
 
 def delta_MT_eval(triple, T, assignment):
@@ -317,10 +281,6 @@ def delta_MT_eval(triple, T, assignment):
     The same Laplace plan as delta_MT, summed over the integers: each
     minor is the determinant of its entries at the point.
     """
-    def minor(make_var, local):
-        return bareiss_det([[assignment[make_var(u, v)]
-                             for v in range(1, len(local) + 1)]
-                            for u in local])
-
     plan = _laplace_plan(triple, monomial_M(T).m, True)
-    return _plan_sum(plan, minor, _add_int_product, 1) or 0
+    return _plan_sum(plan, assignment.__getitem__, bareiss_det,
+                     _add_int_product, 1) or 0

@@ -144,9 +144,6 @@ class Polynomial:
             other = Polynomial.const(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
@@ -168,19 +165,6 @@ class Polynomial:
         return res
 
     __rmul__ = __mul__
-
-    def degree(self):
-        return max((mono_degree(m) for m in self.terms), default=0)
-
-    def variables(self):
-        seen = set()
-        for m in self.terms:
-            for v, _ in m:
-                seen.add(v)
-        return seen
-
-    def coefficient(self, m):
-        return self.terms.get(m, 0)
 
     def __repr__(self):
         return f"Polynomial({poly_text(self)})"

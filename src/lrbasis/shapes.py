@@ -143,10 +143,6 @@ class SkewShape:
         return f"SkewShape({list(self.outer.parts)}, {list(self.inner.parts)})"
 
 
-def skew(outer, inner=()):
-    return SkewShape(outer, inner)
-
-
 @dataclass(frozen=True)
 class LRTriple:
     """Diagrams (D, E, F) with |D| + |E| = |F| and ambient sizes n, k, ell.

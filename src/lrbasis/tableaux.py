@@ -38,9 +38,6 @@ class LRTableau:
             if not isinstance(v, int) or v < 1:
                 raise ShapeError(f"entries must be positive integers, got {v!r}")
 
-    def entry(self, a, c):
-        return self.entries[(a, c)]
-
     def row_word(self):
         """Entries read row by row, top to bottom, left to right."""
         return tuple(self.entries[cell] for cell in self.shape.cells)

@@ -19,6 +19,10 @@ from .polyring import (Polynomial, leading_monomial, mono_divides,
 from .sampling import random_point
 from .tableaux import (enumerate_lr, monomial_bigE, monomial_e, monomial_e1)
 
+# The largest |F| whose basis check ranks the exact coefficient matrix;
+# beyond it check_basis ranks exact values at random points instead.
+SYMBOLIC_LIMIT = 12
+
 
 def _move_one_power(p, families, axis, src, dst):
     """Sum over the terms c*m of p and their variables v matching src of
@@ -160,11 +164,12 @@ class BasisReport:
                 "rank": self.rank, "mode": self.mode, "pass": self.passed}
 
 
-def check_basis(triple, seed=0, symbolic_limit=12, tableaux=None, polys=None):
+def check_basis(triple, seed=0, tableaux=None, polys=None):
     """Count, construct, and rank the tableau coefficients of a triple.
 
-    For small |F| the rank is that of the exact coefficient matrix of the
-    constructed polynomials.  For large |F| the polynomials are evaluated
+    For |F| <= SYMBOLIC_LIMIT the rank is that of the exact coefficient
+    matrix of the constructed polynomials, whose columns grow with the
+    number of monomials.  For larger |F| the polynomials are evaluated
     exactly at random integer points instead; the evaluation matrix has
     rank at most that of the coefficient matrix, which in turn is at most
     the tableau count, so equality of all three is still conclusive.
@@ -178,7 +183,7 @@ def check_basis(triple, seed=0, symbolic_limit=12, tableaux=None, polys=None):
     distinct = len(set(leading)) == len(leading)
     if not tabs:
         return BasisReport(0, oracle_count, [], True, 0, "empty")
-    if triple.F.size <= symbolic_limit:
+    if triple.F.size <= SYMBOLIC_LIMIT:
         if polys is None:
             polys = [delta_MT(triple, T) for T in tabs]
         monos = sorted({m for p in polys for m in p.terms})

@@ -36,9 +36,36 @@ def test_dimension_guards():
         build_Ztilde(tr)
     with pytest.raises(DimensionMismatch):
         delta_MT(tr, enumerate_lr(tr)[0])
+    pt = random_point(random.Random(0), tr)
+    with pytest.raises(DimensionMismatch):
+        delta_eval(tr, [[1]], [[]], pt)
+    # E is one row of width 2, but the y matrix has one column
+    with pytest.raises(DimensionMismatch):
+        build_Yo(validate_triple([], [2], [2], ell=1))
     tr2 = validate_triple([1], [1], [2])
     with pytest.raises(DimensionMismatch):
         delta_eval(tr2, [[1, 2]], [[1]], {})
+
+
+def _assert_yo_is_restricted_z(tr):
+    # Yo is Z's y columns on rows D_j + 1..F_j of each superrow j
+    Z = build_Ztilde(tr, A="J", B="symbolic")
+    Yo = build_Yo(tr, B="symbolic")
+    keep, top = [], 0
+    for j, fj in enumerate(tr.F.parts, start=1):
+        keep.extend(range(top + tr.d(j), top + fj))
+        top += fj
+    assert [Z.rows[i][tr.D.size:] for i in keep] == Yo.rows
+
+
+def test_yo_is_restricted_z(running):
+    n = 0
+    for tr in all_triples(6):
+        if tr.dt_in_ft:
+            _assert_yo_is_restricted_z(tr)
+            n += 1
+    assert n == 712
+    _assert_yo_is_restricted_z(running)
 
 
 def test_delta_reduced_expansion_matches_delta_MT():
