@@ -1,13 +1,16 @@
 """Independent multiplicity counts via symmetric-function expansion.
 
-Schur polynomials are built by brute-force enumeration of semistandard
-tableaux, products are expanded back into Schur polynomials by repeatedly
-peeling off the lex-greatest exponent vector, and the structure constants
-are read off.  Nothing here shares logic with the tableau module, so the
-two can check each other.
+A Schur polynomial s_lambda gives each exponent vector the Kostka number
+K(lambda, alpha) of its sorted form alpha: the number of semistandard
+tableaux of shape lambda and content alpha, counted by removing horizontal
+strips.  A product is expanded back into Schur polynomials by repeatedly
+peeling off the lex-greatest partition exponent and subtracting its Kostka
+numbers, and the structure constants are read off.  Nothing here shares
+logic with the tableau module, so the two can check each other.
 """
 
 from functools import lru_cache
+from math import factorial
 
 from .errors import NegativeCoefficient, NotSymmetric, TooFewVariables
 from .polyring import Polynomial, mono, zvar
@@ -15,36 +18,103 @@ from .shapes import Partition
 
 
 @lru_cache(maxsize=None)
+def _partitions(n, maxparts, maxpart):
+    """Partitions of n with at most maxparts parts, each at most maxpart."""
+    if n == 0:
+        return ((),)
+    if maxparts == 0:
+        return ()
+    return tuple((first,) + rest
+                 for first in range(min(n, maxpart), 0, -1)
+                 for rest in _partitions(n - first, maxparts - 1, first))
+
+
+def _dominates(lam, mu):
+    """Whether lam dominates mu; both are partitions of the same size."""
+    a = b = 0
+    for i in range(len(mu)):
+        a += lam[i] if i < len(lam) else 0
+        b += mu[i]
+        if a < b:
+            return False
+    return True
+
+
+def _strips(shape, k, row=0):
+    """The shapes mu with shape/mu a horizontal strip of k cells."""
+    if row == len(shape):
+        if k == 0:
+            yield ()
+        return
+    below = shape[row + 1] if row + 1 < len(shape) else 0
+    for take in range(min(k, shape[row] - below), -1, -1):
+        for rest in _strips(shape, k - take, row + 1):
+            part = shape[row] - take
+            yield (part,) + rest if part else rest
+
+
+@lru_cache(maxsize=None)
+def _kostka(shape, content):
+    """Number of semistandard tableaux of the shape with the content.
+
+    Both are partitions as tuples.  The entries equal to len(content) form
+    a horizontal strip of content[-1] cells; each way of removing it leaves
+    a tableau of a smaller shape with content[:-1].
+    """
+    if len(shape) > len(content):
+        return 0
+    if not content:
+        return 1
+    return sum(_kostka(mu, content[:-1]) for mu in _strips(shape, content[-1]))
+
+
+def _rearrangements(vec):
+    """The distinct rearrangements of a tuple, each once."""
+    counts = {}
+    for v in vec:
+        counts[v] = counts.get(v, 0) + 1
+    cur = []
+
+    def rec():
+        if len(cur) == len(vec):
+            yield tuple(cur)
+            return
+        for v, m in counts.items():
+            if m:
+                counts[v] = m - 1
+                cur.append(v)
+                yield from rec()
+                cur.pop()
+                counts[v] = m
+
+    return rec()
+
+
+def _rearrangement_count(vec):
+    """The number of distinct rearrangements of a tuple."""
+    out = factorial(len(vec))
+    for v in set(vec):
+        out //= factorial(vec.count(v))
+    return out
+
+
+@lru_cache(maxsize=None)
 def _ssyt_monomials(shape, nvars):
     """Weight vectors of all semistandard tableaux of the given shape.
 
     Returns a dict {weight tuple: multiplicity}; entries are 1..nvars,
-    rows weakly increase, columns strictly increase.
+    rows weakly increase, columns strictly increase.  Each weight is a
+    rearrangement of a partition alpha and has multiplicity K(shape, alpha).
     """
     shape = tuple(shape)
-    cells = [(a, c) for a, width in enumerate(shape, start=1)
-             for c in range(1, width + 1)]
     counts = {}
-    entries = {}
-
-    def backtrack(idx):
-        if idx == len(cells):
-            w = [0] * nvars
-            for v in entries.values():
-                w[v - 1] += 1
-            w = tuple(w)
-            counts[w] = counts.get(w, 0) + 1
-            return
-        a, c = cells[idx]
-        lo = entries.get((a, c - 1), 1)
-        up = entries.get((a - 1, c))
-        lo = max(lo, up + 1 if up is not None else 1)
-        for v in range(lo, nvars + 1):
-            entries[(a, c)] = v
-            backtrack(idx + 1)
-            del entries[(a, c)]
-
-    backtrack(0)
+    if len(shape) > nvars:
+        return counts
+    for alpha in _partitions(sum(shape), nvars, shape[0] if shape else 0):
+        if _dominates(shape, alpha):
+            k = _kostka(shape, alpha)
+            for w in _rearrangements(alpha + (0,) * (nvars - len(alpha))):
+                counts[w] = k
     return counts
 
 
@@ -70,26 +140,51 @@ def _exponent_vector(m, nvars):
     return tuple(w)
 
 
+def _symmetric_part(p, nvars):
+    """p as {partition: coefficient} in the monomial symmetric basis.
+
+    Raises NotSymmetric unless every rearrangement of each exponent vector
+    of p occurs, with the same coefficient.
+    """
+    groups = {}
+    for m, c in p.terms.items():
+        w = sorted(_exponent_vector(m, nvars), reverse=True)
+        groups.setdefault(tuple(w), []).append(c)
+    out = {}
+    for top, coeffs in groups.items():
+        # the terms of a group are distinct rearrangements of top, so they
+        # are all of them exactly when there are as many as top has
+        if len(coeffs) != _rearrangement_count(top) or len(set(coeffs)) > 1:
+            raise NotSymmetric(f"the rearrangements of exponent {top} do "
+                               f"not all have coefficient {coeffs[0]}")
+        out[tuple(x for x in top if x)] = coeffs[0]
+    return out
+
+
 def expand_in_schur(p, nvars):
     """Write p as a sum of Schur polynomials; {partition: coefficient}.
 
-    Repeatedly subtracts c * s_mu where z^mu is the lex-greatest surviving
-    exponent vector.  Raises NotSymmetric when that vector is not weakly
-    decreasing and NegativeCoefficient when c < 0, either of which means
-    p was not a nonnegative combination.
+    Checks that p is symmetric, then repeatedly subtracts c * s_mu where
+    z^mu is the lex-greatest surviving partition exponent, one Kostka
+    number K(mu, alpha) per partition alpha below it.  Raises NotSymmetric
+    for non-symmetric p and NegativeCoefficient when some c < 0, either of
+    which means p was not a nonnegative combination.
     """
-    work = Polynomial(dict(p.terms))
+    work = _symmetric_part(p, nvars)
     out = {}
-    while not work.is_zero():
-        top = max((_exponent_vector(m, nvars) for m in work.terms))
-        mu = tuple(x for x in top if x)
-        if any(top[i] < top[i + 1] for i in range(len(top) - 1)):
-            raise NotSymmetric(f"leading exponent {top} is not a partition")
-        c = work.terms[mono(*((zvar(i + 1), e) for i, e in enumerate(top) if e))]
+    while work:
+        mu = max(work)
+        c = work[mu]
         if c < 0:
             raise NegativeCoefficient(f"coefficient of s_{mu} is {c}")
         out[Partition(mu)] = c
-        work = work - schur_polynomial(mu, nvars) * c
+        for alpha in _partitions(sum(mu), nvars, mu[0] if mu else 0):
+            if _dominates(mu, alpha):
+                rest = work.get(alpha, 0) - c * _kostka(mu, alpha)
+                if rest:
+                    work[alpha] = rest
+                else:
+                    work.pop(alpha, None)
     return out
 
 

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 
 from lrbasis import parse_partition, validate_triple
@@ -203,3 +205,74 @@ def interpolation_coefficient(triple, T, assignment):
     total = rec(0, {}, Fraction(1))
     assert total.denominator == 1
     return int(total)
+
+
+@lru_cache(maxsize=None)
+def tableau_ssyt_monomials(shape, nvars):
+    """Weight vectors of the semistandard tableaux of a shape, one by one.
+
+    Returns {weight tuple: multiplicity}, filling the cells row by row with
+    entries 1..nvars, rows weakly increasing and columns strictly.  The
+    reference that the oracle's Kostka-number build must equal; it visits
+    every tableau, so it is meant for small shapes.
+    """
+    cells = [(a, c) for a, width in enumerate(shape, start=1)
+             for c in range(1, width + 1)]
+    counts = {}
+    entries = {}
+
+    def backtrack(idx):
+        if idx == len(cells):
+            w = [0] * nvars
+            for v in entries.values():
+                w[v - 1] += 1
+            w = tuple(w)
+            counts[w] = counts.get(w, 0) + 1
+            return
+        a, c = cells[idx]
+        lo = entries.get((a, c - 1), 1)
+        up = entries.get((a - 1, c))
+        lo = max(lo, up + 1 if up is not None else 1)
+        for v in range(lo, nvars + 1):
+            entries[(a, c)] = v
+            backtrack(idx + 1)
+            del entries[(a, c)]
+
+    backtrack(0)
+    return counts
+
+
+def _tableau_schur(lam, nvars):
+    from lrbasis.polyring import Polynomial, mono, zvar
+    return Polynomial({mono(*((zvar(i + 1), e) for i, e in enumerate(w) if e)): c
+                       for w, c in tableau_ssyt_monomials(tuple(lam), nvars).items()})
+
+
+def peel_lr_coefficient(triple):
+    """lr_coefficient by multiplying and peeling whole Schur polynomials.
+
+    s_D' * s_E' is built from tableau_ssyt_monomials; then c * s_mu, built
+    the same way, is subtracted for the lex-greatest surviving exponent
+    vector z^mu until nothing is left.  The reference that the oracle's
+    Kostka-number peel must equal, for small triples.
+    """
+    Dt, Et, Ft = triple.Dt, triple.Et, triple.Ft
+    nvars = max(1, Dt.depth, Et.depth, Ft.depth)
+    return _peel_product(Dt.parts, Et.parts, nvars).get(Ft.parts, 0)
+
+
+@lru_cache(maxsize=None)
+def _peel_product(mu, nu, nvars):
+    from lrbasis.polyring import mono, zvar
+    work = _tableau_schur(mu, nvars) * _tableau_schur(nu, nvars)
+    out = {}
+    while not work.is_zero():
+        top = max(tuple(dict((v[1], e) for v, e in m).get(i, 0)
+                        for i in range(1, nvars + 1)) for m in work.terms)
+        assert all(top[i] >= top[i + 1] for i in range(nvars - 1)), top
+        c = work.terms[mono(*((zvar(i + 1), e) for i, e in enumerate(top) if e))]
+        assert c > 0, (top, c)
+        lam = tuple(x for x in top if x)
+        out[lam] = c
+        work = work - _tableau_schur(lam, nvars) * c
+    return out

@@ -1,12 +1,20 @@
+import ast
+import json
 import random
+from math import factorial
+from pathlib import Path
 
 import pytest
 
+from conftest import peel_lr_coefficient, tableau_ssyt_monomials
 from lrbasis import (Partition, expand_in_schur, lr_coefficient,
                      schur_polynomial, validate_triple)
-from lrbasis.errors import NotSymmetric, TooFewVariables
+from lrbasis.errors import NegativeCoefficient, NotSymmetric, TooFewVariables
+from lrbasis.oracle import _ssyt_monomials
 from lrbasis.polyring import Polynomial, mono, zvar
-from lrbasis.sampling import random_triple
+from lrbasis.sampling import all_triples, partitions_of, random_triple
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_schur_known_small():
@@ -41,6 +49,18 @@ def test_expand_recovers_schur():
 def test_expand_rejects_asymmetric():
     p = Polynomial.monomial(mono((zvar(2), 1)))  # z2 alone
     with pytest.raises(NotSymmetric):
+        expand_in_schur(p, 2)
+    # z1^2 has a partition exponent but is not symmetric in 2 variables
+    z1sq = Polynomial.monomial(mono((zvar(1), 2)))
+    z1z2 = Polynomial.monomial(mono((zvar(1), 1), (zvar(2), 1)))
+    for p in (z1sq, z1sq + z1z2):
+        with pytest.raises((NotSymmetric, NegativeCoefficient)):
+            expand_in_schur(p, 2)
+    # every rearrangement present, but z1^2 and z2^2 with unequal
+    # coefficients: s_(2) taken once would leave nothing behind
+    p = Polynomial({mono((zvar(2), 2)): 1, mono((zvar(1), 2)): 2,
+                    mono((zvar(1), 1), (zvar(2), 1)): 1})
+    with pytest.raises((NotSymmetric, NegativeCoefficient)):
         expand_in_schur(p, 2)
 
 
@@ -88,3 +108,73 @@ def test_nvars_guard():
     tr = validate_triple([1], [1], [2])
     with pytest.raises(TooFewVariables):
         lr_coefficient(tr, nvars=1)
+
+
+def test_ssyt_monomials_match_tableau_enumeration():
+    pairs = 0
+    for n in range(9):
+        for lam in partitions_of(n):
+            for nvars in range(1, 7):
+                assert _ssyt_monomials(lam, nvars) == \
+                    tableau_ssyt_monomials(lam, nvars), (lam, nvars)
+                pairs += 1
+    assert pairs == 402
+
+
+def _dominated(lam, alpha):
+    return all(sum(lam[:i]) >= sum(alpha[:i]) for i in range(1, len(alpha) + 1))
+
+
+def test_ssyt_monomials_rearrangements():
+    for lam in ((2, 1), (3, 2, 1)):
+        cells = [(a, c) for a, w in enumerate(lam) for c in range(w)]
+        hooks = [lam[a] - c + sum(1 for b in lam[a + 1:] if b > c)
+                 for a, c in cells]
+        for n in range(len(lam), 11):
+            weights = _ssyt_monomials(lam, n)
+            # hook-content formula for s_lam(1^n)
+            dim = 1
+            for (a, c), h in zip(cells, hooks):
+                dim *= n + c - a
+            for h in hooks:
+                dim //= h
+            assert sum(weights.values()) == dim
+            keys = 0
+            for alpha in partitions_of(sum(lam)):
+                if len(alpha) <= n and _dominated(lam, alpha):
+                    count = factorial(n) // factorial(n - len(alpha))
+                    for v in set(alpha):
+                        count //= factorial(alpha.count(v))
+                    keys += count
+            assert len(weights) == keys
+
+
+def test_lr_coefficient_matches_peel_oracle():
+    triples = 0
+    for tr in all_triples(7):
+        assert lr_coefficient(tr) == peel_lr_coefficient(tr), tr
+        triples += 1
+    assert triples == 2759
+
+
+def test_lr_coefficient_verify_large_pool():
+    pool = json.loads((ROOT / "bench" / "pools" / "verify-large.json").read_text())
+    assert len(pool["triples"]) == 20
+    for D, E, F, count, _ in pool["triples"]:
+        assert lr_coefficient(validate_triple(D, E, F)) == count, (D, E, F)
+
+
+def test_oracle_imports_no_tableau_logic():
+    tree = ast.parse((ROOT / "src" / "lrbasis" / "oracle.py").read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                package |= ({node.module} if node.module
+                            else {a.name for a in node.names})
+            elif node.module.split(".")[0] == "lrbasis":
+                package.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            package |= {a.name.partition(".")[2] for a in node.names
+                        if a.name.split(".")[0] == "lrbasis"}
+    assert package == {"errors", "polyring", "shapes"}
