@@ -45,6 +45,9 @@ class BZAssignment:
     __slots__ = ("values",)
 
     def __init__(self, values):
+        if not isinstance(values, dict):
+            raise ShapeError("vertex values must be a {vertex: value} object, "
+                             f"got {type(values).__name__}")
         unknown = set(values) - set(VERTICES)
         if unknown:
             raise ShapeError(f"unknown vertices {sorted(unknown)}")

@@ -2,10 +2,11 @@
 
 Partitions are comma-separated part lists ("5,5,4,3,1,1"), with "-" for
 the empty partition.  Tableaux travel as JSON objects with keys "outer",
-"inner", and "rows"; pass a file path or "-" for stdin, or select one by
-its position in the canonical enumeration with --index.  Exit status is
-0 on success, 1 on a domain error (reported as JSON on stderr; running
-out of memory or of recursion depth counts as one), 2 on a usage error.
+"inner", and "rows", and must have the triple's skew shape; pass a file
+path or "-" for stdin, or select one by its position in the canonical
+enumeration with --index.  Exit status is 0 on success, 1 on a domain
+error (reported as JSON on stderr; running out of memory or of recursion
+depth counts as one), 2 on a usage error.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import json
 import sys
 
 from . import bz4, hwv, oracle, verify
-from .errors import LRBError
+from .errors import LRBError, ShapeError
 from .polyring import mono_text, poly_text, poly_to_json
 from .shapes import parse_partition, validate_triple
 from .tableaux import LRTableau, enumerate_lr, monomial_M, monomial_bigE, \
@@ -48,7 +49,11 @@ def _load_tableau(args, triple):
     else:
         with open(args.tableau) as fh:
             data = json.load(fh)
-    return LRTableau.from_json(data)
+    T, shape = LRTableau.from_json(data), triple.skew_shape()
+    if T.shape != shape:
+        raise ShapeError(f"the tableau's shape {T.shape} is not the "
+                         f"triple's {shape}")
+    return T
 
 
 def _poly_out(args, p):

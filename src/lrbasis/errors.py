@@ -37,10 +37,6 @@ class NonSquare(LRBError):
     """Determinant of a non-square matrix was requested."""
 
 
-class MissingAssignment(LRBError):
-    """Evaluation point omits a variable present in the polynomial."""
-
-
 class DimensionMismatch(LRBError):
     """A coefficient matrix has the wrong size for its block structure."""
 

@@ -14,8 +14,8 @@ b-monomial in det Yo is the pure-y part used for leading-term arguments.
 
 The layout is written down once: _rows lists the rows of Z or Yo as
 (superrow, local row) pairs and guards the widths of D and E; _entries
-fills them in, as polynomials (build_Ztilde, build_Yo) or as integers at
-a point (delta_eval); the Laplace plan below walks the same rows.
+fills in the rows of Z, as polynomials (build_Ztilde) or as integers at
+a point (delta_eval); the Laplace plan below walks the rows of either.
 
 Neither determinant is expanded in the b variables.  A tableau's
 coefficient is a signed sum of products of column-initial minors, one
@@ -27,7 +27,6 @@ delta_TY), and over integer minors at a point for its exact value there
 """
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DimensionMismatch, ZeroCoefficient
@@ -35,23 +34,6 @@ from .intlinalg import bareiss_det
 from .polyring import (ONE, Polynomial, avar, bvar, determinant, mono_mul,
                        xvar, yvar)
 from .tableaux import monomial_M
-
-
-@dataclass
-class SymbolicMatrix:
-    """A matrix of polynomials with its block structure remembered."""
-
-    rows: list
-    row_blocks: tuple
-    col_blocks: tuple
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
 
 
 def _rows(triple, with_x=True):
@@ -86,14 +68,13 @@ def _coefficients(triple, spec, name):
 
 
 def _entries(triple, A, B, value):
-    """The entries of Z, or of Yo when A is None, in the ring of `value`.
+    """The entries of Z, in the ring of `value`.
 
     Row (j, u) of _rows holds, block by block, A[j,k] * x[u,v] for
     v = 1..D_k, then B[j,k] * y[u,v] for v = 1..E_k; value maps a variable
     to its polynomial, or to its integer at a point.
     """
     blocks = [("A", A, xvar, triple.D.parts), ("B", B, yvar, triple.E.parts)]
-    blocks = [block for block in blocks if block[1] is not None]
     for name, M, _, widths in blocks:
         if len(M) != triple.t or any(len(row) != len(widths) for row in M):
             raise DimensionMismatch(f"{name} must be {triple.t}x{len(widths)}")
@@ -101,27 +82,18 @@ def _entries(triple, A, B, value):
              for _, M, make_var, widths in blocks
              for c, w in zip(M[j - 1], widths)
              for v in range(1, w + 1)]
-            for j, u in _rows(triple, A is not None)]
+            for j, u in _rows(triple)]
 
 
 def build_Ztilde(triple, A="J", B="symbolic"):
-    """Z = [X | Y]; square because |D| + |E| = |F|."""
-    rows = _entries(triple, _coefficients(triple, A, "A"),
+    """The rows of Z = [X | Y]; square because |D| + |E| = |F|."""
+    return _entries(triple, _coefficients(triple, A, "A"),
                     _coefficients(triple, B, "B"), Polynomial.variable)
-    return SymbolicMatrix(rows, triple.F.parts, triple.D.parts + triple.E.parts)
-
-
-def build_Yo(triple, B="symbolic"):
-    """Below-diagonal y rows only: superrow j has height F_j - D_j."""
-    rows = _entries(triple, None, _coefficients(triple, B, "B"),
-                    Polynomial.variable)
-    heights = tuple(triple.f(j) - triple.d(j) for j in range(1, triple.t + 1))
-    return SymbolicMatrix(rows, heights, triple.E.parts)
 
 
 def delta(triple, A="J", B="symbolic"):
     """Determinant of the block matrix for the given coefficient specs."""
-    return determinant(build_Ztilde(triple, A, B).rows)
+    return determinant(build_Ztilde(triple, A, B))
 
 
 def _add_product(acc, p, q, c):

@@ -8,11 +8,9 @@ x < y < a < b < z, then (i, j) lexicographically.  Polynomials are dicts
 mapping monomials to nonzero integer coefficients.
 """
 
-import json
 import re
 
-from .errors import (MissingAssignment, NonSquare, UnorderedVariable,
-                     ZeroPolynomial)
+from .errors import NonSquare, UnorderedVariable, ZeroPolynomial
 
 _FAMILY_RANK = {"x": 0, "y": 1, "a": 2, "b": 3, "z": 4}
 
@@ -70,12 +68,6 @@ def mono_mul(m1, m2):
 
 def mono_degree(m):
     return sum(e for _, e in m)
-
-
-def mono_divides(m1, m2):
-    """Whether m1 divides m2."""
-    d2 = dict(m2)
-    return all(d2.get(v, 0) >= e for v, e in m1)
 
 
 def mono_restrict(m, families):
@@ -168,37 +160,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({poly_text(self)})"
-
-
-def diff(p, v):
-    """Partial derivative with respect to variable v."""
-    out = {}
-    for m, c in p.terms.items():
-        d = dict(m)
-        e = d.get(v, 0)
-        if not e:
-            continue
-        d[v] = e - 1
-        m2 = mono_from_dict(d)
-        s = out.get(m2, 0) + c * e
-        if s:
-            out[m2] = s
-        elif m2 in out:
-            del out[m2]
-    return Polynomial(out)
-
-
-def evaluate(p, assignment):
-    """Evaluate at an integer point; every variable of p must be assigned."""
-    total = 0
-    for m, c in p.terms.items():
-        v = c
-        for var, e in m:
-            if var not in assignment:
-                raise MissingAssignment(f"no value for {var}")
-            v *= assignment[var] ** e
-        total += v
-    return total
 
 
 def coefficient_of(p, m, families):
@@ -310,32 +271,6 @@ def determinant(matrix):
     return result * sign
 
 
-def determinant_naive(matrix):
-    """Permutation-sum determinant; independent oracle for small matrices."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise NonSquare("matrix is not square")
-    rows = [[e if isinstance(e, Polynomial) else Polynomial.const(e) for e in row]
-            for row in matrix]
-    from itertools import permutations
-    total = Polynomial()
-    for perm in permutations(range(n)):
-        sign = 1
-        p = list(perm)
-        for i in range(n):
-            while p[i] != i:
-                j = p[i]
-                p[i], p[j] = p[j], p[i]
-                sign = -sign
-        prod = Polynomial.const(sign)
-        for r in range(n):
-            prod = prod * rows[r][perm[r]]
-            if prod.is_zero():
-                break
-        total = total + prod
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Serialization.  Text looks like "+1*x[1,1]*y[2,1] -1*x[2,1]*y[1,1]";
 # JSON is {"terms": [{"c": "<int>", "m": [["y", 5, 3, 1], ...]}, ...]}.
@@ -393,12 +328,3 @@ def poly_to_json(p):
                       "m": [[v[0], v[1], v[2], e] for v, e in m]})
     return {"terms": terms}
 
-
-def poly_from_json(data):
-    if isinstance(data, str):
-        data = json.loads(data)
-    out = Polynomial()
-    for t in data["terms"]:
-        m = mono(*(((f, i, j), e) for f, i, j, e in t["m"]))
-        out = out + Polynomial.monomial(m, int(t["c"]))
-    return out

@@ -221,12 +221,13 @@ def validate_triple(D, E, F, n=None, k=None, ell=None):
     t = F.depth
     if n is None:
         n = max(1, F.depth, F.width)
+    # F needs k + ell >= t: a size left out is the least that fits, and
+    # when both are, k grows first; a size passed in is kept
     if k is None:
-        k = max(1, D.depth, D.width)
+        k = max(1, D.depth, D.width,
+                t - (max(1, E.depth, E.width) if ell is None else ell))
     if ell is None:
-        ell = max(1, E.depth, E.width)
-        if t > k + ell:
-            k = t - ell
+        ell = max(1, E.depth, E.width, t - k)
     if D.depth > k:
         raise DepthExceeded(f"depth(D) = {D.depth} exceeds k = {k}")
     if E.depth > ell:

@@ -64,6 +64,12 @@ class LRTableau:
 
     @classmethod
     def from_json(cls, data):
+        if not (isinstance(data, dict)
+                and all(isinstance(data.get(key), list)
+                        for key in ("outer", "inner", "rows"))
+                and all(isinstance(row, list) for row in data["rows"])):
+            raise ShapeError('a tableau is a JSON object with list values '
+                             '"outer", "inner" and "rows", each row a list')
         shape = SkewShape(tuple(data["outer"]), tuple(data["inner"]))
         entries = {}
         for a, row in enumerate(data["rows"], start=1):
@@ -327,16 +333,6 @@ def recover_from_M(triple, m):
 def monomial_e(T):
     """Product over boxes of y[row, entry], as a monomial."""
     return mono(*(((yvar(a, v)), 1) for (a, _), v in T.entries.items()))
-
-
-def monomial_e1(T):
-    """The factors of e(T) recording where each strip starts.
-
-    One y[a, 1] per peeling strip, a = the skew-shape row of the strip's
-    1-cell; for an LR tableau this is exactly the y[.,1]-part of e(T).
-    """
-    trace = standard_peeling(T)
-    return mono(*(((yvar(strip[0][0], 1)), 1) for strip in trace.strips))
 
 
 def monomial_bigE(T, triple):

@@ -14,10 +14,9 @@ from .errors import NotHomogeneous, ZeroPolynomial
 from .intlinalg import int_rank
 from .hwv import delta_MT, delta_MT_eval, delta_TY
 from .oracle import lr_coefficient
-from .polyring import (Polynomial, leading_monomial, mono_divides,
-                       mono_from_dict, mono_restrict, mono_text)
-from .sampling import random_point
-from .tableaux import (enumerate_lr, monomial_bigE, monomial_e, monomial_e1)
+from .polyring import (Polynomial, leading_monomial, mono_from_dict,
+                       mono_text, xvar, yvar)
+from .tableaux import enumerate_lr, monomial_bigE, monomial_e
 
 # The largest |F| whose basis check ranks the exact coefficient matrix;
 # beyond it check_basis ranks exact values at random points instead.
@@ -127,21 +126,6 @@ def check_leading_term(triple, T):
     return m == monomial_e(T) and abs(c) == 1
 
 
-def check_e1_factorization(triple, T):
-    """The strip-start factors account for the whole first y column."""
-    e1 = monomial_e1(T)
-    e = monomial_e(T)
-    if not mono_divides(e1, e):
-        return False
-    if mono_restrict(e, {"y"}) != e:
-        return False
-    first_col = tuple((v, x) for v, x in e if v[2] == 1)
-    if first_col != e1:
-        return False
-    lead, _ = leading_monomial(delta_TY(triple, T))
-    return mono_divides(e1, lead)
-
-
 @dataclass
 class BasisReport:
     """Outcome of the spanning-family rank check for one triple."""
@@ -162,6 +146,23 @@ class BasisReport:
         return {"lr_count": self.lr_count, "oracle_count": self.oracle_count,
                 "leading": self.leading, "leading_distinct": self.leading_distinct,
                 "rank": self.rank, "mode": self.mode, "pass": self.passed}
+
+
+def random_point(rng, triple, lo=-10**6, hi=10**6):
+    """Random nonzero integers in [lo, hi] for every x and y variable of
+    the triple."""
+    def draw():
+        v = 0
+        while v == 0:
+            v = rng.randint(lo, hi)
+        return v
+    assignment = {}
+    for i in range(1, triple.F.width + 1):
+        for j in range(1, max(1, triple.D.width) + 1):
+            assignment[xvar(i, j)] = draw()
+        for j in range(1, max(1, triple.E.width) + 1):
+            assignment[yvar(i, j)] = draw()
+    return assignment
 
 
 def check_basis(triple, seed=0, tableaux=None, polys=None):

@@ -1,8 +1,9 @@
 from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
-from lrbasis import parse_partition, validate_triple
+from lrbasis import enumerate_lr, parse_partition, validate_triple
 
 
 @pytest.fixture(scope="session")
@@ -36,12 +37,103 @@ RUNNING_E = {
 }
 
 
+@lru_cache(maxsize=None)
+def partitions_of(n):
+    """All partitions of n, as tuples, largest-first lex order."""
+    if n == 0:
+        return ((),)
+    out = []
+
+    def build(remaining, maxpart, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        for p in range(min(remaining, maxpart), 0, -1):
+            acc.append(p)
+            build(remaining - p, p, acc)
+            acc.pop()
+
+    build(n, n, [])
+    return tuple(out)
+
+
+def all_triples(max_size):
+    """Every (D, E, F) with |F| <= max_size and |D| + |E| = |F|."""
+    for n in range(1, max_size + 1):
+        for f in partitions_of(n):
+            for a in range(n + 1):
+                for d in partitions_of(a):
+                    for e in partitions_of(n - a):
+                        yield validate_triple(d, e, f)
+
+
+def random_triple(rng, max_size, require_tableaux=False, max_tries=1000):
+    """A random triple, optionally resampled until it has an LR tableau."""
+    for _ in range(max_tries):
+        n = rng.randint(1, max_size)
+        f = rng.choice(partitions_of(n))
+        a = rng.randint(0, n)
+        d = rng.choice(partitions_of(a))
+        e = rng.choice(partitions_of(n - a))
+        triple = validate_triple(d, e, f)
+        if not require_tableaux or enumerate_lr(triple):
+            return triple
+    raise RuntimeError("could not sample a triple with tableaux")
+
+
+def evaluate(p, assignment):
+    """Value of a polynomial at an integer point that assigns each of its
+    variables; KeyError names a variable left out."""
+    total = 0
+    for m, c in p.terms.items():
+        for var, e in m:
+            c *= assignment[var] ** e
+        total += c
+    return total
+
+
+def determinant_naive(matrix):
+    """Permutation-sum determinant: the reference for polyring.determinant,
+    for small matrices."""
+    from lrbasis.polyring import Polynomial
+    n = len(matrix)
+    rows = [[e if isinstance(e, Polynomial) else Polynomial.const(e) for e in row]
+            for row in matrix]
+    total = Polynomial()
+    for perm in permutations(range(n)):
+        sign = 1
+        p = list(perm)
+        for i in range(n):
+            while p[i] != i:
+                j = p[i]
+                p[i], p[j] = p[j], p[i]
+                sign = -sign
+        prod = Polynomial.const(sign)
+        for r in range(n):
+            prod = prod * rows[r][perm[r]]
+            if prod.is_zero():
+                break
+        total = total + prod
+    return total
+
+
 def tableau_by_rows(tabs, rows):
     """Pick the tableau whose row lists equal `rows`."""
     for T in tabs:
         if T.to_json()["rows"] == rows:
             return T
     raise AssertionError(f"no tableau with rows {rows}")
+
+
+def build_Yo(triple, B="symbolic"):
+    """The rows of Yo: Z's y columns on rows D_j + 1..F_j of superrow j."""
+    from lrbasis.hwv import _coefficients, _rows
+    from lrbasis.polyring import Polynomial, yvar
+    B = _coefficients(triple, B, "B")
+    return [[c * Polynomial.variable(yvar(u, v))
+             for c, w in zip(B[j - 1], triple.E.parts)
+             for v in range(1, w + 1)]
+            for j, u in _rows(triple, False)]
 
 
 def b_variable_coefficients(tr, with_x=True):
@@ -53,9 +145,9 @@ def b_variable_coefficients(tr, with_x=True):
     delta_TY must equal.  For small triples only, since the expansion
     grows far beyond the one coefficient it is asked for.
     """
-    from lrbasis import build_Yo, delta, enumerate_lr, monomial_M
+    from lrbasis import delta, monomial_M
     from lrbasis.polyring import bvar, coefficient_of, determinant, mono
-    d = delta(tr) if with_x else determinant(build_Yo(tr).rows)
+    d = delta(tr) if with_x else determinant(build_Yo(tr))
     out = []
     for T in enumerate_lr(tr):
         grid = monomial_M(T).m
@@ -63,6 +155,42 @@ def b_variable_coefficients(tr, with_x=True):
                    for h, e in enumerate(row, start=1) if e))
         out.append(coefficient_of(d, b, {"b"}))
     return out
+
+
+def monomial_e1(T):
+    """The factors of e(T) recording where each strip starts.
+
+    One y[a, 1] per peeling strip, a = the skew-shape row of the strip's
+    1-cell; for an LR tableau this is exactly the y[.,1]-part of e(T).
+    """
+    from lrbasis import standard_peeling
+    from lrbasis.polyring import mono, yvar
+    return mono(*((yvar(strip[0][0], 1), 1)
+                  for strip in standard_peeling(T).strips))
+
+
+def mono_divides(m1, m2):
+    """Whether the monomial m1 divides m2."""
+    d2 = dict(m2)
+    return all(d2.get(v, 0) >= e for v, e in m1)
+
+
+def check_e1_factorization(triple, T):
+    """The strip-start factors account for the whole first y column of
+    e(T), and divide the leading monomial of delta_TY."""
+    from lrbasis import delta_TY, leading_monomial, monomial_e
+    from lrbasis.polyring import mono_restrict
+    e1 = monomial_e1(T)
+    e = monomial_e(T)
+    if not mono_divides(e1, e):
+        return False
+    if mono_restrict(e, {"y"}) != e:
+        return False
+    first_col = tuple((v, x) for v, x in e if v[2] == 1)
+    if first_col != e1:
+        return False
+    lead, _ = leading_monomial(delta_TY(triple, T))
+    return mono_divides(e1, lead)
 
 
 def admissible_grids(triple, support):

@@ -7,16 +7,15 @@ verbose run.  Random data is drawn from fixed seeds.
 import random
 import time
 
-from conftest import (RUNNING_E, RUNNING_GRIDS, RUNNING_TABLEAUX,
-                      tableau_by_rows)
-from lrbasis import (check_basis, check_e1_factorization, check_hwv,
-                     check_leading_term, delta, delta_eval, delta_MT,
-                     enumerate_lr, leading_monomial, lr_coefficient,
-                     monomial_M, monomial_e, recover_from_M,
+from conftest import (RUNNING_E, RUNNING_GRIDS, RUNNING_TABLEAUX, all_triples,
+                      check_e1_factorization, random_triple, tableau_by_rows)
+from lrbasis import (check_basis, check_hwv, check_leading_term, delta,
+                     delta_eval, delta_MT, enumerate_lr, leading_monomial,
+                     lr_coefficient, monomial_M, monomial_e, recover_from_M,
                      reproduce_sl4_table, standard_peeling, delta_TY,
                      weight_profile)
 from lrbasis.polyring import parse_mono_text
-from lrbasis.sampling import all_triples, random_point, random_triple
+from lrbasis.verify import random_point
 
 
 def _report(capsys, num, name, elapsed=None):

@@ -8,11 +8,17 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_wrapped_functions_resolve():
-    # the traced run wraps these functions by name
+def load_spans():
+    """bench/spans.py, imported read-only."""
     spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_wrapped_functions_resolve():
+    # the traced run wraps these functions by name
+    spans = load_spans()
     assert spans.WRAPPED
     for mod_name, fn_name in spans.WRAPPED:
         module = importlib.import_module(f"lrbasis.{mod_name}")

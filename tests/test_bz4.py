@@ -16,6 +16,9 @@ def test_assignment_validation():
         BZAssignment({"w11": 1})
     with pytest.raises(ShapeError):
         BZAssignment({"x11": -1})
+    for values in ([], 5, ["x11"]):
+        with pytest.raises(ShapeError):
+            BZAssignment(values)
     a = BZAssignment.from_dots(["x11"])
     assert a["x11"] == 1 and a["z23"] == 0
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from lrbasis import cli, hwv, verify
+from lrbasis import cli, enumerate_lr, hwv, validate_triple, verify
 
 
 def run(*args, stdin=None):
@@ -101,6 +101,40 @@ def test_bz_grade_stdin_assignment():
     p = run("bz-grade", "--assignment", "-", stdin=json.dumps({"x11": 1}))
     out = json.loads(p.stdout)
     assert out["D"] == [1, 1, 1] and out["F"] == [1, 1, 1]
+
+
+def _domain_error(capsys, argv):
+    """The error name main reports for argv, which must exit with 1."""
+    assert cli.main(argv) == 1
+    return json.loads(capsys.readouterr().err)["error"]
+
+
+def test_malformed_tableau_exit_1(tmp_path, capsys):
+    path = tmp_path / "tableau.json"
+    for bad in ({}, {"outer": 5, "inner": [], "rows": []}, [[1]],
+                {"outer": [1, 1], "inner": [1], "rows": [[], 1]}):
+        path.write_text(json.dumps(bad))
+        argv = ["peel", *SMALL, "--tableau", str(path)]
+        assert _domain_error(capsys, argv) == "ShapeError"
+    p = run("peel", *SMALL, "--tableau", "-", stdin="{}")
+    assert p.returncode == 1 and json.loads(p.stderr)["error"] == "ShapeError"
+
+
+def test_tableau_of_another_triple_exit_1(tmp_path, capsys):
+    other = enumerate_lr(validate_triple([2, 1], [2, 1], [3, 2, 1]))[0]
+    path = tmp_path / "tableau.json"
+    path.write_text(json.dumps(other.to_json()))
+    for command in ("peel", "monomials", "delta", "delta-ty"):
+        argv = [command, *SMALL, "--tableau", str(path)]
+        assert _domain_error(capsys, argv) == "ShapeError"
+
+
+def test_bz_grade_non_object_exit_1(tmp_path, capsys):
+    path = tmp_path / "assignment.json"
+    for values in ("[]", "5"):
+        path.write_text(values)
+        argv = ["bz-grade", "--assignment", str(path)]
+        assert _domain_error(capsys, argv) == "ShapeError"
 
 
 def test_domain_error_exit_1():

@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from conftest import (RUNNING_TABLEAUX, admissible_grids,
-                      b_variable_coefficients, grid_support,
-                      interpolation_coefficient, tableau_by_rows,
-                      zero_one_coefficient)
-from lrbasis import (build_Yo, build_Ztilde, delta, delta_MT, delta_MT_eval,
+from conftest import (RUNNING_TABLEAUX, admissible_grids, all_triples,
+                      b_variable_coefficients, build_Yo, evaluate,
+                      grid_support, interpolation_coefficient, random_triple,
+                      tableau_by_rows, zero_one_coefficient)
+from lrbasis import (build_Ztilde, delta, delta_MT, delta_MT_eval,
                      delta_TY, delta_eval, enumerate_lr, monomial_M,
                      parse_partition, validate_triple)
 from lrbasis.errors import DimensionMismatch
-from lrbasis.polyring import evaluate, poly_text
-from lrbasis.sampling import all_triples, random_point, random_triple
+from lrbasis.hwv import _rows
+from lrbasis.polyring import poly_text
+from lrbasis.verify import random_point
 
 
 def test_tiny_symbolic_delta():
@@ -23,10 +24,12 @@ def test_tiny_symbolic_delta():
 
 def test_block_sizes(running):
     Z = build_Ztilde(running)
-    assert Z.nrows == Z.ncols == 19
+    assert len(Z) == len(Z[0]) == 19
     Yo = build_Yo(running)
-    assert Yo.nrows == Yo.ncols == 9
-    assert Yo.row_blocks == (2, 2, 2, 2, 0, 1)
+    assert len(Yo) == len(Yo[0]) == 9
+    # superrow j of Yo has F_j - D_j rows
+    superrows = [j for j, _ in _rows(running, False)]
+    assert [superrows.count(j) for j in range(1, 7)] == [2, 2, 2, 2, 0, 1]
 
 
 def test_dimension_guards():
@@ -55,7 +58,7 @@ def _assert_yo_is_restricted_z(tr):
     for j, fj in enumerate(tr.F.parts, start=1):
         keep.extend(range(top + tr.d(j), top + fj))
         top += fj
-    assert [Z.rows[i][tr.D.size:] for i in keep] == Yo.rows
+    assert [Z[i][tr.D.size:] for i in keep] == Yo
 
 
 def test_yo_is_restricted_z(running):

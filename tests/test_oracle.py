@@ -6,13 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import peel_lr_coefficient, tableau_ssyt_monomials
+from conftest import (all_triples, partitions_of, peel_lr_coefficient,
+                      random_triple, tableau_ssyt_monomials)
 from lrbasis import (Partition, expand_in_schur, lr_coefficient,
                      schur_polynomial, validate_triple)
 from lrbasis.errors import NegativeCoefficient, NotSymmetric, TooFewVariables
 from lrbasis.oracle import _ssyt_monomials
 from lrbasis.polyring import Polynomial, mono, zvar
-from lrbasis.sampling import all_triples, partitions_of, random_triple
 
 ROOT = Path(__file__).resolve().parents[1]
 

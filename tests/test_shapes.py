@@ -75,6 +75,20 @@ def test_validate_triple_errors():
         validate_triple([], [3], [3], n=2)
 
 
+def test_validate_triple_keeps_given_sizes():
+    # F is three rows deep, so k + ell >= 3; a size left out is the least
+    # that fits, k first when both are
+    assert validate_triple([2], [1], [1, 1, 1]).k == 2
+    tr = validate_triple([2], [1], [1, 1, 1], k=1)
+    assert (tr.k, tr.ell) == (1, 2)
+    tr = validate_triple([2], [1], [1, 1, 1], ell=1)
+    assert (tr.k, tr.ell) == (2, 1)
+    tr = validate_triple([1], [2], [1, 1, 1], ell=1)
+    assert (tr.k, tr.ell) == (2, 1)
+    with pytest.raises(DepthExceeded):
+        validate_triple([1, 1], [1], [1, 1, 1], k=1)
+
+
 def test_validate_triple_defaults():
     tr = validate_triple([1], [3], [4])
     assert tr.n >= 4 and tr.ell >= 3

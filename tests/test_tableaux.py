@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from conftest import RUNNING_E, RUNNING_GRIDS, RUNNING_TABLEAUX, tableau_by_rows
+from conftest import (RUNNING_E, RUNNING_GRIDS, RUNNING_TABLEAUX, all_triples,
+                      monomial_e1, random_triple, tableau_by_rows)
 from lrbasis import (ExponentMatrix, LRTableau, Partition, check_lr1,
                      check_lr2, enumerate_lr, is_lr, monomial_M,
-                     monomial_bigE, monomial_e, monomial_e1, recover_from_M,
+                     monomial_bigE, monomial_e, recover_from_M,
                      recover_from_e, standard_peeling, validate_triple)
-from lrbasis.errors import NoPreimage, NotLR
+from lrbasis.errors import NoPreimage, NotLR, ShapeError
 from lrbasis.polyring import mono_text, parse_mono_text
-from lrbasis.sampling import all_triples, random_triple
 
 
 def test_running_example_enumeration(running):
@@ -173,3 +173,13 @@ def test_monomial_M_injective_small():
 def test_tableau_json_roundtrip(running):
     for T in enumerate_lr(running):
         assert LRTableau.from_json(T.to_json()) == T
+
+
+def test_tableau_json_rejects_malformed():
+    good = {"outer": [1, 1], "inner": [1], "rows": [[], [1]]}
+    assert LRTableau.from_json(good).to_json() == good
+    for bad in ([], 5, {}, {"outer": [1, 1], "inner": [1]},
+                {**good, "outer": 5}, {**good, "inner": None},
+                {**good, "rows": "1"}, {**good, "rows": [[], 1]}):
+        with pytest.raises(ShapeError):
+            LRTableau.from_json(bad)

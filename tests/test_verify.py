@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from lrbasis import (check_basis, check_e1_factorization, check_hwv,
-                     check_leading_term, delta, delta_MT, enumerate_lr,
-                     raising_operator_cols, raising_operator_rows,
-                     validate_triple, weight_profile)
+from conftest import check_e1_factorization, random_triple
+from lrbasis import (check_basis, check_hwv, check_leading_term, delta,
+                     delta_MT, enumerate_lr, raising_operator_cols,
+                     raising_operator_rows, validate_triple, weight_profile)
 from lrbasis.errors import NotHomogeneous, ZeroPolynomial
 from lrbasis.intlinalg import bareiss_det, int_rank
 from lrbasis.polyring import Polynomial, mono, xvar, yvar
-from lrbasis.sampling import random_triple
 
 
 def test_raising_operator_rows_basic():
