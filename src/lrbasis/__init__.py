@@ -8,7 +8,7 @@ from .tableaux import (ExponentMatrix, LRTableau, PeelingTrace, check_lr1,
                        monomial_bigE, monomial_e, recover_from_M,
                        recover_from_e, standard_peeling)
 from .polyring import (Polynomial, determinant, leading_monomial, poly_text,
-                       poly_to_json, y_compare)
+                       poly_to_json)
 from .hwv import (build_Ztilde, delta, delta_eval, delta_MT, delta_MT_eval,
                   delta_TY)
 from .verify import (BasisReport, WeightProfile, check_basis, check_hwv,

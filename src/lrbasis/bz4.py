@@ -52,7 +52,7 @@ class BZAssignment:
         if unknown:
             raise ShapeError(f"unknown vertices {sorted(unknown)}")
         for v, x in values.items():
-            if not isinstance(x, int) or x < 0:
+            if type(x) is not int or x < 0:   # a bool is no value
                 raise ShapeError(f"vertex {v} has non-integer or negative value {x!r}")
         self.values = {v: values.get(v, 0) for v in VERTICES}
 

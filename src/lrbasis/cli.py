@@ -22,34 +22,28 @@ from .tableaux import LRTableau, enumerate_lr, monomial_M, monomial_bigE, \
     monomial_e, standard_peeling
 
 
-def _add_triple_args(p):
-    p.add_argument("--D", required=True, help='left diagram, e.g. "3,3,2,1,1" or "-"')
-    p.add_argument("--E", required=True, help="right diagram")
-    p.add_argument("--F", required=True, help="target diagram")
-    p.add_argument("--n", type=int, default=None, help="rows of the x and y matrices")
-    p.add_argument("--k", type=int, default=None, help="columns of the x matrix")
-    p.add_argument("--ell", type=int, default=None, help="columns of the y matrix")
-
-
 def _triple(args):
     return validate_triple(parse_partition(args.D), parse_partition(args.E),
                            parse_partition(args.F), args.n, args.k, args.ell)
 
 
+def _load_json(path):
+    """JSON from a file, or from stdin for "-"."""
+    if path == "-":
+        return json.load(sys.stdin)
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _load_tableau(args, triple):
-    if getattr(args, "index", None) is not None:
+    if args.index is not None:
         tabs = enumerate_lr(triple)
         if not 0 <= args.index < len(tabs):
             raise LRBError(f"index {args.index} out of range; {len(tabs)} tableaux")
         return tabs[args.index]
-    if not getattr(args, "tableau", None):
+    if not args.tableau:
         raise LRBError("provide --tableau FILE or --index N")
-    if args.tableau == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.tableau) as fh:
-            data = json.load(fh)
-    T, shape = LRTableau.from_json(data), triple.skew_shape()
+    T, shape = LRTableau.from_json(_load_json(args.tableau)), triple.skew_shape()
     if T.shape != shape:
         raise ShapeError(f"the tableau's shape {T.shape} is not the "
                          f"triple's {shape}")
@@ -160,15 +154,10 @@ def cmd_sl4_table(args):
 
 
 def cmd_bz_grade(args):
-    if args.dots:
+    if args.dots is not None:
         assignment = bz4.BZAssignment.from_dots(args.dots.split(","))
     else:
-        if args.assignment == "-":
-            data = json.load(sys.stdin)
-        else:
-            with open(args.assignment) as fh:
-                data = json.load(fh)
-        assignment = bz4.BZAssignment(data)
+        assignment = bz4.BZAssignment(_load_json(args.assignment))
     d, e, f = bz4.bz_grading(assignment)
     out = {"D": list(d), "E": list(e), "F": list(f),
            "hexagon": bz4.hexagon_condition(assignment)}
@@ -177,65 +166,47 @@ def cmd_bz_grade(args):
 
 @functools.lru_cache(maxsize=None)
 def build_parser():
+    triple = argparse.ArgumentParser(add_help=False)
+    triple.add_argument("--D", required=True, help='left diagram, e.g. "3,3,2,1,1" or "-"')
+    triple.add_argument("--E", required=True, help="right diagram")
+    triple.add_argument("--F", required=True, help="target diagram")
+    triple.add_argument("--n", type=int, default=None, help="rows of the x and y matrices")
+    triple.add_argument("--k", type=int, default=None, help="columns of the x matrix")
+    triple.add_argument("--ell", type=int, default=None, help="columns of the y matrix")
+    tableau = argparse.ArgumentParser(add_help=False)
+    tableau.add_argument("--tableau", help='tableau JSON file, or "-" for stdin')
+    tableau.add_argument("--index", type=int, help="pick the i-th enumerated tableau")
+
     ap = argparse.ArgumentParser(
         prog="lrb",
         description="Littlewood-Richardson tableaux and their determinantal "
                     "highest weight vectors, in exact arithmetic.")
     ap.add_argument("--format", choices=("json", "text"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="number of LR tableaux, with oracle cross-check")
-    _add_triple_args(p)
-    p.set_defaults(fn=cmd_count)
-
-    p = sub.add_parser("tableaux", help="enumerate the LR tableaux")
-    _add_triple_args(p)
-    p.set_defaults(fn=cmd_tableaux)
-
-    for name, fn, www in (("peel", cmd_peel, "standard peeling strips"),
-                          ("monomials", cmd_monomials, "exponent grid, e and E monomials")):
-        p = sub.add_parser(name, help=www)
-        _add_triple_args(p)
-        p.add_argument("--tableau", help='tableau JSON file, or "-" for stdin')
-        p.add_argument("--index", type=int, help="pick the i-th enumerated tableau")
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("delta", help="block determinant or one tableau coefficient")
-    _add_triple_args(p)
-    p.add_argument("--A", default="J", choices=("J", "symbolic"))
-    p.add_argument("--tableau", help="extract the coefficient of this tableau")
-    p.add_argument("--index", type=int)
-    p.set_defaults(fn=cmd_delta)
-
-    p = sub.add_parser("delta-ty", help="pure-y coefficient of a tableau")
-    _add_triple_args(p)
-    p.add_argument("--tableau")
-    p.add_argument("--index", type=int)
-    p.set_defaults(fn=cmd_delta_ty)
-
-    p = sub.add_parser("verify", help="highest-weight, weight, leading-term and rank checks")
-    _add_triple_args(p)
-    p.add_argument("--hwv", action="store_true")
-    p.add_argument("--weights", action="store_true")
-    p.add_argument("--leading", action="store_true")
-    p.add_argument("--basis", action="store_true")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("oracle", help="multiplicity by symmetric-function expansion")
-    _add_triple_args(p)
-    p.add_argument("--nvars", type=int, default=None)
-    p.set_defaults(fn=cmd_oracle)
-
-    p = sub.add_parser("sl4-table", help="recompute the bundled 18-row table")
-    p.set_defaults(fn=cmd_sl4_table)
-
-    p = sub.add_parser("bz-grade", help="gradings and hexagon check of a diagram")
-    p.add_argument("--assignment", help='JSON {vertex: value} file, or "-"')
-    p.add_argument("--dots", help="comma-separated vertex names with value 1")
-    p.set_defaults(fn=cmd_bz_grade)
-
+    cmds = {}
+    for name, fn, parents, text in (
+            ("count", cmd_count, [triple], "number of LR tableaux, with oracle cross-check"),
+            ("tableaux", cmd_tableaux, [triple], "enumerate the LR tableaux"),
+            ("peel", cmd_peel, [triple, tableau], "standard peeling strips"),
+            ("monomials", cmd_monomials, [triple, tableau], "exponent grid, e and E monomials"),
+            ("delta", cmd_delta, [triple, tableau],
+             "block determinant, or the coefficient of one tableau"),
+            ("delta-ty", cmd_delta_ty, [triple, tableau], "pure-y coefficient of a tableau"),
+            ("verify", cmd_verify, [triple],
+             "highest-weight, weight, leading-term and rank checks"),
+            ("oracle", cmd_oracle, [triple], "multiplicity by symmetric-function expansion"),
+            ("sl4-table", cmd_sl4_table, [], "recompute the bundled 18-row table"),
+            ("bz-grade", cmd_bz_grade, [], "gradings and hexagon check of a diagram")):
+        cmds[name] = sub.add_parser(name, parents=parents, help=text)
+        cmds[name].set_defaults(fn=fn)
+    cmds["delta"].add_argument("--A", default="J", choices=("J", "symbolic"))
+    for flag in ("--hwv", "--weights", "--leading", "--basis", "--all"):
+        cmds["verify"].add_argument(flag, action="store_true")
+    cmds["verify"].add_argument("--seed", type=int, default=0)
+    cmds["oracle"].add_argument("--nvars", type=int, default=None)
+    source = cmds["bz-grade"].add_mutually_exclusive_group(required=True)
+    source.add_argument("--assignment", help='JSON {vertex: value} file, or "-"')
+    source.add_argument("--dots", help="comma-separated vertex names with value 1")
     return ap
 
 

@@ -31,7 +31,7 @@ from itertools import combinations
 
 from .errors import DimensionMismatch, ZeroCoefficient
 from .intlinalg import bareiss_det
-from .polyring import (ONE, Polynomial, avar, bvar, determinant, mono_mul,
+from .polyring import (ONE, Polynomial, add_product, avar, bvar, determinant,
                        xvar, yvar)
 from .tableaux import monomial_M
 
@@ -94,21 +94,6 @@ def build_Ztilde(triple, A="J", B="symbolic"):
 def delta(triple, A="J", B="symbolic"):
     """Determinant of the block matrix for the given coefficient specs."""
     return determinant(build_Ztilde(triple, A, B))
-
-
-def _add_product(acc, p, q, c):
-    """acc + c * p * q on term dicts, summed into acc; None is zero."""
-    if acc is None:
-        acc = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = mono_mul(m1, m2)
-            v = acc.get(m, 0) + c * c1 * c2
-            if v:
-                acc[m] = v
-            else:
-                del acc[m]
-    return acc
 
 
 def _add_int_product(acc, p, q, c):
@@ -184,12 +169,12 @@ def _laplace_plan(triple, grid, with_x):
     return start, tuple(levels), final
 
 
-def _plan_sum(plan, value, det, add_product, one):
+def _plan_sum(plan, value, det, accumulate, one):
     """Sum a Laplace plan's terms over the ring of `one`.
 
     value maps a variable into that ring and det takes the determinant of
     a matrix over it; each distinct minor det x[local, 1..len(local)] or
-    det y[local, 1..len(local)] is computed once.  add_product(acc, p, q,
+    det y[local, 1..len(local)] is computed once.  accumulate(acc, p, q,
     c) returns acc + c * p * q, with None for a zero acc.  Returns None
     when no term survives.
     """
@@ -205,8 +190,8 @@ def _plan_sum(plan, value, det, add_product, one):
         for mask, rest, sign, local in edges:
             acc = level.get(mask)
             if acc:
-                nxt[rest] = add_product(nxt.get(rest), acc,
-                                        minor(yvar, local), sign)
+                nxt[rest] = accumulate(nxt.get(rest), acc,
+                                       minor(yvar, local), sign)
         level = nxt
     out = None
     for mask, sign, xsets in final:
@@ -214,15 +199,15 @@ def _plan_sum(plan, value, det, add_product, one):
         if acc:
             xs = one
             for local in xsets:
-                xs = add_product(None, xs, minor(xvar, local), 1)
-            out = add_product(out, acc, xs, sign)
+                xs = accumulate(None, xs, minor(xvar, local), 1)
+            out = accumulate(out, acc, xs, sign)
     return out
 
 
 def _tableau_coefficient(triple, grid, with_x):
     """Coefficient of b^grid in det Z (with_x) or in det Yo, with A = J."""
     out = _plan_sum(_laplace_plan(triple, grid, with_x), Polynomial.variable,
-                    lambda rows: determinant(rows).terms, _add_product, {ONE: 1})
+                    lambda rows: determinant(rows).terms, add_product, {ONE: 1})
     if not out:
         raise ZeroCoefficient("the tableau coefficient vanished")
     return Polynomial(out)

@@ -66,6 +66,24 @@ def mono_mul(m1, m2):
     return mono_from_dict(merged)
 
 
+def add_product(acc, p, q, c=1):
+    """acc + c * p * q on term dicts with nonzero coefficients, summed into
+    acc in place and returned; None is zero.  The one product loop of the
+    package."""
+    if acc is None:
+        acc = {}
+    for m1, c1 in p.items():
+        c1 *= c
+        for m2, c2 in q.items():
+            m = mono_mul(m1, m2)
+            v = acc.get(m, 0) + c1 * c2
+            if v:
+                acc[m] = v
+            else:
+                del acc[m]
+    return acc
+
+
 def mono_degree(m):
     return sum(e for _, e in m)
 
@@ -94,10 +112,6 @@ class Polynomial:
     @classmethod
     def variable(cls, v):
         return cls({mono((v, 1)): 1})
-
-    @classmethod
-    def monomial(cls, m, c=1):
-        return cls({m: c})
 
     def is_zero(self):
         return not self.terms
@@ -143,17 +157,8 @@ class Polynomial:
             res = Polynomial.__new__(Polynomial)
             res.terms = {m: c * other for m, c in self.terms.items()}
             return res
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
         res = Polynomial.__new__(Polynomial)
-        res.terms = out
+        res.terms = add_product(None, self.terms, other.terms)
         return res
 
     __rmul__ = __mul__
@@ -185,33 +190,23 @@ def coefficient_of(p, m, families):
 # larger variable winning.
 # ---------------------------------------------------------------------------
 
-def y_var_key(v):
-    """Sort key under which *smaller* key means *larger* variable."""
-    if v[0] != "y":
-        raise UnorderedVariable(f"{v} is not a y variable")
-    return (v[2], v[1])
-
-
-def y_compare(m1, m2):
-    """-1, 0, or 1 comparing two y-monomials."""
-    d1, d2 = mono_degree(m1), mono_degree(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    s1 = sorted((y_var_key(v) for v, e in m1 for _ in range(e)))
-    s2 = sorted((y_var_key(v) for v, e in m2 for _ in range(e)))
-    if s1 == s2:
-        return 0
-    return 1 if s1 < s2 else -1
+def y_order_key(m):
+    """Key of a y-monomial under which the larger monomial has the larger key:
+    its degree, then its variables as a weakly decreasing sequence."""
+    seq = []
+    for v, e in m:
+        if v[0] != "y":
+            raise UnorderedVariable(f"{v} is not a y variable")
+        seq += [(-v[2], -v[1])] * e
+    seq.sort(reverse=True)
+    return len(seq), seq
 
 
 def leading_monomial(p):
     """(monomial, coefficient) maximal under the y order among terms of p."""
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial has no leading monomial")
-    best = None
-    for m in p.terms:
-        if best is None or y_compare(m, best) > 0:
-            best = m
+    best = max(p.terms, key=y_order_key)
     return best, p.terms[best]
 
 
@@ -228,12 +223,9 @@ def determinant(matrix):
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise NonSquare("matrix is not square")
-    if n == 0:
-        return Polynomial.const(1)
-    rows = [[e if isinstance(e, Polynomial) else Polynomial.const(e) for e in row]
-            for row in matrix]
-    nonzero = [[not e.is_zero() for e in row] for row in rows]
-    order = sorted(range(n), key=lambda c: sum(nonzero[r][c] for r in range(n)))
+    rows = [[e.terms if isinstance(e, Polynomial) else {ONE: e} if e else {}
+             for e in row] for row in matrix]
+    order = sorted(range(n), key=lambda c: sum(bool(row[c]) for row in rows))
     # parity of the column permutation
     sign = 1
     seen = list(order)
@@ -246,29 +238,26 @@ def determinant(matrix):
 
     def minor(ci, mask):
         if ci == n:
-            return Polynomial.const(1)
-        key = mask
-        cached = memo.get((ci, key))
+            return {ONE: 1}
+        cached = memo.get((ci, mask))
         if cached is not None:
             return cached
         col = order[ci]
-        acc = Polynomial()
+        acc = {}
         pos = 0
         for r in range(n):
             bit = 1 << r
             if not mask & bit:
                 continue
             pos += 1
-            if nonzero[r][col]:
+            if rows[r][col]:
                 sub = minor(ci + 1, mask ^ bit)
-                if not sub.is_zero():
-                    term = rows[r][col] * sub
-                    acc = acc + term if pos % 2 else acc - term
-        memo[(ci, key)] = acc
+                if sub:
+                    add_product(acc, rows[r][col], sub, 1 if pos % 2 else -1)
+        memo[(ci, mask)] = acc
         return acc
 
-    result = minor(0, (1 << n) - 1)
-    return result * sign
+    return Polynomial(minor(0, (1 << n) - 1)) * sign
 
 
 # ---------------------------------------------------------------------------

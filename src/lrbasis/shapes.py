@@ -20,7 +20,7 @@ class Partition:
             parts = parts.parts
         parts = tuple(parts)
         for p in parts:
-            if not isinstance(p, int) or p < 0:
+            if type(p) is not int or p < 0:   # a bool is no part
                 raise ShapeError(f"partition parts must be nonnegative integers, got {p!r}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ShapeError(f"parts must be weakly decreasing, got {list(parts)}")
@@ -191,9 +191,6 @@ class LRTriple:
 
     def d(self, i):
         return self.D.part(i)
-
-    def e(self, i):
-        return self.E.part(i)
 
     def f(self, i):
         return self.F.part(i)

@@ -35,22 +35,8 @@ class LRTableau:
         if set(self.entries) != set(shape.cells):
             raise ShapeError("entries do not cover the shape exactly")
         for v in self.entries.values():
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:   # a bool is no entry
                 raise ShapeError(f"entries must be positive integers, got {v!r}")
-
-    def row_word(self):
-        """Entries read row by row, top to bottom, left to right."""
-        return tuple(self.entries[cell] for cell in self.shape.cells)
-
-    def content(self):
-        """The multiplicity vector of the entries, as a tuple."""
-        if not self.entries:
-            return ()
-        top = max(self.entries.values())
-        counts = [0] * top
-        for v in self.entries.values():
-            counts[v - 1] += 1
-        return tuple(counts)
 
     def to_json(self):
         rows = []
@@ -235,42 +221,6 @@ class ExponentMatrix:
 
     def __init__(self, m):
         self.m = tuple(tuple(row) for row in m)
-
-    @property
-    def nrows(self):
-        return len(self.m)
-
-    @property
-    def ncols(self):
-        return len(self.m[0]) if self.m else 0
-
-    def row_sums(self):
-        return tuple(sum(row) for row in self.m)
-
-    def col_sums(self):
-        return tuple(sum(row[h] for row in self.m) for h in range(self.ncols))
-
-    def support(self):
-        return frozenset((i + 1, h + 1)
-                         for i, row in enumerate(self.m)
-                         for h, v in enumerate(row) if v)
-
-    def check(self, triple):
-        """Validate the row/column sums and the shuffle inequalities."""
-        if self.nrows != triple.t or (triple.s and self.ncols != triple.s):
-            return False
-        if self.row_sums() != tuple(triple.f(i) - triple.d(i)
-                                    for i in range(1, triple.t + 1)):
-            return False
-        if self.col_sums() != tuple(triple.e(h) for h in range(1, self.ncols + 1)):
-            return False
-        t = self.nrows
-        for i in range(self.ncols - 1):
-            for k in range(t):
-                if (sum(self.m[j][i] for j in range(k + 1, t))
-                        < sum(self.m[j][i + 1] for j in range(k, t))):
-                    return False
-        return True
 
     def __eq__(self, other):
         return isinstance(other, ExponentMatrix) and self.m == other.m

@@ -49,12 +49,12 @@ def _move_one_power(p, families, axis, src, dst):
     return Polynomial(out)
 
 
-def raising_operator_rows(p, a, d, triple):
+def raising_operator_rows(p, a, d):
     """Row operator moving content from row d up to row a."""
     return _move_one_power(p, ("x", "y"), 1, d, a)
 
 
-def raising_operator_cols(p, family, b, d, triple):
+def raising_operator_cols(p, family, b, d):
     """Column operator within one family, moving column d into column b."""
     return _move_one_power(p, (family,), 2, d, b)
 
@@ -62,13 +62,13 @@ def raising_operator_cols(p, family, b, d, triple):
 def check_hwv(p, triple):
     """Whether every simple raising operator annihilates p."""
     for d in range(2, triple.n + 1):
-        if not raising_operator_rows(p, d - 1, d, triple).is_zero():
+        if not raising_operator_rows(p, d - 1, d).is_zero():
             return False
     for d in range(2, triple.k + 1):
-        if not raising_operator_cols(p, "x", d - 1, d, triple).is_zero():
+        if not raising_operator_cols(p, "x", d - 1, d).is_zero():
             return False
     for d in range(2, triple.ell + 1):
-        if not raising_operator_cols(p, "y", d - 1, d, triple).is_zero():
+        if not raising_operator_cols(p, "y", d - 1, d).is_zero():
             return False
     return True
 
@@ -141,11 +141,6 @@ class BasisReport:
     def __post_init__(self):
         self.passed = (self.lr_count == self.oracle_count == self.rank
                        and self.leading_distinct)
-
-    def to_json(self):
-        return {"lr_count": self.lr_count, "oracle_count": self.oracle_count,
-                "leading": self.leading, "leading_distinct": self.leading_distinct,
-                "rank": self.rank, "mode": self.mode, "pass": self.passed}
 
 
 def random_point(rng, triple, lo=-10**6, hi=10**6):

@@ -202,7 +202,7 @@ def admissible_grids(triple, support):
     """
     t, s = triple.t, triple.s
     rowsum = [triple.f(i) - triple.d(i) for i in range(1, t + 1)]
-    colrem = [triple.e(h) for h in range(1, s + 1)]
+    colrem = [triple.E.part(h) for h in range(1, s + 1)]
     allowed = [[h for h in range(1, s + 1) if (i, h) in support]
                for i in range(1, t + 1)]
     out = []
@@ -238,6 +238,27 @@ def grid_support(grid):
                      for h, v in enumerate(row, start=1) if v)
 
 
+def grid_sums(grid):
+    """(row sums, column sums) of a grid."""
+    return (tuple(sum(row) for row in grid),
+            tuple(sum(col) for col in zip(*grid)))
+
+
+def check_grid(grid, triple):
+    """Whether a peeling exponent grid has row sums F_i - D_i, column sums
+    E_h and the shuffle inequalities sum_{j>k} m[j][i] >= sum_{j>=k} m[j][i+1]."""
+    nrows, ncols = len(grid), len(grid[0]) if grid else 0
+    if nrows != triple.t or (triple.s and ncols != triple.s):
+        return False
+    if grid_sums(grid) != (tuple(triple.f(i) - triple.d(i)
+                                 for i in range(1, triple.t + 1)),
+                           tuple(triple.E.part(h) for h in range(1, ncols + 1))):
+        return False
+    return all(sum(grid[j][i] for j in range(k + 1, nrows))
+               >= sum(grid[j][i + 1] for j in range(k, nrows))
+               for i in range(ncols - 1) for k in range(nrows))
+
+
 def _numeric_Z(triple, betavals, assignment):
     """Integer Z with A = J and the b coefficients given by betavals."""
     from lrbasis.polyring import xvar, yvar
@@ -269,7 +290,7 @@ def zero_one_coefficient(triple, T, assignment):
     from lrbasis import monomial_M
     from lrbasis.intlinalg import bareiss_det
     m = monomial_M(T)
-    grids = admissible_grids(triple, set(m.support()))
+    grids = admissible_grids(triple, grid_support(m.m))
     supports = [grid_support(g) for g in grids]
     if len(set(supports)) != len(grids):
         return interpolation_coefficient(triple, T, assignment)
@@ -315,9 +336,9 @@ def interpolation_coefficient(triple, T, assignment):
     from lrbasis import monomial_M
     from lrbasis.intlinalg import bareiss_det
     m = monomial_M(T)
-    support = sorted(m.support())
+    support = sorted(grid_support(m.m))
     weights = {(i, h): _coeff_weights(
-        min(triple.f(i) - triple.d(i), triple.e(h)) + 1, m.m[i - 1][h - 1])
+        min(triple.f(i) - triple.d(i), triple.E.part(h)) + 1, m.m[i - 1][h - 1])
         for (i, h) in support}
 
     def rec(idx, betavals, scale):

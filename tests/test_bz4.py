@@ -16,6 +16,8 @@ def test_assignment_validation():
         BZAssignment({"w11": 1})
     with pytest.raises(ShapeError):
         BZAssignment({"x11": -1})
+    with pytest.raises(ShapeError):
+        BZAssignment({"x11": True})
     for values in ([], 5, ["x11"]):
         with pytest.raises(ShapeError):
             BZAssignment(values)

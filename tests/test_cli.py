@@ -1,15 +1,20 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from lrbasis import cli, enumerate_lr, hwv, validate_triple, verify
 
+# the child process imports lrbasis from where this one found it
+ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
 
 def run(*args, stdin=None):
     proc = subprocess.run([sys.executable, "-m", "lrbasis.cli", *args],
-                          capture_output=True, text=True, input=stdin)
+                          capture_output=True, text=True, input=stdin, env=ENV)
     return proc
 
 
@@ -135,6 +140,23 @@ def test_bz_grade_non_object_exit_1(tmp_path, capsys):
         path.write_text(values)
         argv = ["bz-grade", "--assignment", str(path)]
         assert _domain_error(capsys, argv) == "ShapeError"
+
+
+def test_json_booleans_exit_1():
+    # true is not the integer 1, in a tableau entry or a vertex value
+    tableau = {"outer": [1, 1], "inner": [1], "rows": [[], [True]]}
+    for argv, data in ((["monomials", *SMALL, "--tableau", "-"], tableau),
+                       (["bz-grade", "--assignment", "-"], {"x11": True})):
+        p = run(*argv, stdin=json.dumps(data))
+        assert p.returncode == 1 and p.stdout == ""
+        assert json.loads(p.stderr)["error"] == "ShapeError"
+
+
+def test_bz_grade_needs_one_input():
+    for argv in ([], ["--dots", "x11", "--assignment", "-"]):
+        p = run("bz-grade", *argv, stdin="{}")
+        assert p.returncode == 2 and "Traceback" not in p.stderr
+        assert "usage: lrb bz-grade" in p.stderr
 
 
 def test_domain_error_exit_1():

@@ -142,8 +142,8 @@ def test_admissible_grids_running(running):
     tabs = enumerate_lr(running)
     T = tableau_by_rows(tabs, RUNNING_TABLEAUX["T"])
     T1 = tableau_by_rows(tabs, RUNNING_TABLEAUX["T1"])
-    assert len(admissible_grids(running, set(monomial_M(T).support()))) == 1
-    grids = admissible_grids(running, set(monomial_M(T1).support()))
+    assert len(admissible_grids(running, grid_support(monomial_M(T).m))) == 1
+    grids = admissible_grids(running, grid_support(monomial_M(T1).m))
     assert len(grids) == 3
     assert len(set(map(grid_support, grids))) == 3
 
@@ -188,7 +188,7 @@ def test_delta_MT_eval_matches_zero_one_oracle(running):
         tr = validate_triple(*map(parse_partition, (D, E, F)))
         collide = False
         for T in enumerate_lr(tr):
-            grids = admissible_grids(tr, set(monomial_M(T).support()))
+            grids = admissible_grids(tr, grid_support(monomial_M(T).m))
             collide |= len(set(map(grid_support, grids))) < len(grids)
             pt = random_point(rng, tr, lo=-9, hi=9)
             assert delta_MT_eval(tr, T, pt) == zero_one_coefficient(tr, T, pt)

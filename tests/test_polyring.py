@@ -7,7 +7,7 @@ from lrbasis.errors import NonSquare, UnorderedVariable, ZeroPolynomial
 from lrbasis.polyring import (Polynomial, coefficient_of, determinant,
                               leading_monomial, mono, mono_text,
                               parse_mono_text, poly_text, poly_to_json, xvar,
-                              y_compare, yvar)
+                              y_order_key, yvar)
 
 
 def P(v):
@@ -19,7 +19,7 @@ def rand_poly(rng, nvars=4, nterms=5, maxdeg=3):
     vars_ = [xvar(i, 1) for i in range(1, nvars + 1)]
     for _ in range(nterms):
         m = mono(*((rng.choice(vars_), 1) for _ in range(rng.randint(0, maxdeg))))
-        p = p + Polynomial.monomial(m, rng.randint(-5, 5))
+        p = p + Polynomial({m: rng.randint(-5, 5)})
     return p
 
 
@@ -53,14 +53,16 @@ def test_y_order_single_variables():
     a = mono((yvar(1, 1), 1))
     b = mono((yvar(2, 1), 1))
     c = mono((yvar(1, 2), 1))
-    assert y_compare(a, b) > 0 and y_compare(b, c) > 0 and y_compare(a, c) > 0
-    assert y_compare(a, a) == 0
+    assert y_order_key(a) > y_order_key(b) > y_order_key(c)
+    assert y_order_key(a) == y_order_key(mono((yvar(1, 1), 1)))
+    assert leading_monomial(P(yvar(1, 2)) + P(yvar(2, 1)) - P(yvar(1, 1))) == (a, -1)
 
 
 def test_y_order_degree_dominates():
     big = mono((yvar(5, 3), 2))
     small = mono((yvar(1, 1), 1))
-    assert y_compare(big, small) > 0
+    assert y_order_key(big) > y_order_key(small)
+    assert leading_monomial(P(yvar(1, 1)) + P(yvar(5, 3)) * P(yvar(5, 3)))[0] == big
 
 
 def test_y_order_worked_comparison():
@@ -68,12 +70,15 @@ def test_y_order_worked_comparison():
     # the largest differing factor
     m1 = parse_mono_text("y[4,2]^2*y[5,3]^2")
     m2 = parse_mono_text("y[4,2]*y[5,2]*y[4,3]*y[5,3]")
-    assert y_compare(m1, m2) > 0
+    assert y_order_key(m1) > y_order_key(m2)
+    assert leading_monomial(Polynomial({m2: 1, m1: 3})) == (m1, 3)
 
 
 def test_y_order_rejects_other_families():
     with pytest.raises(UnorderedVariable):
-        y_compare(mono((xvar(1, 1), 1)), mono((yvar(1, 1), 1)))
+        y_order_key(mono((xvar(1, 1), 1)))
+    with pytest.raises(UnorderedVariable):
+        leading_monomial(P(xvar(1, 1)) + P(yvar(1, 1)))
 
 
 def test_leading_monomial_errors():
@@ -86,8 +91,8 @@ def test_determinant_against_naive():
     for n in range(0, 5):
         for _ in range(6):
             m = [[Polynomial.const(rng.randint(-3, 3))
-                  + Polynomial.monomial(mono((xvar(i + 1, j + 1), 1)),
-                                        rng.randint(-2, 2))
+                  + Polynomial({mono((xvar(i + 1, j + 1), 1)):
+                                rng.randint(-2, 2)})
                   for j in range(n)] for i in range(n)]
             assert determinant(m) == determinant_naive(m)
 
@@ -125,7 +130,7 @@ def test_coefficient_of_and_split():
     p = b * b * x + b * x * 2 + x * 3
 
     def b_power(e):
-        return Polynomial.monomial(mono((bvar(1, 1), e)))
+        return Polynomial({mono((bvar(1, 1), e)): 1})
 
     assert coefficient_of(p, mono((bvar(1, 1), 2)), {"b"}) == x
     assert coefficient_of(p, mono(), {"b"}) == 3 * x

@@ -17,6 +17,8 @@ def test_partition_rejects_bad_input():
         Partition([2, -1])
     with pytest.raises(ShapeError):
         Partition([0, 2])
+    with pytest.raises(ShapeError):   # JSON true is not the part 1
+        Partition([2, True])
 
 
 def test_partition_accessors():

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from conftest import (RUNNING_E, RUNNING_GRIDS, RUNNING_TABLEAUX, all_triples,
-                      monomial_e1, random_triple, tableau_by_rows)
-from lrbasis import (ExponentMatrix, LRTableau, Partition, check_lr1,
-                     check_lr2, enumerate_lr, is_lr, monomial_M,
+                      check_grid, grid_sums, monomial_e1, random_triple,
+                      tableau_by_rows)
+from lrbasis import (ExponentMatrix, LRTableau, check_lr1, check_lr2,
+                     enumerate_lr, is_lr, monomial_M,
                      monomial_bigE, monomial_e, recover_from_M,
                      recover_from_e, standard_peeling, validate_triple)
 from lrbasis.errors import NoPreimage, NotLR, ShapeError
@@ -21,7 +22,8 @@ def test_running_example_enumeration(running):
 
 
 def test_enumeration_is_lex_ordered(running):
-    words = [T.row_word() for T in enumerate_lr(running)]
+    words = [[T.entries[cell] for cell in T.shape.cells]
+             for T in enumerate_lr(running)]
     assert words == sorted(words)
 
 
@@ -31,7 +33,8 @@ def test_enumerated_tableaux_are_lr():
         tr = random_triple(rng, 8)
         for T in enumerate_lr(tr):
             assert check_lr1(T) and check_lr2(T)
-            assert Partition(T.content()) == tr.Et
+            assert sorted(T.entries.values()) == [
+                v for v, c in enumerate(tr.Et.parts, start=1) for _ in range(c)]
 
 
 def test_lr_conditions_reject():
@@ -118,10 +121,10 @@ def test_monomial_M_running_values(running):
 def test_exponent_matrix_invariants(running):
     for T in enumerate_lr(running):
         m = monomial_M(T)
-        assert m.check(running)
-        assert m.row_sums() == tuple(running.f(i) - running.d(i)
-                                     for i in range(1, running.t + 1))
-        assert m.col_sums() == running.E.parts
+        assert check_grid(m.m, running)
+        assert grid_sums(m.m) == (tuple(running.f(i) - running.d(i)
+                                        for i in range(1, running.t + 1)),
+                                  running.E.parts)
 
 
 def test_monomial_e_running_values(running):
@@ -180,6 +183,7 @@ def test_tableau_json_rejects_malformed():
     assert LRTableau.from_json(good).to_json() == good
     for bad in ([], 5, {}, {"outer": [1, 1], "inner": [1]},
                 {**good, "outer": 5}, {**good, "inner": None},
-                {**good, "rows": "1"}, {**good, "rows": [[], 1]}):
+                {**good, "rows": "1"}, {**good, "rows": [[], 1]},
+                {**good, "rows": [[], [True]]}, {**good, "outer": [1, True]}):
         with pytest.raises(ShapeError):
             LRTableau.from_json(bad)

@@ -12,28 +12,26 @@ from lrbasis.polyring import Polynomial, mono, xvar, yvar
 
 
 def test_raising_operator_rows_basic():
-    tr = validate_triple([1], [1], [2])
     p = Polynomial.variable(xvar(2, 1))
-    q = raising_operator_rows(p, 1, 2, tr)
+    q = raising_operator_rows(p, 1, 2)
     assert q == Polynomial.variable(xvar(1, 1))
     # power rule: applying to x21^3 gives 3 x11 x21^2
     p3 = p * p * p
-    q3 = raising_operator_rows(p3, 1, 2, tr)
+    q3 = raising_operator_rows(p3, 1, 2)
     assert q3 == 3 * Polynomial.variable(xvar(1, 1)) * p * p
 
 
 def test_raising_operator_cols_basic():
-    tr = validate_triple([2], [], [2], k=2)
     p = Polynomial.variable(xvar(1, 2))
-    assert raising_operator_cols(p, "x", 1, 2, tr) == Polynomial.variable(xvar(1, 1))
-    assert raising_operator_cols(p, "y", 1, 2, tr).is_zero()
+    assert raising_operator_cols(p, "x", 1, 2) == Polynomial.variable(xvar(1, 1))
+    assert raising_operator_cols(p, "y", 1, 2).is_zero()
 
 
 def test_row_operator_kills_determinant():
     # the 2x2 minor x11 y21 - x21 y11 is invariant in the right way
     tr = validate_triple([1], [1], [2])
     p = delta_MT(tr, enumerate_lr(tr)[0])
-    assert raising_operator_rows(p, 1, 2, tr).is_zero()
+    assert raising_operator_rows(p, 1, 2).is_zero()
     assert check_hwv(p, tr)
     # a non-highest vector is caught
     assert not check_hwv(Polynomial.variable(yvar(2, 1)), tr)
@@ -156,7 +154,6 @@ def test_check_basis_small():
     assert rep.passed and rep.rank == 1 and rep.mode == "symbolic"
     rep = check_basis(validate_triple([2, 1], [2, 1], [3, 2, 1]))
     assert rep.passed and rep.lr_count == 2 and rep.rank == 2
-    assert rep.to_json()["pass"]
 
 
 def test_check_basis_empty():
