@@ -121,7 +121,7 @@ def reproduce_sl4_table():
     from .hwv import delta_MT
     from .shapes import validate_triple
     from .tableaux import enumerate_lr, monomial_bigE, monomial_e
-    from .polyring import parse_mono_text
+    from .polyring import mono_text
     from .verify import check_hwv, weight_profile
 
     reports = []
@@ -134,9 +134,8 @@ def reproduce_sl4_table():
         rep = {"no": row["no"], "unique": len(tabs) == 1}
         if len(tabs) == 1:
             T = tabs[0]
-            rep["e_matches"] = monomial_e(T) == parse_mono_text(row["e"])
-            rep["bigE_matches"] = (monomial_bigE(T, triple)
-                                   == parse_mono_text(row["bigE"]))
+            rep["e_matches"] = mono_text(monomial_e(T)) == row["e"]
+            rep["bigE_matches"] = mono_text(monomial_bigE(T, triple)) == row["bigE"]
             p = delta_MT(triple, T)
             rep["nonzero"] = not p.is_zero()
             rep["hwv"] = check_hwv(p, triple)

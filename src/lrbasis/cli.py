@@ -4,9 +4,10 @@ Partitions are comma-separated part lists ("5,5,4,3,1,1"), with "-" for
 the empty partition.  Tableaux travel as JSON objects with keys "outer",
 "inner", and "rows", and must have the triple's skew shape; pass a file
 path or "-" for stdin, or select one by its position in the canonical
-enumeration with --index.  Exit status is 0 on success, 1 on a domain
-error (reported as JSON on stderr; running out of memory or of recursion
-depth counts as one), 2 on a usage error.
+enumeration with --index.  Naming a tableau both ways, or giving delta's
+--A together with a tableau, is a usage error.  Exit status is 0 on
+success, 1 on a domain error (reported as JSON on stderr; running out of
+memory or of recursion depth counts as one), 2 on a usage error.
 """
 
 import argparse
@@ -98,12 +99,14 @@ def cmd_monomials(args):
 
 
 def cmd_delta(args):
+    chosen = args.index is not None or args.tableau
+    if chosen and args.A:
+        args.parser.error("--A applies to the whole determinant, not to one tableau")
     triple = _triple(args)
-    if args.index is not None or args.tableau:
-        T = _load_tableau(args, triple)
-        p = hwv.delta_MT(triple, T)
+    if chosen:
+        p = hwv.delta_MT(triple, _load_tableau(args, triple))
     else:
-        p = hwv.delta(triple, A=args.A)
+        p = hwv.delta(triple, A=args.A or "J")
     _poly_out(args, p)
 
 
@@ -174,8 +177,9 @@ def build_parser():
     triple.add_argument("--k", type=int, default=None, help="columns of the x matrix")
     triple.add_argument("--ell", type=int, default=None, help="columns of the y matrix")
     tableau = argparse.ArgumentParser(add_help=False)
-    tableau.add_argument("--tableau", help='tableau JSON file, or "-" for stdin')
-    tableau.add_argument("--index", type=int, help="pick the i-th enumerated tableau")
+    which = tableau.add_mutually_exclusive_group()
+    which.add_argument("--tableau", help='tableau JSON file, or "-" for stdin')
+    which.add_argument("--index", type=int, help="pick the i-th enumerated tableau")
 
     ap = argparse.ArgumentParser(
         prog="lrb",
@@ -198,8 +202,9 @@ def build_parser():
             ("sl4-table", cmd_sl4_table, [], "recompute the bundled 18-row table"),
             ("bz-grade", cmd_bz_grade, [], "gradings and hexagon check of a diagram")):
         cmds[name] = sub.add_parser(name, parents=parents, help=text)
-        cmds[name].set_defaults(fn=fn)
-    cmds["delta"].add_argument("--A", default="J", choices=("J", "symbolic"))
+        cmds[name].set_defaults(fn=fn, parser=cmds[name])
+    cmds["delta"].add_argument("--A", choices=("J", "symbolic"),
+                               help="x-block coefficients (default J); not with a tableau")
     for flag in ("--hwv", "--weights", "--leading", "--basis", "--all"):
         cmds["verify"].add_argument(flag, action="store_true")
     cmds["verify"].add_argument("--seed", type=int, default=0)

@@ -1,49 +1,41 @@
 """Exact linear algebra over the integers, by fraction-free elimination."""
 
 
-def bareiss_det(matrix):
-    """Exact determinant of a square integer matrix."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[i][j] = (m[i][j] * m[c][c] - m[i][c] * m[c][j]) // prev
-            m[i][c] = 0
-        prev = m[c][c]
-    return sign * m[n - 1][n - 1]
+def _eliminate(matrix):
+    """Fraction-free (Bareiss) elimination on a copy of an integer matrix.
 
-
-def int_rank(matrix):
-    """Exact rank of an integer matrix (equals the rank over the rationals)."""
-    if not matrix:
-        return 0
+    Returns (rank, sign of the row swaps, last pivot).  Each pivot is a
+    minor of the row-swapped matrix, so a full-rank square matrix has
+    determinant sign * last pivot.
+    """
     m = [list(row) for row in matrix]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
     for c in range(ncols):
+        if rank == nrows:
+            break
         piv = next((i for i in range(rank, nrows) if m[i][c]), None)
         if piv is None:
             continue
         if piv != rank:
             m[rank], m[piv] = m[piv], m[rank]
-        for i in range(rank + 1, nrows):
+            sign = -sign
+        top, p = m[rank], m[rank][c]
+        for row in m[rank + 1:]:
+            a = row[c]
             for j in range(c + 1, ncols):
-                m[i][j] = (m[i][j] * m[rank][c] - m[i][c] * m[rank][j]) // prev
-            m[i][c] = 0
-        prev = m[rank][c]
+                row[j] = (row[j] * p - a * top[j]) // prev
+        prev = p
         rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return rank, sign, prev
+
+
+def bareiss_det(matrix):
+    """Exact determinant of a square integer matrix."""
+    rank, sign, pivot = _eliminate(matrix)
+    return sign * pivot if rank == len(matrix) else 0
+
+
+def int_rank(matrix):
+    """Exact rank of an integer matrix (equals the rank over the rationals)."""
+    return _eliminate(matrix)[0]

@@ -8,8 +8,6 @@ x < y < a < b < z, then (i, j) lexicographically.  Polynomials are dicts
 mapping monomials to nonzero integer coefficients.
 """
 
-import re
-
 from .errors import NonSquare, UnorderedVariable, ZeroPolynomial
 
 _FAMILY_RANK = {"x": 0, "y": 1, "a": 2, "b": 3, "z": 4}
@@ -45,9 +43,8 @@ def mono(*pairs):
     """Canonical monomial from (variable, exponent) pairs."""
     merged = {}
     for v, e in pairs:
-        if e:
-            merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items(), key=lambda p: var_key(p[0])))
+        merged[v] = merged.get(v, 0) + e
+    return mono_from_dict(merged)
 
 
 def mono_from_dict(d):
@@ -217,32 +214,22 @@ def leading_monomial(p):
 def determinant(matrix):
     """Determinant of a square matrix of polynomials (or ints).
 
-    Expands along columns (sparsest first) with memoization on the set of
-    unused rows.
+    Expands along the columns in the order given, with memoization on the
+    set of unused rows.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise NonSquare("matrix is not square")
     rows = [[e.terms if isinstance(e, Polynomial) else {ONE: e} if e else {}
              for e in row] for row in matrix]
-    order = sorted(range(n), key=lambda c: sum(bool(row[c]) for row in rows))
-    # parity of the column permutation
-    sign = 1
-    seen = list(order)
-    for i in range(n):
-        while seen[i] != i:
-            j = seen[i]
-            seen[i], seen[j] = seen[j], seen[i]
-            sign = -sign
     memo = {}
 
-    def minor(ci, mask):
-        if ci == n:
+    def minor(col, mask):
+        if col == n:
             return {ONE: 1}
-        cached = memo.get((ci, mask))
+        cached = memo.get(mask)
         if cached is not None:
             return cached
-        col = order[ci]
         acc = {}
         pos = 0
         for r in range(n):
@@ -251,13 +238,13 @@ def determinant(matrix):
                 continue
             pos += 1
             if rows[r][col]:
-                sub = minor(ci + 1, mask ^ bit)
+                sub = minor(col + 1, mask ^ bit)
                 if sub:
                     add_product(acc, rows[r][col], sub, 1 if pos % 2 else -1)
-        memo[(ci, mask)] = acc
+        memo[mask] = acc
         return acc
 
-    return Polynomial(minor(0, (1 << n) - 1)) * sign
+    return Polynomial(minor(0, (1 << n) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -291,23 +278,6 @@ def poly_text(p):
         parts.append(f"{'+' if c >= 0 else '-'}{abs(c)}*{mono_text(m)}"
                      if m else f"{'+' if c >= 0 else '-'}{abs(c)}")
     return " ".join(parts)
-
-
-_VAR_RE = re.compile(r"([xyabz])\[(\d+)(?:,(\d+))?\](?:\^(\d+))?$")
-
-
-def parse_mono_text(text):
-    text = text.strip()
-    if text in ("1", ""):
-        return ONE
-    pairs = []
-    for tok in text.split("*"):
-        m = _VAR_RE.match(tok.strip())
-        if not m:
-            raise ValueError(f"cannot parse variable {tok!r}")
-        f, i, j, e = m.group(1), int(m.group(2)), m.group(3), m.group(4)
-        pairs.append(((f, i, int(j) if j else 1), int(e) if e else 1))
-    return mono(*pairs)
 
 
 def poly_to_json(p):

@@ -15,7 +15,7 @@ from lrbasis import (check_basis, check_hwv, check_leading_term, delta,
                      lr_coefficient, monomial_M, monomial_e, recover_from_M,
                      reproduce_sl4_table, standard_peeling, delta_TY,
                      weight_profile)
-from lrbasis.polyring import parse_mono_text
+from lrbasis.polyring import mono_text
 from lrbasis.verify import random_point
 
 
@@ -39,7 +39,7 @@ def test_acceptance_02_monomial_fidelity(running, capsys):
     for name in ("T", "T1"):
         T = tableau_by_rows(tabs, RUNNING_TABLEAUX[name])
         assert [list(r) for r in monomial_M(T).m] == RUNNING_GRIDS[name]
-        assert monomial_e(T) == parse_mono_text(RUNNING_E[name])
+        assert mono_text(monomial_e(T)) == RUNNING_E[name]
     _report(capsys, 2, "exponent grids and e monomials match the worked values")
 
 

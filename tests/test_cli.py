@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -157,6 +159,40 @@ def test_bz_grade_needs_one_input():
         p = run("bz-grade", *argv, stdin="{}")
         assert p.returncode == 2 and "Traceback" not in p.stderr
         assert "usage: lrb bz-grade" in p.stderr
+
+
+def test_tableau_named_two_ways_exit_2(capsys):
+    # a tableau by --index and by --tableau, or by --index and delta's --A
+    for command, argv in (
+            ("peel", ["peel", *SMALL, "--index", "0", "--tableau", "/nonexistent.json"]),
+            ("delta", ["--format", "text", "delta", *SMALL, "--index", "0",
+                       "--A", "symbolic"])):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"usage: lrb {command}" in err
+
+
+def test_readme_commands(monkeypatch, capsys):
+    # every lrb line of the README's command-line block runs and exits 0, and
+    # prints exactly the JSON shown in a "# {...}" line right below it
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    commands = 0
+    for line, after in zip(lines, lines[1:] + [""]):
+        feed, _, command = line.rpartition("| ")
+        if not command.startswith("lrb "):
+            continue
+        stdin = " ".join(shlex.split(feed)[1:]) + "\n" if feed else ""
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert cli.main(shlex.split(command)[1:]) == 0, line
+        out = capsys.readouterr().out
+        if after.startswith("# {"):
+            assert out == after[2:] + "\n", line
+        commands += 1
+    assert commands == 12
 
 
 def test_domain_error_exit_1():

@@ -5,9 +5,8 @@ import pytest
 from conftest import determinant_naive, evaluate
 from lrbasis.errors import NonSquare, UnorderedVariable, ZeroPolynomial
 from lrbasis.polyring import (Polynomial, coefficient_of, determinant,
-                              leading_monomial, mono, mono_text,
-                              parse_mono_text, poly_text, poly_to_json, xvar,
-                              y_order_key, yvar)
+                              leading_monomial, mono, mono_text, poly_text,
+                              poly_to_json, xvar, y_order_key, yvar)
 
 
 def P(v):
@@ -68,8 +67,10 @@ def test_y_order_degree_dominates():
 def test_y_order_worked_comparison():
     # the two monomials from the worked example: degree ties are broken by
     # the largest differing factor
-    m1 = parse_mono_text("y[4,2]^2*y[5,3]^2")
-    m2 = parse_mono_text("y[4,2]*y[5,2]*y[4,3]*y[5,3]")
+    m1 = mono((yvar(4, 2), 2), (yvar(5, 3), 2))
+    m2 = mono((yvar(4, 2), 1), (yvar(5, 2), 1), (yvar(4, 3), 1), (yvar(5, 3), 1))
+    assert mono_text(m1) == "y[4,2]^2*y[5,3]^2"
+    assert mono_text(m2) == "y[4,2]*y[4,3]*y[5,2]*y[5,3]"
     assert y_order_key(m1) > y_order_key(m2)
     assert leading_monomial(Polynomial({m2: 1, m1: 3})) == (m1, 3)
 

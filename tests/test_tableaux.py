@@ -10,7 +10,7 @@ from lrbasis import (ExponentMatrix, LRTableau, check_lr1, check_lr2,
                      monomial_bigE, monomial_e, recover_from_M,
                      recover_from_e, standard_peeling, validate_triple)
 from lrbasis.errors import NoPreimage, NotLR, ShapeError
-from lrbasis.polyring import mono_text, parse_mono_text
+from lrbasis.polyring import mono, mono_text, yvar
 
 
 def test_running_example_enumeration(running):
@@ -131,7 +131,7 @@ def test_monomial_e_running_values(running):
     tabs = enumerate_lr(running)
     for name in ("T", "T1"):
         T = tableau_by_rows(tabs, RUNNING_TABLEAUX[name])
-        assert monomial_e(T) == parse_mono_text(RUNNING_E[name])
+        assert mono_text(monomial_e(T)) == RUNNING_E[name]
 
 
 def test_monomial_e1_running(running):
@@ -163,7 +163,7 @@ def test_recover_no_preimage(running):
     with pytest.raises(NoPreimage):
         recover_from_M(running, grid)
     with pytest.raises(NoPreimage):
-        recover_from_e(running, parse_mono_text("y[1,1]"))
+        recover_from_e(running, mono((yvar(1, 1), 1)))
 
 
 def test_monomial_M_injective_small():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -83,34 +84,59 @@ def test_bareiss_det_known():
     assert bareiss_det([[1, 2], [2, 4]]) == 0
 
 
-def test_bareiss_det_random_vs_fractions():
-    from fractions import Fraction
-    rng = random.Random(20)
-    for n in range(1, 6):
-        for _ in range(10):
-            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            assert bareiss_det(m) == _frac_det(m)
+def _matrices(rng):
+    """Integer matrices of the shapes elimination meets: square (some of
+    them singular), wide and tall, with a row that combines the rows above
+    it or with a zero column, and the empty ones."""
+    yield from ([], [[]], [[], []])
+    for _ in range(400):
+        nr = rng.randint(1, 6)
+        nc = nr if rng.random() < 0.5 else rng.randint(1, 6)
+        m = [[rng.choice((0, 0, 1, -1, 2, -3, 7, 12)) for _ in range(nc)]
+             for _ in range(nr)]
+        kind = rng.randrange(3)
+        if kind == 1 and nr > 1:
+            cs = [rng.randint(-2, 2) for _ in range(nr - 1)]
+            m[-1] = [sum(c * row[j] for c, row in zip(cs, m)) for j in range(nc)]
+        elif kind == 2:
+            j = rng.randrange(nc)
+            for row in m:
+                row[j] = 0
+        yield m
 
 
-def _frac_det(m):
-    from fractions import Fraction
-    n = len(m)
+def _frac_rank_det(m):
+    """Rank of m, and its determinant if m is square, by elimination over
+    the rationals."""
     a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
+    nr, nc = len(a), len(a[0]) if a else 0
+    rank, det = 0, Fraction(1)
+    for c in range(nc):
+        piv = next((i for i in range(rank, nr) if a[i][c]), None)
         if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
             det = -det
-        det *= a[c][c]
-        for i in range(c + 1, n):
-            f = a[i][c] / a[c][c]
-            for j in range(c, n):
-                a[i][j] -= f * a[c][j]
+        det *= a[rank][c]
+        for i in range(rank + 1, nr):
+            f = a[i][c] / a[rank][c]
+            for j in range(c, nc):
+                a[i][j] -= f * a[rank][j]
+        rank += 1
+    if nr != nc or rank < nr:
+        det = 0
     assert det.denominator == 1
-    return int(det)
+    return rank, int(det)
+
+
+def test_bareiss_det_random_vs_fractions():
+    rng = random.Random(20)
+    for m in _matrices(rng):
+        rank, det = _frac_rank_det(m)
+        assert int_rank(m) == rank, m
+        if all(len(row) == len(m) for row in m):
+            assert bareiss_det(m) == det, m
 
 
 def test_int_rank_known():
@@ -127,26 +153,7 @@ def test_int_rank_random_vs_fractions():
     for _ in range(40):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         m = [[rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(nc)] for _ in range(nr)]
-        assert int_rank(m) == _frac_rank(m)
-
-
-def _frac_rank(m):
-    from fractions import Fraction
-    a = [[Fraction(x) for x in row] for row in m]
-    nr, nc = len(a), len(a[0])
-    rank = 0
-    for c in range(nc):
-        piv = next((i for i in range(rank, nr) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        for i in range(nr):
-            if i != rank and a[i][c]:
-                f = a[i][c] / a[rank][c]
-                for j in range(nc):
-                    a[i][j] -= f * a[rank][j]
-        rank += 1
-    return rank
+        assert int_rank(m) == _frac_rank_det(m)[0]
 
 
 def test_check_basis_small():
