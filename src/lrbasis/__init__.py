@@ -2,7 +2,7 @@
 Littlewood-Richardson tableaux, with independent combinatorial oracles."""
 
 from .shapes import (LRTriple, Partition, SkewShape, format_partition,
-                     parse_partition, transpose, validate_triple)
+                     parse_partition, validate_triple)
 from .tableaux import (ExponentMatrix, LRTableau, PeelingTrace, check_lr1,
                        check_lr2, enumerate_lr, is_lr, monomial_M,
                        monomial_bigE, monomial_e, recover_from_M,

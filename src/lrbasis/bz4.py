@@ -11,7 +11,11 @@ import json
 from importlib import resources
 
 from .errors import NotPartition, ShapeError
-from .shapes import Partition, parse_partition
+from .hwv import delta_MT
+from .polyring import mono_text
+from .shapes import Partition, parse_partition, validate_triple
+from .tableaux import enumerate_lr, monomial_bigE, monomial_e
+from .verify import check_hwv, weight_profile
 
 VERTICES = tuple(f"{f}{i}{j}" for f in "xyz" for i in (1, 2) for j in (1, 2, 3))
 
@@ -64,9 +68,6 @@ class BZAssignment:
     def __getitem__(self, v):
         return self.values[v]
 
-    def __eq__(self, other):
-        return isinstance(other, BZAssignment) and self.values == other.values
-
 
 def _weight(assignment, sums):
     w = tuple(sum(assignment[v] for v in group) for group in sums)
@@ -77,8 +78,6 @@ def _weight(assignment, sums):
 
 def bz_grading(assignment):
     """(D, E, F) gradings of a diagram, each a reduced 3-part weight."""
-    if not isinstance(assignment, BZAssignment):
-        assignment = BZAssignment(assignment)
     return (_weight(assignment, _D_SUMS),
             _weight(assignment, _E_SUMS),
             _weight(assignment, _F_SUMS))
@@ -86,8 +85,6 @@ def bz_grading(assignment):
 
 def hexagon_condition(assignment):
     """Whether all three hexagons have equal opposite-side sums."""
-    if not isinstance(assignment, BZAssignment):
-        assignment = BZAssignment(assignment)
     for hexagon in HEXAGONS:
         for (a1, a2), (b1, b2) in hexagon:
             if assignment[a1] + assignment[a2] != assignment[b1] + assignment[b2]:
@@ -118,12 +115,6 @@ def reproduce_sl4_table():
     vector of the tabulated weight, and the dot diagram is hexagon-valid
     with gradings matching the reduced transposed diagrams.
     """
-    from .hwv import delta_MT
-    from .shapes import validate_triple
-    from .tableaux import enumerate_lr, monomial_bigE, monomial_e
-    from .polyring import mono_text
-    from .verify import check_hwv, weight_profile
-
     reports = []
     for row in load_table():
         D = parse_partition(row["D"])

@@ -146,7 +146,7 @@ def cmd_verify(args):
 
 def cmd_oracle(args):
     triple = _triple(args)
-    out = {"oracle_count": oracle.lr_coefficient(triple, nvars=args.nvars)}
+    out = {"oracle_count": oracle.lr_coefficient(triple)}
     print(json.dumps(out))
 
 
@@ -208,7 +208,6 @@ def build_parser():
     for flag in ("--hwv", "--weights", "--leading", "--basis", "--all"):
         cmds["verify"].add_argument(flag, action="store_true")
     cmds["verify"].add_argument("--seed", type=int, default=0)
-    cmds["oracle"].add_argument("--nvars", type=int, default=None)
     source = cmds["bz-grade"].add_mutually_exclusive_group(required=True)
     source.add_argument("--assignment", help='JSON {vertex: value} file, or "-"')
     source.add_argument("--dots", help="comma-separated vertex names with value 1")

@@ -47,8 +47,7 @@ def _rows(triple, with_x=True):
         raise DimensionMismatch(f"D and E need {triple.D.width} x and "
                                 f"{triple.E.width} y columns; k = {triple.k}, "
                                 f"ell = {triple.ell}")
-    if not with_x and any(triple.f(j) < triple.d(j)
-                          for j in range(1, triple.t + 1)):
+    if not with_x and not triple.dt_in_ft:
         raise DimensionMismatch("some F_j < D_j; the reduced matrix is undefined")
     return [(j, u) for j in range(1, triple.t + 1)
             for u in range(1 if with_x else triple.d(j) + 1, triple.f(j) + 1)]

@@ -1,5 +1,7 @@
 """Exact linear algebra over the integers, by fraction-free elimination."""
 
+from .errors import NonSquare
+
 
 def _eliminate(matrix):
     """Fraction-free (Bareiss) elimination on a copy of an integer matrix.
@@ -31,7 +33,9 @@ def _eliminate(matrix):
 
 
 def bareiss_det(matrix):
-    """Exact determinant of a square integer matrix."""
+    """Exact determinant of a square integer matrix; NonSquare otherwise."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise NonSquare("matrix is not square")
     rank, sign, pivot = _eliminate(matrix)
     return sign * pivot if rank == len(matrix) else 0
 

@@ -188,16 +188,9 @@ def expand_in_schur(p, nvars):
     return out
 
 
-def lr_coefficient(triple, nvars=None):
-    """Multiplicity of transpose(F) in s_{transpose(D)} * s_{transpose(E)}.
-
-    The default number of variables is enough for stability; passing more
-    must not change the answer.
-    """
+def lr_coefficient(triple):
+    """Multiplicity of transpose(F) in s_{transpose(D)} * s_{transpose(E)}."""
     Dt, Et, Ft = triple.Dt, triple.Et, triple.Ft
-    if nvars is None:
-        nvars = max(1, Dt.depth, Et.depth, Ft.depth)
-    if nvars < Ft.depth:
-        raise TooFewVariables(f"need at least {Ft.depth} variables")
+    nvars = max(1, Dt.depth, Et.depth, Ft.depth)
     prod = schur_polynomial(Dt, nvars) * schur_polynomial(Et, nvars)
     return expand_in_schur(prod, nvars).get(Ft, 0)

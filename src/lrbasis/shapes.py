@@ -63,18 +63,6 @@ class Partition:
     def __hash__(self):
         return hash(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __bool__(self):
-        return bool(self.parts)
-
     def __repr__(self):
         return f"Partition({list(self.parts)})"
 
@@ -98,10 +86,6 @@ def format_partition(p):
     """Inverse of parse_partition."""
     p = Partition(p)
     return ",".join(str(x) for x in p.parts) if p.parts else "-"
-
-
-def transpose(p):
-    return Partition(p).transpose()
 
 
 class SkewShape:
@@ -200,10 +184,6 @@ class LRTriple:
         if not self.dt_in_ft:
             raise ShapeError("transpose(D) is not contained in transpose(F)")
         return SkewShape(self.Ft, self.Dt)
-
-    def __str__(self):
-        return (f"D={format_partition(self.D)} E={format_partition(self.E)} "
-                f"F={format_partition(self.F)} (n={self.n}, k={self.k}, ell={self.ell})")
 
 
 def validate_triple(D, E, F, n=None, k=None, ell=None):

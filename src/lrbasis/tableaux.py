@@ -225,9 +225,6 @@ class ExponentMatrix:
     def __eq__(self, other):
         return isinstance(other, ExponentMatrix) and self.m == other.m
 
-    def __hash__(self):
-        return hash(self.m)
-
     def __repr__(self):
         return f"ExponentMatrix({[list(r) for r in self.m]})"
 
@@ -245,17 +242,15 @@ def monomial_M(T):
 
 
 def recover_from_M(triple, m):
-    """Invert monomial_M; raises NoPreimage when no tableau maps to m.
+    """Invert monomial_M for an ExponentMatrix m; raises NoPreimage when
+    no tableau maps to m.
 
     Rebuilds the tableau by inserting the strips in reverse peeling order;
     within a strip, values take its skew-shape columns in weakly decreasing
     order, and within a column cells are consumed top to bottom in the
     order the strips arrive.
     """
-    if isinstance(m, ExponentMatrix):
-        grid = m.m
-    else:
-        grid = tuple(tuple(row) for row in m)
+    grid = m.m
     shape = triple.skew_shape()
     s = len(grid[0]) if grid else 0
     col_cells = {c: shape.column_rows(c) for c in range(1, triple.t + 1)}
@@ -275,7 +270,7 @@ def recover_from_M(triple, m):
     if set(entries) != set(shape.cells):
         raise NoPreimage("grid does not fill the skew shape")
     T = LRTableau(shape, entries)
-    if not is_lr(T) or monomial_M(T) != ExponentMatrix(grid):
+    if not is_lr(T) or monomial_M(T) != m:
         raise NoPreimage("grid is not the peeling record of any LR tableau")
     return T
 

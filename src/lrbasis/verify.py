@@ -14,8 +14,8 @@ from .errors import NotHomogeneous, ZeroPolynomial
 from .intlinalg import int_rank
 from .hwv import delta_MT, delta_MT_eval, delta_TY
 from .oracle import lr_coefficient
-from .polyring import (Polynomial, leading_monomial, mono_from_dict,
-                       mono_text, xvar, yvar)
+from .polyring import (Polynomial, leading_monomial, mono_from_dict, xvar,
+                       yvar)
 from .tableaux import enumerate_lr, monomial_bigE, monomial_e
 
 # The largest |F| whose basis check ranks the exact coefficient matrix;
@@ -87,13 +87,6 @@ class WeightProfile:
                 and self.y_col_degrees == triple.Et.parts)
 
 
-def _strip(v):
-    v = list(v)
-    while v and v[-1] == 0:
-        v.pop()
-    return tuple(v)
-
-
 def weight_profile(p):
     """The common multidegree of all terms; NotHomogeneous otherwise."""
     if p.is_zero():
@@ -108,11 +101,9 @@ def weight_profile(p):
             elif fam == "y":
                 rows[i] = rows.get(i, 0) + e
                 ycols[j] = ycols.get(j, 0) + e
-        cur = (
-            _strip([rows.get(i, 0) for i in range(1, max(rows, default=0) + 1)]),
-            _strip([xcols.get(j, 0) for j in range(1, max(xcols, default=0) + 1)]),
-            _strip([ycols.get(j, 0) for j in range(1, max(ycols, default=0) + 1)]),
-        )
+        # a monomial stores no zero exponent, so each vector ends nonzero
+        cur = tuple(tuple(deg.get(i, 0) for i in range(1, max(deg, default=0) + 1))
+                    for deg in (rows, xcols, ycols))
         if profile is None:
             profile = cur
         elif profile != cur:
@@ -132,7 +123,6 @@ class BasisReport:
 
     lr_count: int
     oracle_count: int
-    leading: list
     leading_distinct: bool
     rank: int
     mode: str
@@ -175,10 +165,9 @@ def check_basis(triple, seed=0, tableaux=None, polys=None):
     """
     tabs = enumerate_lr(triple) if tableaux is None else tableaux
     oracle_count = lr_coefficient(triple)
-    leading = [mono_text(monomial_bigE(T, triple)) for T in tabs]
-    distinct = len(set(leading)) == len(leading)
+    distinct = len({monomial_bigE(T, triple) for T in tabs}) == len(tabs)
     if not tabs:
-        return BasisReport(0, oracle_count, [], True, 0, "empty")
+        return BasisReport(0, oracle_count, True, 0, "empty")
     if triple.F.size <= SYMBOLIC_LIMIT:
         if polys is None:
             polys = [delta_MT(triple, T) for T in tabs]
@@ -190,5 +179,5 @@ def check_basis(triple, seed=0, tableaux=None, polys=None):
         points = [random_point(rng, triple) for _ in range(len(tabs) + 4)]
         matrix = [[delta_MT_eval(triple, T, pt) for pt in points] for T in tabs]
         mode = "evaluation"
-    return BasisReport(len(tabs), oracle_count, leading, distinct,
-                       int_rank(matrix), mode)
+    return BasisReport(len(tabs), oracle_count, distinct, int_rank(matrix),
+                       mode)

@@ -70,3 +70,16 @@ def test_every_definition_has_a_caller():
     assert sorted((module, name) for module, name in unreferenced()
                   if (module, name) not in reached
                   and name.rpartition(".")[2] not in methods) == []
+
+
+def test_no_import_inside_a_function():
+    """Each module imports at its top; the package has no import cycle
+    that a deferred import would have to break."""
+    deferred = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                deferred += [(path.name, fn.name, node.lineno)
+                             for node in ast.walk(fn)
+                             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert deferred == []

@@ -10,7 +10,7 @@ from conftest import (all_triples, partitions_of, peel_lr_coefficient,
                       random_triple, tableau_ssyt_monomials)
 from lrbasis import (Partition, expand_in_schur, lr_coefficient,
                      schur_polynomial, validate_triple)
-from lrbasis.errors import NegativeCoefficient, NotSymmetric, TooFewVariables
+from lrbasis.errors import NegativeCoefficient, NotSymmetric
 from lrbasis.oracle import _ssyt_monomials
 from lrbasis.polyring import Polynomial, mono, zvar
 
@@ -101,13 +101,6 @@ def test_lr_coefficient_conjugation():
         tr = random_triple(rng, 8)
         conj = validate_triple(tr.Dt, tr.Et, tr.Ft)
         assert lr_coefficient(tr) == lr_coefficient(conj)
-
-
-def test_nvars_guard():
-    # transpose(F) = (1, 1) needs two variables
-    tr = validate_triple([1], [1], [2])
-    with pytest.raises(TooFewVariables):
-        lr_coefficient(tr, nvars=1)
 
 
 def test_ssyt_monomials_match_tableau_enumeration():

@@ -1,7 +1,7 @@
 import pytest
 
 from lrbasis import (Partition, SkewShape, format_partition, parse_partition,
-                     transpose, validate_triple)
+                     validate_triple)
 from lrbasis.errors import DepthExceeded, ShapeError, SizeMismatch
 
 
@@ -29,10 +29,10 @@ def test_partition_accessors():
 
 
 def test_transpose_known_values():
-    assert transpose([3, 3, 2, 1, 1]).parts == (5, 3, 2)
-    assert transpose([3, 3, 2, 1]).parts == (4, 3, 2)
-    assert transpose([5, 5, 4, 3, 1, 1]).parts == (6, 4, 4, 3, 2)
-    assert transpose([]).parts == ()
+    assert Partition([3, 3, 2, 1, 1]).transpose().parts == (5, 3, 2)
+    assert Partition([3, 3, 2, 1]).transpose().parts == (4, 3, 2)
+    assert Partition([5, 5, 4, 3, 1, 1]).transpose().parts == (6, 4, 4, 3, 2)
+    assert Partition([]).transpose().parts == ()
 
 
 def test_transpose_involution():

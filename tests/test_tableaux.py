@@ -161,7 +161,7 @@ def test_recover_no_preimage(running):
     grid[0][0] += 1
     grid[1][0] -= 1
     with pytest.raises(NoPreimage):
-        recover_from_M(running, grid)
+        recover_from_M(running, ExponentMatrix(grid))
     with pytest.raises(NoPreimage):
         recover_from_e(running, mono((yvar(1, 1), 1)))
 

@@ -7,7 +7,7 @@ from conftest import check_e1_factorization, random_triple
 from lrbasis import (check_basis, check_hwv, check_leading_term, delta,
                      delta_MT, enumerate_lr, raising_operator_cols,
                      raising_operator_rows, validate_triple, weight_profile)
-from lrbasis.errors import NotHomogeneous, ZeroPolynomial
+from lrbasis.errors import NonSquare, NotHomogeneous, ZeroPolynomial
 from lrbasis.intlinalg import bareiss_det, int_rank
 from lrbasis.polyring import Polynomial, mono, xvar, yvar
 
@@ -42,6 +42,11 @@ def test_weight_profile_values():
     p = Polynomial.variable(xvar(1, 1)) * Polynomial.variable(yvar(2, 1))
     w = weight_profile(p)
     assert w.row_degrees == (1, 1)
+    assert w.x_col_degrees == (1,)
+    assert w.y_col_degrees == (1,)
+    # row 1 has degree 0; a zero before the last row stays in the vector
+    w = weight_profile(Polynomial.variable(xvar(2, 1)) * Polynomial.variable(yvar(2, 1)))
+    assert w.row_degrees == (0, 2)
     assert w.x_col_degrees == (1,)
     assert w.y_col_degrees == (1,)
 
@@ -137,6 +142,9 @@ def test_bareiss_det_random_vs_fractions():
         assert int_rank(m) == rank, m
         if all(len(row) == len(m) for row in m):
             assert bareiss_det(m) == det, m
+        else:
+            with pytest.raises(NonSquare):
+                bareiss_det(m)
 
 
 def test_int_rank_known():
