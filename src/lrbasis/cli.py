@@ -7,7 +7,8 @@ path or "-" for stdin, or select one by its position in the canonical
 enumeration with --index.  Naming a tableau both ways, or giving delta's
 --A together with a tableau, is a usage error.  Exit status is 0 on
 success, 1 on a domain error (reported as JSON on stderr; running out of
-memory or of recursion depth counts as one), 2 on a usage error.
+memory or of recursion depth counts as one) or when a check of verify or
+sl4-table fails (the report still goes to stdout), 2 on a usage error.
 """
 
 import argparse
@@ -25,7 +26,7 @@ from .tableaux import LRTableau, enumerate_lr, monomial_M, monomial_bigE, \
 
 def _triple(args):
     return validate_triple(parse_partition(args.D), parse_partition(args.E),
-                           parse_partition(args.F), args.n, args.k, args.ell)
+                           parse_partition(args.F))
 
 
 def _load_json(path):
@@ -42,7 +43,7 @@ def _load_tableau(args, triple):
         if not 0 <= args.index < len(tabs):
             raise LRBError(f"index {args.index} out of range; {len(tabs)} tableaux")
         return tabs[args.index]
-    if not args.tableau:
+    if args.tableau is None:
         raise LRBError("provide --tableau FILE or --index N")
     T, shape = LRTableau.from_json(_load_json(args.tableau)), triple.skew_shape()
     if T.shape != shape:
@@ -99,7 +100,7 @@ def cmd_monomials(args):
 
 
 def cmd_delta(args):
-    chosen = args.index is not None or args.tableau
+    chosen = args.index is not None or args.tableau is not None
     if chosen and args.A:
         args.parser.error("--A applies to the whole determinant, not to one tableau")
     triple = _triple(args)
@@ -173,9 +174,6 @@ def build_parser():
     triple.add_argument("--D", required=True, help='left diagram, e.g. "3,3,2,1,1" or "-"')
     triple.add_argument("--E", required=True, help="right diagram")
     triple.add_argument("--F", required=True, help="target diagram")
-    triple.add_argument("--n", type=int, default=None, help="rows of the x and y matrices")
-    triple.add_argument("--k", type=int, default=None, help="columns of the x matrix")
-    triple.add_argument("--ell", type=int, default=None, help="columns of the y matrix")
     tableau = argparse.ArgumentParser(add_help=False)
     which = tableau.add_mutually_exclusive_group()
     which.add_argument("--tableau", help='tableau JSON file, or "-" for stdin')

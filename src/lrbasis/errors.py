@@ -13,10 +13,6 @@ class SizeMismatch(ShapeError):
     """|D| + |E| != |F| for a candidate triple of diagrams."""
 
 
-class DepthExceeded(ShapeError):
-    """A diagram is deeper than the matrix size that must carry it."""
-
-
 class NotLR(LRBError):
     """A filling violates the semistandard or lattice-word conditions."""
 

@@ -13,9 +13,9 @@ rows D_j + 1..F_j below the diagonal x block.  The coefficient of the same
 b-monomial in det Yo is the pure-y part used for leading-term arguments.
 
 The layout is written down once: _rows lists the rows of Z or Yo as
-(superrow, local row) pairs and guards the widths of D and E; _entries
-fills in the rows of Z, as polynomials (build_Ztilde) or as integers at
-a point (delta_eval); the Laplace plan below walks the rows of either.
+(superrow, local row) pairs; _entries fills in the rows of Z, as
+polynomials (build_Ztilde) or as integers at a point (delta_eval); the
+Laplace plan below walks the rows of either.
 
 Neither determinant is expanded in the b variables.  A tableau's
 coefficient is a signed sum of products of column-initial minors, one
@@ -40,13 +40,8 @@ def _rows(triple, with_x=True):
     """The rows of Z (with_x) or of Yo, as (superrow j, local row u) pairs.
 
     Superrow j of Z is rows 1..F_j of the x and y matrices; of Yo, rows
-    D_j + 1..F_j.  D and E must fit in the k columns of x and the ell
-    columns of y, and Yo needs D_j <= F_j.
+    D_j + 1..F_j, so Yo needs D_j <= F_j.
     """
-    if triple.D.width > triple.k or triple.E.width > triple.ell:
-        raise DimensionMismatch(f"D and E need {triple.D.width} x and "
-                                f"{triple.E.width} y columns; k = {triple.k}, "
-                                f"ell = {triple.ell}")
     if not with_x and not triple.dt_in_ft:
         raise DimensionMismatch("some F_j < D_j; the reduced matrix is undefined")
     return [(j, u) for j in range(1, triple.t + 1)

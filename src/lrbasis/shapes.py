@@ -7,7 +7,7 @@ diagrams compare equal regardless of how many zeros the caller supplied.
 
 from dataclasses import dataclass, field
 
-from .errors import DepthExceeded, ShapeError, SizeMismatch
+from .errors import ShapeError, SizeMismatch
 
 
 class Partition:
@@ -102,10 +102,6 @@ class SkewShape:
                            for a in range(1, self.outer.depth + 1)
                            for c in range(self.inner.part(a) + 1, self.outer.part(a) + 1))
 
-    @property
-    def size(self):
-        return len(self.cells)
-
     def row_span(self, a):
         """(first, last) column of row a, or None when the row is empty."""
         lo, hi = self.inner.part(a) + 1, self.outer.part(a)
@@ -129,25 +125,21 @@ class SkewShape:
 
 @dataclass(frozen=True)
 class LRTriple:
-    """Diagrams (D, E, F) with |D| + |E| = |F| and ambient sizes n, k, ell.
+    """Diagrams (D, E, F) with |D| + |E| = |F|.
 
-    D lives on k columns, E on ell columns, F on n rows; the x matrix is
-    n-by-k and the y matrix is n-by-ell.
+    The paper's x and y matrices have n rows and k and ell columns, for
+    any sizes large enough: the triple's vectors use only x[1..F_1, 1..D_1]
+    and y[1..F_1, 1..E_1], so no size is stored.
     """
 
     D: Partition
     E: Partition
     F: Partition
-    n: int
-    k: int
-    ell: int
     dt_in_ft: bool = field(init=False)
 
     def __post_init__(self):
-        if not self.F.transpose().contains(self.D.transpose()):
-            object.__setattr__(self, "dt_in_ft", False)
-        else:
-            object.__setattr__(self, "dt_in_ft", True)
+        object.__setattr__(self, "dt_in_ft",
+                           self.F.transpose().contains(self.D.transpose()))
 
     @property
     def r(self):
@@ -186,32 +178,15 @@ class LRTriple:
         return SkewShape(self.Ft, self.Dt)
 
 
-def validate_triple(D, E, F, n=None, k=None, ell=None):
-    """Build an LRTriple, choosing minimal ambient sizes when omitted.
+def validate_triple(D, E, F):
+    """Build an LRTriple; raises SizeMismatch when |D| + |E| != |F|.
 
-    Raises SizeMismatch when the box counts disagree and DepthExceeded when
-    a diagram does not fit in its matrix.
+    Its vectors use the rows 1..F_1, the x columns 1..D_1 and the y
+    columns 1..E_1, so check_hwv applies the row operators of rows
+    2..F_1 and the column operators of x columns 2..D_1 and y columns
+    2..E_1; any operator past these finds no variable.
     """
     D, E, F = Partition(D), Partition(E), Partition(F)
     if D.size + E.size != F.size:
         raise SizeMismatch(f"|D| + |E| = {D.size + E.size} but |F| = {F.size}")
-    t = F.depth
-    if n is None:
-        n = max(1, F.depth, F.width)
-    # F needs k + ell >= t: a size left out is the least that fits, and
-    # when both are, k grows first; a size passed in is kept
-    if k is None:
-        k = max(1, D.depth, D.width,
-                t - (max(1, E.depth, E.width) if ell is None else ell))
-    if ell is None:
-        ell = max(1, E.depth, E.width, t - k)
-    if D.depth > k:
-        raise DepthExceeded(f"depth(D) = {D.depth} exceeds k = {k}")
-    if E.depth > ell:
-        raise DepthExceeded(f"depth(E) = {E.depth} exceeds ell = {ell}")
-    if F.depth > min(n, k + ell):
-        raise DepthExceeded(f"depth(F) = {F.depth} exceeds min(n, k + ell) = {min(n, k + ell)}")
-    if F.width > n:
-        raise DepthExceeded(f"width(F) = {F.width} exceeds n = {n}: "
-                            "the x and y matrices have too few rows")
-    return LRTriple(D, E, F, n, k, ell)
+    return LRTriple(D, E, F)

@@ -251,18 +251,19 @@ def recover_from_M(triple, m):
     order the strips arrive.
     """
     grid = m.m
+    if len(grid) != triple.t or any(len(row) != triple.s for row in grid):
+        raise NoPreimage(f"the grid is not {triple.t} x {triple.s}")
     shape = triple.skew_shape()
-    s = len(grid[0]) if grid else 0
     col_cells = {c: shape.column_rows(c) for c in range(1, triple.t + 1)}
     next_free = {c: 0 for c in col_cells}
     entries = {}
-    for h in range(s, 0, -1):
+    for h in range(triple.s, 0, -1):
         cols = []
-        for i in range(len(grid), 0, -1):
+        for i in range(triple.t, 0, -1):
             cols.extend([i] * grid[i - 1][h - 1])
         cols.sort(reverse=True)
         for v, c in enumerate(cols, start=1):
-            rows = col_cells.get(c, [])
+            rows = col_cells[c]
             if next_free[c] >= len(rows):
                 raise NoPreimage(f"column {c} of the skew shape overflows")
             entries[(rows[next_free[c]], c)] = v

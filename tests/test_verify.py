@@ -71,6 +71,14 @@ def test_delta_MT_profiles_random():
             assert check_e1_factorization(tr, T)
 
 
+def test_check_hwv_edge_operators():
+    # each polynomial is killed by every raising operator but one, which
+    # moves row F_1, x column D_1 or y column E_1
+    tr = validate_triple([2], [3], [4, 1])
+    for v in (xvar(4, 1), xvar(1, 2), yvar(1, 3)):
+        assert not check_hwv(Polynomial.variable(v), tr), v
+
+
 def test_numeric_delta_is_hwv():
     rng = random.Random(19)
     for _ in range(8):
