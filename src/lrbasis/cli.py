@@ -4,11 +4,12 @@ Partitions are comma-separated part lists ("5,5,4,3,1,1"), with "-" for
 the empty partition.  Tableaux travel as JSON objects with keys "outer",
 "inner", and "rows", and must have the triple's skew shape; pass a file
 path or "-" for stdin, or select one by its position in the canonical
-enumeration with --index.  Naming a tableau both ways, or giving delta's
---A together with a tableau, is a usage error.  Exit status is 0 on
-success, 1 on a domain error (reported as JSON on stderr; running out of
-memory or of recursion depth counts as one) or when a check of verify or
-sl4-table fails (the report still goes to stdout), 2 on a usage error.
+enumeration with --index.  Naming a tableau both ways, or neither way to
+peel, monomials or delta-ty, or giving delta's --A together with a
+tableau, is a usage error.  Exit status is 0 on success, 1 on a domain
+error (reported as JSON on stderr; running out of memory or of recursion
+depth counts as one) or when a check of verify or sl4-table fails (the
+report still goes to stdout), 2 on a usage error.
 """
 
 import argparse
@@ -44,7 +45,7 @@ def _load_tableau(args, triple):
             raise LRBError(f"index {args.index} out of range; {len(tabs)} tableaux")
         return tabs[args.index]
     if args.tableau is None:
-        raise LRBError("provide --tableau FILE or --index N")
+        args.parser.error("provide --tableau FILE or --index N")
     T, shape = LRTableau.from_json(_load_json(args.tableau)), triple.skew_shape()
     if T.shape != shape:
         raise ShapeError(f"the tableau's shape {T.shape} is not the "

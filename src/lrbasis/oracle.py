@@ -124,7 +124,7 @@ def schur_polynomial(lam, nvars):
     if nvars < 1:
         raise TooFewVariables("need at least one variable")
     if lam.depth > nvars:
-        return Polynomial.zero()
+        return Polynomial()
     out = {}
     for w, c in _ssyt_monomials(lam.parts, nvars).items():
         out[mono(*((zvar(i + 1), e) for i, e in enumerate(w) if e))] = c

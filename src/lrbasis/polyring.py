@@ -5,7 +5,9 @@ Variables are tuples (family, i, j) with family one of "x", "y", "a", "b"
 auxiliary symmetric-function variables.  A monomial is a tuple of
 (variable, exponent) pairs sorted by the global variable order
 x < y < a < b < z, then (i, j) lexicographically.  Polynomials are dicts
-mapping monomials to nonzero integer coefficients.
+mapping monomials to nonzero integer coefficients, summed in place by
+add_product; a Polynomial wraps one and multiplies, with no sum or
+comparison of its own.
 """
 
 from .errors import NonSquare, UnorderedVariable, ZeroPolynomial
@@ -91,20 +93,13 @@ def mono_restrict(m, families):
 
 
 class Polynomial:
-    """Integer polynomial stored as {monomial: coefficient}."""
+    """Integer polynomial stored as {monomial: coefficient}: variables,
+    products by a polynomial or an integer, and the zero test."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def const(cls, c):
-        return cls({ONE: c})
 
     @classmethod
     def variable(cls, v):
@@ -113,55 +108,12 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = Polynomial.const(other)
-        return isinstance(other, Polynomial) and self.terms == other.terms
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = Polynomial.const(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        res = Polynomial.__new__(Polynomial)
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = Polynomial.__new__(Polynomial)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = Polynomial.const(other)
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return Polynomial()
-            res = Polynomial.__new__(Polynomial)
-            res.terms = {m: c * other for m, c in self.terms.items()}
-            return res
-        res = Polynomial.__new__(Polynomial)
-        res.terms = add_product(None, self.terms, other.terms)
-        return res
+            return Polynomial({m: c * other for m, c in self.terms.items()})
+        return Polynomial(add_product(None, self.terms, other.terms))
 
     __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"Polynomial({poly_text(self)})"
 
 
 def coefficient_of(p, m, families):
@@ -212,7 +164,7 @@ def leading_monomial(p):
 # ---------------------------------------------------------------------------
 
 def determinant(matrix):
-    """Determinant of a square matrix of polynomials (or ints).
+    """Determinant of a square matrix of polynomials.
 
     Expands along the columns in the order given, with memoization on the
     set of unused rows.
@@ -220,8 +172,7 @@ def determinant(matrix):
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise NonSquare("matrix is not square")
-    rows = [[e.terms if isinstance(e, Polynomial) else {ONE: e} if e else {}
-             for e in row] for row in matrix]
+    rows = [[e.terms for e in row] for row in matrix]
     memo = {}
 
     def minor(col, mask):

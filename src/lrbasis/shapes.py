@@ -63,9 +63,6 @@ class Partition:
     def __hash__(self):
         return hash(self.parts)
 
-    def __repr__(self):
-        return f"Partition({list(self.parts)})"
-
     def __str__(self):
         return format_partition(self)
 

@@ -74,9 +74,6 @@ class LRTableau:
     def __hash__(self):
         return hash((self.shape, tuple(sorted(self.entries.items()))))
 
-    def __repr__(self):
-        return f"LRTableau({self.to_json()})"
-
 
 def check_lr1(T):
     """Rows weakly increase, columns strictly increase."""
@@ -224,9 +221,6 @@ class ExponentMatrix:
 
     def __eq__(self, other):
         return isinstance(other, ExponentMatrix) and self.m == other.m
-
-    def __repr__(self):
-        return f"ExponentMatrix({[list(r) for r in self.m]})"
 
 
 def monomial_M(T):

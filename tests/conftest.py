@@ -1,9 +1,18 @@
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 from lrbasis import enumerate_lr, parse_partition, validate_triple
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading, language):
+    """The lines of the first ```language block below a README heading."""
+    block = README.read_text().split(heading, 1)[1].split(f"```{language}\n", 1)[1]
+    return block.split("```", 1)[0].splitlines()
 
 
 @pytest.fixture(scope="session")
@@ -94,11 +103,9 @@ def evaluate(p, assignment):
 def determinant_naive(matrix):
     """Permutation-sum determinant: the reference for polyring.determinant,
     for small matrices."""
-    from lrbasis.polyring import Polynomial
+    from lrbasis.polyring import ONE, Polynomial, add_product
     n = len(matrix)
-    rows = [[e if isinstance(e, Polynomial) else Polynomial.const(e) for e in row]
-            for row in matrix]
-    total = Polynomial()
+    total = {}
     for perm in permutations(range(n)):
         sign = 1
         p = list(perm)
@@ -107,13 +114,11 @@ def determinant_naive(matrix):
                 j = p[i]
                 p[i], p[j] = p[j], p[i]
                 sign = -sign
-        prod = Polynomial.const(sign)
+        prod = {ONE: sign}
         for r in range(n):
-            prod = prod * rows[r][perm[r]]
-            if prod.is_zero():
-                break
-        total = total + prod
-    return total
+            prod = add_product(None, prod, matrix[r][perm[r]].terms)
+        add_product(total, prod, {ONE: 1})
+    return Polynomial(total)
 
 
 def tableau_by_rows(tabs, rows):
@@ -411,16 +416,16 @@ def peel_lr_coefficient(triple):
 
 @lru_cache(maxsize=None)
 def _peel_product(mu, nu, nvars):
-    from lrbasis.polyring import mono, zvar
-    work = _tableau_schur(mu, nvars) * _tableau_schur(nu, nvars)
+    from lrbasis.polyring import ONE, add_product, mono, zvar
+    work = (_tableau_schur(mu, nvars) * _tableau_schur(nu, nvars)).terms
     out = {}
-    while not work.is_zero():
+    while work:
         top = max(tuple(dict((v[1], e) for v, e in m).get(i, 0)
-                        for i in range(1, nvars + 1)) for m in work.terms)
+                        for i in range(1, nvars + 1)) for m in work)
         assert all(top[i] >= top[i + 1] for i in range(nvars - 1)), top
-        c = work.terms[mono(*((zvar(i + 1), e) for i, e in enumerate(top) if e))]
+        c = work[mono(*((zvar(i + 1), e) for i, e in enumerate(top) if e))]
         assert c > 0, (top, c)
         lam = tuple(x for x in top if x)
         out[lam] = c
-        work = work - _tableau_schur(lam, nvars) * c
+        add_product(work, _tableau_schur(lam, nvars).terms, {ONE: 1}, -c)
     return out

@@ -134,7 +134,7 @@ def test_acceptance_07_basis_rank(running, capsys):
     for _ in range(20):
         tr = random_triple(rng, 10, require_tableaux=True)
         rep = check_basis(tr)
-        assert rep.passed, str(tr)
+        assert rep.passed, f"{tr.D} {tr.E} {tr.F}"
     elapsed = time.time() - t0
     assert elapsed < 600
     _report(capsys, 7, "tableau coefficients are linearly independent and complete",
@@ -153,11 +153,11 @@ def test_acceptance_08_sl4_table(capsys):
 def test_acceptance_09_oracle_equivalence(capsys):
     t0 = time.time()
     for tr in all_triples(6):
-        assert len(enumerate_lr(tr)) == lr_coefficient(tr), str(tr)
+        assert len(enumerate_lr(tr)) == lr_coefficient(tr), f"{tr.D} {tr.E} {tr.F}"
     rng = random.Random(105)
     for _ in range(50):
         tr = random_triple(rng, 10)
-        assert len(enumerate_lr(tr)) == lr_coefficient(tr), str(tr)
+        assert len(enumerate_lr(tr)) == lr_coefficient(tr), f"{tr.D} {tr.E} {tr.F}"
     elapsed = time.time() - t0
     assert elapsed < 300
     _report(capsys, 9, "enumeration equals the symmetric-function oracle", elapsed)

@@ -23,7 +23,7 @@ def test_schur_known_small():
     assert len(s.terms) == 3 and all(c == 1 for c in s.terms.values())
     # s_(1,1) in 2 variables = z1 z2
     s = schur_polynomial([1, 1], 2)
-    assert s == Polynomial({mono((zvar(1), 1), (zvar(2), 1)): 1})
+    assert s.terms == {mono((zvar(1), 1), (zvar(2), 1)): 1}
     # s_(2) in 2 variables = z1^2 + z1 z2 + z2^2
     assert len(schur_polynomial([2], 2).terms) == 3
     # too deep for the variable count
@@ -51,9 +51,9 @@ def test_expand_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         expand_in_schur(p, 2)
     # z1^2 has a partition exponent but is not symmetric in 2 variables
-    z1sq = Polynomial({mono((zvar(1), 2)): 1})
-    z1z2 = Polynomial({mono((zvar(1), 1), (zvar(2), 1)): 1})
-    for p in (z1sq, z1sq + z1z2):
+    z1sq = {mono((zvar(1), 2)): 1}
+    z1z2 = {mono((zvar(1), 1), (zvar(2), 1)): 1}
+    for p in (Polynomial(z1sq), Polynomial({**z1sq, **z1z2})):
         with pytest.raises((NotSymmetric, NegativeCoefficient)):
             expand_in_schur(p, 2)
     # every rearrangement present, but z1^2 and z2^2 with unequal
@@ -145,7 +145,7 @@ def test_ssyt_monomials_rearrangements():
 def test_lr_coefficient_matches_peel_oracle():
     triples = 0
     for tr in all_triples(7):
-        assert lr_coefficient(tr) == peel_lr_coefficient(tr), tr
+        assert lr_coefficient(tr) == peel_lr_coefficient(tr), f"{tr.D} {tr.E} {tr.F}"
         triples += 1
     assert triples == 2759
 
