@@ -38,19 +38,22 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _load_tableau(args, triple):
+def _triple_and_tableau(args):
+    """The triple and the tableau named by --index or --tableau; naming
+    none is a usage error, found before the triple is read."""
+    if args.index is None and args.tableau is None:
+        args.parser.error("provide --tableau FILE or --index N")
+    triple = _triple(args)
     if args.index is not None:
         tabs = enumerate_lr(triple)
         if not 0 <= args.index < len(tabs):
             raise LRBError(f"index {args.index} out of range; {len(tabs)} tableaux")
-        return tabs[args.index]
-    if args.tableau is None:
-        args.parser.error("provide --tableau FILE or --index N")
+        return triple, tabs[args.index]
     T, shape = LRTableau.from_json(_load_json(args.tableau)), triple.skew_shape()
     if T.shape != shape:
         raise ShapeError(f"the tableau's shape {T.shape} is not the "
                          f"triple's {shape}")
-    return T
+    return triple, T
 
 
 def _poly_out(args, p):
@@ -83,8 +86,7 @@ def cmd_tableaux(args):
 
 
 def cmd_peel(args):
-    triple = _triple(args)
-    T = _load_tableau(args, triple)
+    _, T = _triple_and_tableau(args)
     trace = standard_peeling(T)
     out = {"strips": [[list(cell) for cell in strip] for strip in trace.strips],
            "banal_shape": list(trace.banal_shape.parts)}
@@ -92,8 +94,7 @@ def cmd_peel(args):
 
 
 def cmd_monomials(args):
-    triple = _triple(args)
-    T = _load_tableau(args, triple)
+    triple, T = _triple_and_tableau(args)
     out = {"M": [list(r) for r in monomial_M(T).m],
            "e": mono_text(monomial_e(T)),
            "bigE": mono_text(monomial_bigE(T, triple))}
@@ -104,18 +105,15 @@ def cmd_delta(args):
     chosen = args.index is not None or args.tableau is not None
     if chosen and args.A:
         args.parser.error("--A applies to the whole determinant, not to one tableau")
-    triple = _triple(args)
     if chosen:
-        p = hwv.delta_MT(triple, _load_tableau(args, triple))
+        p = hwv.delta_MT(*_triple_and_tableau(args))
     else:
-        p = hwv.delta(triple, A=args.A or "J")
+        p = hwv.delta(_triple(args), A=args.A or "J")
     _poly_out(args, p)
 
 
 def cmd_delta_ty(args):
-    triple = _triple(args)
-    T = _load_tableau(args, triple)
-    _poly_out(args, hwv.delta_TY(triple, T))
+    _poly_out(args, hwv.delta_TY(*_triple_and_tableau(args)))
 
 
 def cmd_verify(args):

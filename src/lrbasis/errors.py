@@ -59,3 +59,7 @@ class NegativeCoefficient(LRBError):
 
 class NotPartition(LRBError):
     """A derived grading vector fails to be weakly decreasing."""
+
+
+class ExponentOverflow(LRBError):
+    """A product or operator gave an exponent too large for its field."""

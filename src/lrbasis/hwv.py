@@ -31,7 +31,7 @@ from itertools import combinations
 
 from .errors import DimensionMismatch, ZeroCoefficient
 from .intlinalg import bareiss_det
-from .polyring import (ONE, Polynomial, add_product, avar, bvar, determinant,
+from .polyring import (ONE, Polynomial, avar, bvar, determinant, triple_layout,
                        xvar, yvar)
 from .tableaux import monomial_M
 
@@ -56,7 +56,9 @@ def _coefficients(triple, spec, name):
         return [[int(j == k) for k in range(ncols)] for j in range(triple.t)]
     if spec == "symbolic":
         make_var = avar if name == "A" else bvar
-        return [[Polynomial.variable(make_var(j, k)) for k in range(1, ncols + 1)]
+        layout = triple_layout(triple)
+        return [[Polynomial.variable(make_var(j, k), layout)
+                 for k in range(1, ncols + 1)]
                 for j in range(1, triple.t + 1)]
     return spec
 
@@ -81,8 +83,10 @@ def _entries(triple, A, B, value):
 
 def build_Ztilde(triple, A="J", B="symbolic"):
     """The rows of Z = [X | Y]; square because |D| + |E| = |F|."""
+    layout = triple_layout(triple)
     return _entries(triple, _coefficients(triple, A, "A"),
-                    _coefficients(triple, B, "B"), Polynomial.variable)
+                    _coefficients(triple, B, "B"),
+                    lambda v: Polynomial.variable(v, layout))
 
 
 def delta(triple, A="J", B="symbolic"):
@@ -200,11 +204,14 @@ def _plan_sum(plan, value, det, accumulate, one):
 
 def _tableau_coefficient(triple, grid, with_x):
     """Coefficient of b^grid in det Z (with_x) or in det Yo, with A = J."""
-    out = _plan_sum(_laplace_plan(triple, grid, with_x), Polynomial.variable,
-                    lambda rows: determinant(rows).terms, add_product, {ONE: 1})
+    layout = triple_layout(triple)
+    out = _plan_sum(_laplace_plan(triple, grid, with_x),
+                    lambda v: Polynomial.variable(v, layout),
+                    lambda rows: determinant(rows).terms, layout.add_product,
+                    {ONE: 1})
     if not out:
         raise ZeroCoefficient("the tableau coefficient vanished")
-    return Polynomial(out)
+    return Polynomial(out, layout)
 
 
 def delta_MT(triple, T):

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import NegativeCoefficient, NotSymmetric, TooFewVariables
-from .polyring import Polynomial, mono, zvar
+from .polyring import Layout, Polynomial, zvar
 from .shapes import Partition
 
 
@@ -118,26 +118,25 @@ def _ssyt_monomials(shape, nvars):
     return counts
 
 
-def schur_polynomial(lam, nvars):
-    """The Schur polynomial of the partition in z[1..nvars]."""
+def _z_layout(nvars, degree):
+    return Layout([zvar(i) for i in range(1, nvars + 1)], degree)
+
+
+def schur_polynomial(lam, nvars, layout=None):
+    """The Schur polynomial of the partition in z[1..nvars], packed in the
+    given layout, by default one for z[1..nvars] and degree |lam|."""
     lam = Partition(lam)
     if nvars < 1:
         raise TooFewVariables("need at least one variable")
+    layout = layout or _z_layout(nvars, lam.size)
     if lam.depth > nvars:
-        return Polynomial()
-    out = {}
-    for w, c in _ssyt_monomials(lam.parts, nvars).items():
-        out[mono(*((zvar(i + 1), e) for i, e in enumerate(w) if e))] = c
-    return Polynomial(out)
-
-
-def _exponent_vector(m, nvars):
-    w = [0] * nvars
-    for (fam, i, _), e in m:
-        if fam != "z" or i > nvars:
-            raise NotSymmetric(f"unexpected variable {(fam, i)}")
-        w[i - 1] = e
-    return tuple(w)
+        return Polynomial({}, layout)
+    shifts = [layout.shift[zvar(i)] for i in range(1, nvars + 1)]
+    # no exponent passes lam_1, that of z[1] when the first row is all 1s
+    layout.check([lam.width << shifts[0]])
+    return Polynomial({sum(e << s for e, s in zip(w, shifts)): c
+                       for w, c in _ssyt_monomials(lam.parts, nvars).items()},
+                      layout)
 
 
 def _symmetric_part(p, nvars):
@@ -146,10 +145,17 @@ def _symmetric_part(p, nvars):
     Raises NotSymmetric unless every rearrangement of each exponent vector
     of p occurs, with the same coefficient.
     """
+    lay, mask = p.layout, p.layout.mask
+    shifts = [lay.shift[zvar(i)] for i in range(1, nvars + 1) if zvar(i) in lay.shift]
+    others = ~sum(mask << s for s in shifts)
+    absent = (0,) * (nvars - len(shifts))    # z[i] not in the layout
     groups = {}
     for m, c in p.terms.items():
-        w = sorted(_exponent_vector(m, nvars), reverse=True)
-        groups.setdefault(tuple(w), []).append(c)
+        if m & others:
+            fam, i, _ = lay.unpack(m & others)[0][0]
+            raise NotSymmetric(f"unexpected variable {(fam, i)}")
+        w = sorted([(m >> s) & mask for s in shifts], reverse=True)
+        groups.setdefault(tuple(w) + absent, []).append(c)
     out = {}
     for top, coeffs in groups.items():
         # the terms of a group are distinct rearrangements of top, so they
@@ -192,5 +198,7 @@ def lr_coefficient(triple):
     """Multiplicity of transpose(F) in s_{transpose(D)} * s_{transpose(E)}."""
     Dt, Et, Ft = triple.Dt, triple.Et, triple.Ft
     nvars = max(1, Dt.depth, Et.depth, Ft.depth)
-    prod = schur_polynomial(Dt, nvars) * schur_polynomial(Et, nvars)
+    layout = _z_layout(nvars, Dt.size + Et.size)
+    prod = (schur_polynomial(Dt, nvars, layout)
+            * schur_polynomial(Et, nvars, layout))
     return expand_in_schur(prod, nvars).get(Ft, 0)

@@ -1,20 +1,34 @@
-"""Sparse multivariate polynomials over the integers.
+"""Sparse multivariate polynomials over the integers, with packed monomials.
 
 Variables are tuples (family, i, j) with family one of "x", "y", "a", "b"
 ("a"/"b" are the row- and column-coefficient families) plus "z" for the
-auxiliary symmetric-function variables.  A monomial is a tuple of
-(variable, exponent) pairs sorted by the global variable order
-x < y < a < b < z, then (i, j) lexicographically.  Polynomials are dicts
-mapping monomials to nonzero integer coefficients, summed in place by
-add_product; a Polynomial wraps one and multiplies, with no sum or
-comparison of its own.
+auxiliary symmetric-function variables, ordered x < y < a < b < z, then
+(i, j) lexicographically.
+
+A Layout lists the variables of one computation in that order and gives
+each an exponent field of the same width: a monomial is one int holding
+the exponent of the k-th variable in bits k * width .. (k + 1) * width - 1.
+A product of monomials is then the sum of their ints.  The top bit of
+each field is a guard that no exponent reaches; a product or operator that
+sets one raises ExponentOverflow.  Polynomials are dicts mapping packed
+monomials to nonzero integer coefficients, summed in place by
+Layout.add_product; a Polynomial wraps one with its layout and multiplies,
+with no sum or comparison of its own.
+
+Monomials take the tuple form, the (variable, exponent) pairs in variable
+order, only at the edges: text and JSON output, leading monomials, and the
+tableau monomials e(T) and E(T).
 """
 
-from .errors import NonSquare, UnorderedVariable, ZeroPolynomial
+import functools
+from operator import or_
+
+from .errors import (ExponentOverflow, NonSquare, UnorderedVariable,
+                     ZeroPolynomial)
 
 _FAMILY_RANK = {"x": 0, "y": 1, "a": 2, "b": 3, "z": 4}
 
-ONE = ()  # the empty monomial
+ONE = 0  # the empty monomial, packed
 
 
 def var_key(v):
@@ -42,91 +56,171 @@ def zvar(i):
 
 
 def mono(*pairs):
-    """Canonical monomial from (variable, exponent) pairs."""
+    """Canonical tuple-form monomial from (variable, exponent) pairs."""
     merged = {}
     for v, e in pairs:
         merged[v] = merged.get(v, 0) + e
-    return mono_from_dict(merged)
-
-
-def mono_from_dict(d):
-    return tuple(sorted(((v, e) for v, e in d.items() if e),
+    return tuple(sorted(((v, e) for v, e in merged.items() if e),
                         key=lambda p: var_key(p[0])))
 
 
-def mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    merged = dict(m1)
-    for v, e in m2:
-        merged[v] = merged.get(v, 0) + e
-    return mono_from_dict(merged)
+class Layout:
+    """The exponent fields of a fixed set of variables.
+
+    Each field is width bits wide, one more than `degree` needs; shift maps
+    a variable to the offset of its field, guard has the top bit of every
+    field set and families has, for each family, all bits of its fields.
+    """
+
+    __slots__ = ("variables", "width", "mask", "shift", "guard", "families")
+
+    def __init__(self, variables, degree):
+        self.variables = tuple(sorted(set(variables), key=var_key))
+        self.width = w = max(degree, 1).bit_length() + 1
+        self.mask = (1 << w) - 1
+        self.shift = {v: k * w for k, v in enumerate(self.variables)}
+        self.guard = sum(1 << (s + w - 1) for s in self.shift.values())
+        families = {}
+        for v, s in self.shift.items():
+            families[v[0]] = families.get(v[0], 0) | self.mask << s
+        self.families = tuple(families.values())
+
+    def __eq__(self, other):
+        return (isinstance(other, Layout) and self.width == other.width
+                and self.variables == other.variables)
+
+    def fields(self, m):
+        """(field index, exponent) of each variable of m, in variable order."""
+        w = self.width
+        out = []
+        while m:    # the top field first: no mask needed
+            k = (m.bit_length() - 1) // w
+            e = m >> k * w
+            out.append((k, e))
+            m -= e << k * w
+        out.reverse()
+        return out
+
+    def read_parts(self, monomials, read):
+        """For each of the monomials in turn, the list of read(fields(part))
+        over its nonzero parts in one family, in family order.  The terms of
+        a polynomial share such parts, as products of the same x minors, so
+        read runs once for each distinct part."""
+        memo = {}
+        out = []
+        for m in monomials:
+            parts = []
+            for bits in self.families:
+                part = m & bits
+                if part:
+                    got = memo.get(part)
+                    if got is None:
+                        got = memo[part] = read(self.fields(part))
+                    parts.append(got)
+            out.append(parts)
+        return out
+
+    def unpack(self, m):
+        """The tuple form of a packed monomial."""
+        return tuple((self.variables[k], e) for k, e in self.fields(m))
+
+    def check(self, terms):
+        """terms, unless one of its monomials sets a guard bit."""
+        if functools.reduce(or_, terms, 0) & self.guard:
+            over = next(m for m in terms if m & self.guard)
+            v, e = next((v, e) for v, e in self.unpack(over)
+                        if e >> (self.width - 1))
+            raise ExponentOverflow(
+                f"the exponent of {v} reached {e}, past the "
+                f"{self.width}-bit field that holds at most "
+                f"{self.mask >> 1}")
+        return terms
+
+    def add_product(self, acc, p, q, c=1):
+        """acc + c * p * q on term dicts with nonzero coefficients, summed
+        into acc in place and returned; None is zero.  The one product
+        loop of the package.
+
+        No field of p or q has its guard bit set, so the sum of their ORs
+        sets a guard bit only where some product could; only then are the
+        products checked one by one.
+        """
+        if (functools.reduce(or_, p, 0) + functools.reduce(or_, q, 0)) & self.guard:
+            self.check([m1 + m2 for m1 in p for m2 in q])
+        if acc is None:
+            acc = {}
+        for m1, c1 in p.items():
+            c1 *= c
+            for m2, c2 in q.items():
+                m = m1 + m2
+                v = acc.get(m, 0) + c1 * c2
+                if v:
+                    acc[m] = v
+                else:
+                    del acc[m]
+        return acc
 
 
-def add_product(acc, p, q, c=1):
-    """acc + c * p * q on term dicts with nonzero coefficients, summed into
-    acc in place and returned; None is zero.  The one product loop of the
-    package."""
-    if acc is None:
-        acc = {}
-    for m1, c1 in p.items():
-        c1 *= c
-        for m2, c2 in q.items():
-            m = mono_mul(m1, m2)
-            v = acc.get(m, 0) + c1 * c2
-            if v:
-                acc[m] = v
-            else:
-                del acc[m]
-    return acc
-
-
-def mono_degree(m):
-    return sum(e for _, e in m)
+@functools.lru_cache(maxsize=128)
+def triple_layout(triple):
+    """The layout of a triple's polynomials: x[1..F_1, 1..D_1],
+    y[1..F_1, 1..E_1], a[1..t, 1..r] and b[1..t, 1..s].  Each of the |F|
+    rows of its matrix Z gives a term one entry, so no exponent passes |F|."""
+    rows = range(1, triple.F.width + 1)
+    supers = range(1, triple.t + 1)
+    return Layout([xvar(i, j) for i in rows for j in range(1, triple.D.width + 1)]
+                  + [yvar(i, j) for i in rows for j in range(1, triple.E.width + 1)]
+                  + [avar(j, k) for j in supers for k in range(1, triple.r + 1)]
+                  + [bvar(j, k) for j in supers for k in range(1, triple.s + 1)],
+                  triple.F.size)
 
 
 def mono_restrict(m, families):
-    """Sub-monomial of m supported on the given variable families."""
+    """Sub-monomial of a tuple-form m supported on the given variable families."""
     return tuple((v, e) for v, e in m if v[0] in families)
 
 
 class Polynomial:
-    """Integer polynomial stored as {monomial: coefficient}: variables,
-    products by a polynomial or an integer, and the zero test."""
+    """Integer polynomial stored as {packed monomial: coefficient} with its
+    layout: variables, products by a polynomial or an integer, and the zero
+    test."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "layout")
 
-    def __init__(self, terms=None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+    def __init__(self, terms, layout):
+        self.terms = {m: c for m, c in terms.items() if c}
+        self.layout = layout
 
     @classmethod
-    def variable(cls, v):
-        return cls({mono((v, 1)): 1})
+    def variable(cls, v, layout):
+        return cls({1 << layout.shift[v]: 1}, layout)
 
     def is_zero(self):
         return not self.terms
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Polynomial({m: c * other for m, c in self.terms.items()})
-        return Polynomial(add_product(None, self.terms, other.terms))
+            return Polynomial({m: c * other for m, c in self.terms.items()},
+                              self.layout)
+        if other.layout != self.layout:
+            raise ValueError("the polynomials have different layouts")
+        return Polynomial(self.layout.add_product(None, self.terms, other.terms),
+                          self.layout)
 
     __rmul__ = __mul__
 
 
 def coefficient_of(p, m, families):
-    """Terms of p whose sub-monomial in the given families equals m.
+    """Terms of p whose sub-monomial in the given families equals the
+    tuple-form m.
 
     Returns the cofactor polynomial, i.e. those terms divided by m.
     """
     m = tuple(m)
-    out = {}
-    for mm, c in p.terms.items():
-        if mono_restrict(mm, families) == m:
-            out[tuple((v, e) for v, e in mm if v[0] not in families)] = c
-    return Polynomial(out)
+    lay = p.layout
+    inside = sum(lay.mask << s for v, s in lay.shift.items() if v[0] in families)
+    return Polynomial({mm & ~inside: c for mm, c in p.terms.items()
+                       if mono_restrict(lay.unpack(mm), families) == m}, lay)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +234,9 @@ def coefficient_of(p, m, families):
 # ---------------------------------------------------------------------------
 
 def y_order_key(m):
-    """Key of a y-monomial under which the larger monomial has the larger key:
-    its degree, then its variables as a weakly decreasing sequence."""
+    """Key of a tuple-form y-monomial under which the larger monomial has
+    the larger key: its degree, then its variables as a weakly decreasing
+    sequence."""
     seq = []
     for v, e in m:
         if v[0] != "y":
@@ -152,11 +247,13 @@ def y_order_key(m):
 
 
 def leading_monomial(p):
-    """(monomial, coefficient) maximal under the y order among terms of p."""
+    """(tuple-form monomial, coefficient) maximal under the y order among
+    terms of p."""
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial has no leading monomial")
-    best = max(p.terms, key=y_order_key)
-    return best, p.terms[best]
+    unpack = p.layout.unpack
+    best = max(p.terms, key=lambda m: y_order_key(unpack(m)))
+    return unpack(best), p.terms[best]
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +261,7 @@ def leading_monomial(p):
 # ---------------------------------------------------------------------------
 
 def determinant(matrix):
-    """Determinant of a square matrix of polynomials.
+    """Determinant of a square matrix of polynomials of one layout.
 
     Expands along the columns in the order given, with memoization on the
     set of unused rows.
@@ -172,6 +269,7 @@ def determinant(matrix):
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise NonSquare("matrix is not square")
+    layout = matrix[0][0].layout if n else Layout((), 0)
     rows = [[e.terms for e in row] for row in matrix]
     memo = {}
 
@@ -191,21 +289,40 @@ def determinant(matrix):
             if rows[r][col]:
                 sub = minor(col + 1, mask ^ bit)
                 if sub:
-                    add_product(acc, rows[r][col], sub, 1 if pos % 2 else -1)
+                    layout.add_product(acc, rows[r][col], sub,
+                                       1 if pos % 2 else -1)
         memo[mask] = acc
         return acc
 
-    return Polynomial(minor(0, (1 << n) - 1))
+    return Polynomial(minor(0, (1 << n) - 1), layout)
 
 
 # ---------------------------------------------------------------------------
 # Serialization.  Text looks like "+1*x[1,1]*y[2,1] -1*x[2,1]*y[1,1]";
 # JSON is {"terms": [{"c": "<int>", "m": [["y", 5, 3, 1], ...]}, ...]}.
+# Terms come by descending degree; within a degree, the term whose first
+# variable comes first in the variable order, then with the larger
+# exponent, and so on.
 # ---------------------------------------------------------------------------
 
-def _term_sort_key(m):
-    return (mono_degree(m), tuple((-r, -i, -j, e) for (f, i, j), e in m
-                                  for r in (_FAMILY_RANK[f],)))
+def _sorted_terms(p, show):
+    """(coefficient, shown) for each term of p in output order, where shown
+    lists show(pairs) for the tuple-form pairs of each nonzero family part
+    of its monomial, in family order; show runs once per distinct part."""
+    lay = p.layout
+    w, variables = lay.width, lay.variables
+
+    def read(fields):
+        # e - (k << w) orders as (-k, e), since e < 1 << w
+        return (sum(e for _, e in fields), [e - (k << w) for k, e in fields],
+                show(tuple((variables[k], e) for k, e in fields)))
+
+    out = []
+    for parts, c in zip(lay.read_parts(p.terms, read), p.terms.values()):
+        key = (sum(d for d, _, _ in parts), [x for _, k, _ in parts for x in k])
+        out.append((key, c, [shown for _, _, shown in parts]))
+    out.sort(key=lambda t: t[0], reverse=True)
+    return [(c, shown) for _, c, shown in out]
 
 
 def mono_text(m):
@@ -223,18 +340,14 @@ def mono_text(m):
 def poly_text(p):
     if p.is_zero():
         return "0"
-    parts = []
-    for m in sorted(p.terms, key=_term_sort_key, reverse=True):
-        c = p.terms[m]
-        parts.append(f"{'+' if c >= 0 else '-'}{abs(c)}*{mono_text(m)}"
-                     if m else f"{'+' if c >= 0 else '-'}{abs(c)}")
-    return " ".join(parts)
+    return " ".join(f"{'+' if c >= 0 else '-'}{abs(c)}"
+                    + "".join("*" + text for text in texts)
+                    for c, texts in _sorted_terms(p, mono_text))
 
 
 def poly_to_json(p):
-    terms = []
-    for m in sorted(p.terms, key=_term_sort_key, reverse=True):
-        terms.append({"c": str(p.terms[m]),
-                      "m": [[v[0], v[1], v[2], e] for v, e in m]})
-    return {"terms": terms}
+    def show(pairs):
+        return [[v[0], v[1], v[2], e] for v, e in pairs]
 
+    return {"terms": [{"c": str(c), "m": [v for part in parts for v in part]}
+                      for c, parts in _sorted_terms(p, show)]}

@@ -20,7 +20,7 @@ record of which row each cell sat in gives the monomial e.
 from dataclasses import dataclass
 
 from .errors import NoPreimage, NotLR, ShapeError
-from .polyring import mono, mono_from_dict, xvar, yvar
+from .polyring import mono, xvar, yvar
 from .shapes import Partition, SkewShape
 
 
@@ -281,10 +281,8 @@ def monomial_bigE(T, triple):
     The x[j,j] exponent is the j-th column length of D, i.e. the number of
     leading principal minors of size j contributed by the left block.
     """
-    d = dict(monomial_e(T))
-    for j, e in enumerate(triple.Dt.parts, start=1):
-        d[xvar(j, j)] = d.get(xvar(j, j), 0) + e
-    return mono_from_dict(d)
+    return mono(*monomial_e(T),
+                *((xvar(j, j), e) for j, e in enumerate(triple.Dt.parts, start=1)))
 
 
 def recover_from_e(triple, e_mono):

@@ -14,8 +14,7 @@ from .errors import NotHomogeneous, ZeroPolynomial
 from .intlinalg import int_rank
 from .hwv import delta_MT, delta_MT_eval, delta_TY
 from .oracle import lr_coefficient
-from .polyring import (Polynomial, leading_monomial, mono_from_dict, xvar,
-                       yvar)
+from .polyring import Polynomial, leading_monomial, xvar, yvar
 from .tableaux import enumerate_lr, monomial_bigE, monomial_e
 
 # The largest |F| whose basis check ranks the exact coefficient matrix;
@@ -28,25 +27,31 @@ def _move_one_power(p, families, axis, src, dst):
     c * e_v * m * w / v, where w is v with index `axis` set to dst.
 
     A variable matches when its family is in `families` and its index
-    `axis` (1 for the row, 2 for the column) equals src.
+    `axis` (1 for the row, 2 for the column) equals src; w must be in the
+    layout of p.  On packed monomials m * w / v is m - (1 << v's shift) +
+    (1 << w's shift), and e_v is the field of v in m.
     """
+    lay = p.layout
+    w = lay.width
+    # step[s] turns one power of the matching v at offset s into one of w
+    step = {s: (1 << lay.shift[(v[0], dst, v[2]) if axis == 1 else (v[0], v[1], dst)])
+            - (1 << s)
+            for v, s in lay.shift.items() if v[0] in families and v[axis] == src}
+    sources = sum(lay.mask << s for s in step)
     out = {}
     for m, c in p.terms.items():
-        md = dict(m)
-        for v, e in m:
-            if v[0] not in families or v[axis] != src:
-                continue
-            w = (v[0], dst, v[2]) if axis == 1 else (v[0], v[1], dst)
-            new = dict(md)
-            new[v] = e - 1
-            new[w] = new.get(w, 0) + 1
-            m2 = mono_from_dict(new)
-            s = out.get(m2, 0) + c * e
-            if s:
-                out[m2] = s
-            elif m2 in out:
+        hit = m & sources
+        while hit:     # the matching fields of m, the top one first
+            s = (hit.bit_length() - 1) // w * w
+            e = hit >> s
+            hit -= e << s
+            m2 = m + step[s]
+            total = out.get(m2, 0) + c * e
+            if total:
+                out[m2] = total
+            else:
                 del out[m2]
-    return Polynomial(out)
+    return Polynomial(lay.check(out), lay)
 
 
 def raising_operator_rows(p, a, d):
@@ -93,24 +98,30 @@ def weight_profile(p):
     """The common multidegree of all terms; NotHomogeneous otherwise."""
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial has no weight profile")
-    profile = None
-    for m in p.terms:
-        rows, xcols, ycols = {}, {}, {}
-        for (fam, i, j), e in m:
-            if fam == "x":
-                rows[i] = rows.get(i, 0) + e
-                xcols[j] = xcols.get(j, 0) + e
-            elif fam == "y":
-                rows[i] = rows.get(i, 0) + e
-                ycols[j] = ycols.get(j, 0) + e
-        # a monomial stores no zero exponent, so each vector ends nonzero
-        cur = tuple(tuple(deg.get(i, 0) for i in range(1, max(deg, default=0) + 1))
-                    for deg in (rows, xcols, ycols))
-        if profile is None:
-            profile = cur
-        elif profile != cur:
-            raise NotHomogeneous("terms have different multidegrees")
-    return WeightProfile(*profile)
+    lay = p.layout
+    # a term's degrees as one int, a slot of `room` bits for each row, x
+    # column and y column in turn: no degree reaches len(variables) times
+    # 2**(width - 1), so the degrees of a term's x and y parts add as ints
+    xy = [v for v in lay.variables if v[0] in ("x", "y")]
+    lengths = [max((v[1] for v in xy), default=0)]
+    lengths += [max((v[2] for v in xy if v[0] == f), default=0) for f in "xy"]
+    base = {"x": lengths[0], "y": lengths[0] + lengths[1]}
+    room = lay.width + len(lay.variables).bit_length()
+    step = [(1 << (v[1] - 1) * room) + (1 << (base[v[0]] + v[2] - 1) * room)
+            if v[0] in base else 0 for v in lay.variables]
+    profiles = {sum(parts) for parts in lay.read_parts(
+        p.terms, lambda fields: sum(e * step[k] for k, e in fields))}
+    if len(profiles) > 1:
+        raise NotHomogeneous("terms have different multidegrees")
+    profile = profiles.pop()
+    vectors = []
+    for n in lengths:
+        vec = [profile >> i * room & (1 << room) - 1 for i in range(n)]
+        profile >>= n * room
+        while vec and not vec[-1]:
+            vec.pop()
+        vectors.append(tuple(vec))
+    return WeightProfile(*vectors)
 
 
 def check_leading_term(triple, T):
@@ -173,7 +184,7 @@ def check_basis(triple, seed=0, tableaux=None, polys=None):
     if triple.F.size <= SYMBOLIC_LIMIT:
         if polys is None:
             polys = [delta_MT(triple, T) for T in tabs]
-        monos = sorted({m for p in polys for m in p.terms})
+        monos = dict.fromkeys(m for p in polys for m in p.terms)
         matrix = [[p.terms.get(m, 0) for m in monos] for p in polys]
         mode = "symbolic"
     else:

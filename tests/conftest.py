@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from lrbasis import enumerate_lr, parse_partition, validate_triple
+from lrbasis import enumerate_lr, monomial_M, parse_partition, validate_triple
+from lrbasis.hwv import _laplace_plan, _plan_sum
+from lrbasis.polyring import (Layout, Polynomial, bvar, triple_layout, var_key,
+                              xvar, yvar, zvar)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -89,21 +92,136 @@ def random_triple(rng, max_size, require_tableaux=False, max_tries=1000):
     raise RuntimeError("could not sample a triple with tableaux")
 
 
+# A layout for polynomials built by hand: x, y and b variables with rows
+# and columns 1..5, and z[1..4]; exponents up to 8.
+LAYOUT = Layout([make(i, j) for make in (xvar, yvar, bvar)
+                 for i in range(1, 6) for j in range(1, 6)]
+                + [zvar(i) for i in range(1, 5)], 8)
+
+
+def pack(m, layout=LAYOUT):
+    """The packed monomial of a tuple-form one."""
+    return sum(e << layout.shift[v] for v, e in m)
+
+
+def poly(terms, layout=LAYOUT):
+    """The Polynomial of {tuple-form monomial: coefficient}."""
+    return Polynomial({pack(m, layout): c for m, c in terms.items()}, layout)
+
+
+def unpacked(p):
+    """The terms of a Polynomial as {tuple-form monomial: coefficient}."""
+    return {p.layout.unpack(m): c for m, c in p.terms.items()}
+
+
 def evaluate(p, assignment):
     """Value of a polynomial at an integer point that assigns each of its
     variables; KeyError names a variable left out."""
     total = 0
-    for m, c in p.terms.items():
+    for m, c in unpacked(p).items():
         for var, e in m:
             c *= assignment[var] ** e
         total += c
     return total
 
 
+# ---------------------------------------------------------------------------
+# Tuple-form monomials: the (variable, exponent) pairs in variable order,
+# merged and sorted at each product.  The small-size oracle that the packed
+# integer monomials of polyring must agree with.
+# ---------------------------------------------------------------------------
+
+def mono_from_dict(d):
+    return tuple(sorted(((v, e) for v, e in d.items() if e),
+                        key=lambda p: var_key(p[0])))
+
+
+def mono_mul(m1, m2):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    merged = dict(m1)
+    for v, e in m2:
+        merged[v] = merged.get(v, 0) + e
+    return mono_from_dict(merged)
+
+
+def tuple_add_product(acc, p, q, c=1):
+    """acc + c * p * q on tuple-form term dicts, summed into acc in place;
+    None is zero."""
+    if acc is None:
+        acc = {}
+    for m1, c1 in p.items():
+        c1 *= c
+        for m2, c2 in q.items():
+            m = mono_mul(m1, m2)
+            v = acc.get(m, 0) + c1 * c2
+            if v:
+                acc[m] = v
+            else:
+                del acc[m]
+    return acc
+
+
+def tuple_determinant(matrix):
+    """Determinant of a square matrix of tuple-form term dicts, expanded
+    along the columns with memoization on the set of unused rows."""
+    n = len(matrix)
+    memo = {}
+
+    def minor(col, mask):
+        if col == n:
+            return {(): 1}
+        if mask not in memo:
+            acc, pos = {}, 0
+            for r in range(n):
+                if mask >> r & 1:
+                    pos += 1
+                    if matrix[r][col]:
+                        tuple_add_product(acc, matrix[r][col],
+                                          minor(col + 1, mask ^ 1 << r),
+                                          1 if pos % 2 else -1)
+            memo[mask] = acc
+        return memo[mask]
+
+    return minor(0, (1 << n) - 1)
+
+
+def tuple_coefficient(triple, T, with_x=True):
+    """delta_MT (with_x) or delta_TY of a tableau, summed over tuple-form
+    monomials by the same Laplace plan."""
+    return _plan_sum(_laplace_plan(triple, monomial_M(T).m, with_x),
+                     lambda v: {((v, 1),): 1}, tuple_determinant,
+                     tuple_add_product, {(): 1})
+
+
+def move_one_power(terms, families, axis, src, dst):
+    """verify._move_one_power on tuple-form term dicts: the sum over the
+    terms c*m and their variables v matching src of c * e_v * m * w / v."""
+    out = {}
+    for m, c in terms.items():
+        md = dict(m)
+        for v, e in m:
+            if v[0] not in families or v[axis] != src:
+                continue
+            w = (v[0], dst, v[2]) if axis == 1 else (v[0], v[1], dst)
+            new = dict(md)
+            new[v] = e - 1
+            new[w] = new.get(w, 0) + 1
+            m2 = mono_from_dict(new)
+            s = out.get(m2, 0) + c * e
+            if s:
+                out[m2] = s
+            elif m2 in out:
+                del out[m2]
+    return out
+
+
 def determinant_naive(matrix):
     """Permutation-sum determinant: the reference for polyring.determinant,
-    for small matrices."""
-    from lrbasis.polyring import ONE, Polynomial, add_product
+    for small nonempty matrices."""
+    layout = matrix[0][0].layout
     n = len(matrix)
     total = {}
     for perm in permutations(range(n)):
@@ -114,11 +232,11 @@ def determinant_naive(matrix):
                 j = p[i]
                 p[i], p[j] = p[j], p[i]
                 sign = -sign
-        prod = {ONE: sign}
+        prod = {0: sign}
         for r in range(n):
-            prod = add_product(None, prod, matrix[r][perm[r]].terms)
-        add_product(total, prod, {ONE: 1})
-    return Polynomial(total)
+            prod = layout.add_product(None, prod, matrix[r][perm[r]].terms)
+        layout.add_product(total, prod, {0: 1})
+    return Polynomial(total, layout)
 
 
 def tableau_by_rows(tabs, rows):
@@ -132,9 +250,9 @@ def tableau_by_rows(tabs, rows):
 def build_Yo(triple, B="symbolic"):
     """The rows of Yo: Z's y columns on rows D_j + 1..F_j of superrow j."""
     from lrbasis.hwv import _coefficients, _rows
-    from lrbasis.polyring import Polynomial, yvar
     B = _coefficients(triple, B, "B")
-    return [[c * Polynomial.variable(yvar(u, v))
+    layout = triple_layout(triple)
+    return [[c * Polynomial.variable(yvar(u, v), layout)
              for c, w in zip(B[j - 1], triple.E.parts)
              for v in range(1, w + 1)]
             for j, u in _rows(triple, False)]
@@ -150,7 +268,7 @@ def b_variable_coefficients(tr, with_x=True):
     grows far beyond the one coefficient it is asked for.
     """
     from lrbasis import delta, monomial_M
-    from lrbasis.polyring import bvar, coefficient_of, determinant, mono
+    from lrbasis.polyring import coefficient_of, determinant, mono
     d = delta(tr) if with_x else determinant(build_Yo(tr))
     out = []
     for T in enumerate_lr(tr):
@@ -168,7 +286,7 @@ def monomial_e1(T):
     1-cell; for an LR tableau this is exactly the y[.,1]-part of e(T).
     """
     from lrbasis import standard_peeling
-    from lrbasis.polyring import mono, yvar
+    from lrbasis.polyring import mono
     return mono(*((yvar(strip[0][0], 1), 1)
                   for strip in standard_peeling(T).strips))
 
@@ -265,7 +383,6 @@ def check_grid(grid, triple):
 
 def _numeric_Z(triple, betavals, assignment):
     """Integer Z with A = J and the b coefficients given by betavals."""
-    from lrbasis.polyring import xvar, yvar
     rows = []
     for j, fj in enumerate(triple.F.parts, start=1):
         for u in range(1, fj + 1):
@@ -395,10 +512,10 @@ def tableau_ssyt_monomials(shape, nvars):
     return counts
 
 
-def _tableau_schur(lam, nvars):
-    from lrbasis.polyring import Polynomial, mono, zvar
-    return Polynomial({mono(*((zvar(i + 1), e) for i, e in enumerate(w) if e)): c
-                       for w, c in tableau_ssyt_monomials(tuple(lam), nvars).items()})
+def _tableau_schur(lam, layout, nvars):
+    return poly({tuple((zvar(i + 1), e) for i, e in enumerate(w) if e): c
+                 for w, c in tableau_ssyt_monomials(tuple(lam), nvars).items()},
+                layout)
 
 
 def peel_lr_coefficient(triple):
@@ -416,16 +533,18 @@ def peel_lr_coefficient(triple):
 
 @lru_cache(maxsize=None)
 def _peel_product(mu, nu, nvars):
-    from lrbasis.polyring import ONE, add_product, mono, zvar
-    work = (_tableau_schur(mu, nvars) * _tableau_schur(nu, nvars)).terms
+    layout = Layout([zvar(i) for i in range(1, nvars + 1)], sum(mu) + sum(nu))
+    work = (_tableau_schur(mu, layout, nvars)
+            * _tableau_schur(nu, layout, nvars)).terms
     out = {}
     while work:
-        top = max(tuple(dict((v[1], e) for v, e in m).get(i, 0)
+        top = max(tuple(dict((v[1], e) for v, e in layout.unpack(m)).get(i, 0)
                         for i in range(1, nvars + 1)) for m in work)
         assert all(top[i] >= top[i + 1] for i in range(nvars - 1)), top
-        c = work[mono(*((zvar(i + 1), e) for i, e in enumerate(top) if e))]
+        c = work[pack(((zvar(i + 1), e) for i, e in enumerate(top)), layout)]
         assert c > 0, (top, c)
         lam = tuple(x for x in top if x)
         out[lam] = c
-        add_product(work, _tableau_schur(lam, nvars).terms, {ONE: 1}, -c)
+        layout.add_product(work, _tableau_schur(lam, layout, nvars).terms,
+                           {0: 1}, -c)
     return out

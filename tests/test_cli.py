@@ -10,6 +10,7 @@ import pytest
 
 from conftest import readme_block
 from lrbasis import cli, enumerate_lr, hwv, validate_triple, verify
+from lrbasis.polyring import Layout
 
 # the child process imports lrbasis from where this one found it
 ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
@@ -181,7 +182,11 @@ def test_tableau_named_two_ways_exit_2(capsys):
                        "--A", "symbolic"]),
             ("peel", ["peel", *SMALL]),
             ("monomials", ["monomials", *SMALL]),
-            ("delta-ty", ["delta-ty", *SMALL])):
+            ("delta-ty", ["delta-ty", *SMALL]),
+            # before the triple is read: |D| + |E| != |F| here
+            ("peel", ["peel", "--D", "2", "--E", "1", "--F", "2"]),
+            ("monomials", ["monomials", "--D", "2", "--E", "1", "--F", "2"]),
+            ("delta-ty", ["delta-ty", "--D", "2", "--E", "1", "--F", "2"])):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         out, err = capsys.readouterr()
@@ -206,6 +211,20 @@ def test_readme_commands(monkeypatch, capsys):
             assert out == after[2:] + "\n", line
         commands += 1
     assert commands == 12
+
+
+def test_exponent_overflow_exit_1(monkeypatch, capsys):
+    # a layout whose fields hold exponents up to 1 only: x[1,1]^2 sets a
+    # guard bit, and the error names the exponent and the field width
+    wide = hwv.triple_layout
+    monkeypatch.setattr(hwv, "triple_layout",
+                        lambda triple: Layout(wide(triple).variables, 1))
+    assert cli.main(["delta", "--D", "1,1", "--E", "1", "--F", "2,1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {
+        "error": "ExponentOverflow",
+        "message": "the exponent of ('x', 1, 1) reached 2, past the 2-bit "
+                   "field that holds at most 1"}
 
 
 def test_domain_error_exit_1():

@@ -6,13 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (all_triples, partitions_of, peel_lr_coefficient,
-                      random_triple, tableau_ssyt_monomials)
+from conftest import (all_triples, partitions_of, peel_lr_coefficient, poly,
+                      random_triple, tableau_ssyt_monomials, unpacked)
 from lrbasis import (Partition, expand_in_schur, lr_coefficient,
                      schur_polynomial, validate_triple)
-from lrbasis.errors import NegativeCoefficient, NotSymmetric
+from lrbasis.errors import ExponentOverflow, NegativeCoefficient, NotSymmetric
 from lrbasis.oracle import _ssyt_monomials
-from lrbasis.polyring import Polynomial, mono, zvar
+from lrbasis.polyring import Layout, mono, zvar
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,7 +23,7 @@ def test_schur_known_small():
     assert len(s.terms) == 3 and all(c == 1 for c in s.terms.values())
     # s_(1,1) in 2 variables = z1 z2
     s = schur_polynomial([1, 1], 2)
-    assert s.terms == {mono((zvar(1), 1), (zvar(2), 1)): 1}
+    assert unpacked(s) == {mono((zvar(1), 1), (zvar(2), 1)): 1}
     # s_(2) in 2 variables = z1^2 + z1 z2 + z2^2
     assert len(schur_polynomial([2], 2).terms) == 3
     # too deep for the variable count
@@ -47,32 +47,43 @@ def test_expand_recovers_schur():
 
 
 def test_expand_rejects_asymmetric():
-    p = Polynomial({mono((zvar(2), 1)): 1})  # z2 alone
+    p = poly({mono((zvar(2), 1)): 1})  # z2 alone
     with pytest.raises(NotSymmetric):
         expand_in_schur(p, 2)
     # z1^2 has a partition exponent but is not symmetric in 2 variables
     z1sq = {mono((zvar(1), 2)): 1}
     z1z2 = {mono((zvar(1), 1), (zvar(2), 1)): 1}
-    for p in (Polynomial(z1sq), Polynomial({**z1sq, **z1z2})):
+    for p in (poly(z1sq), poly({**z1sq, **z1z2})):
         with pytest.raises((NotSymmetric, NegativeCoefficient)):
             expand_in_schur(p, 2)
     # every rearrangement present, but z1^2 and z2^2 with unequal
     # coefficients: s_(2) taken once would leave nothing behind
-    p = Polynomial({mono((zvar(2), 2)): 1, mono((zvar(1), 2)): 2,
-                    mono((zvar(1), 1), (zvar(2), 1)): 1})
+    p = poly({mono((zvar(2), 2)): 1, mono((zvar(1), 2)): 2,
+              mono((zvar(1), 1), (zvar(2), 1)): 1})
     with pytest.raises((NotSymmetric, NegativeCoefficient)):
         expand_in_schur(p, 2)
 
 
+def z_layout(nvars, degree):
+    return Layout([zvar(i) for i in range(1, nvars + 1)], degree)
+
+
 def test_pieri_rule():
     # s_(1) * s_(1) = s_(2) + s_(1,1)
-    s1 = schur_polynomial([1], 3)
+    s1 = schur_polynomial([1], 3, z_layout(3, 2))
     out = expand_in_schur(s1 * s1, 3)
     assert out == {Partition([2]): 1, Partition([1, 1]): 1}
     # s_(2,1) * s_(1): three summands, all multiplicity 1
-    out = expand_in_schur(schur_polynomial([2, 1], 4) * schur_polynomial([1], 4), 4)
+    lay = z_layout(4, 4)
+    out = expand_in_schur(schur_polynomial([2, 1], 4, lay)
+                          * schur_polynomial([1], 4, lay), 4)
     assert out == {Partition([3, 1]): 1, Partition([2, 2]): 1,
                    Partition([2, 1, 1]): 1}
+    # a product past the degree of the layout is a domain error
+    with pytest.raises(ExponentOverflow):
+        s1 * s1 * s1 * s1     # z[1]^4 in fields that hold 3
+    with pytest.raises(ExponentOverflow, match="z', 1, 1\\) reached 4"):
+        schur_polynomial([4], 2, z_layout(2, 3))
 
 
 def test_lr_coefficient_known():

@@ -2,16 +2,19 @@ import random
 
 import pytest
 
-from conftest import determinant_naive, evaluate
-from lrbasis.errors import NonSquare, UnorderedVariable, ZeroPolynomial
-from lrbasis.polyring import (ONE, Polynomial, add_product, bvar,
+from conftest import (LAYOUT, determinant_naive, evaluate, mono_mul, pack,
+                      poly, unpacked)
+from lrbasis.errors import (ExponentOverflow, NonSquare, UnorderedVariable,
+                            ZeroPolynomial)
+from lrbasis.polyring import (ONE, Layout, Polynomial, avar, bvar,
                               coefficient_of, determinant, leading_monomial,
-                              mono, mono_text, poly_text, poly_to_json, xvar,
-                              y_order_key, yvar)
+                              mono, mono_text, poly_text, poly_to_json,
+                              triple_layout, xvar, y_order_key, yvar, zvar)
+from lrbasis.shapes import validate_triple
 
 
 def P(v):
-    return Polynomial.variable(v)
+    return Polynomial.variable(v, LAYOUT)
 
 
 def rand_poly(rng, nvars=4, nterms=5, maxdeg=3):
@@ -19,38 +22,93 @@ def rand_poly(rng, nvars=4, nterms=5, maxdeg=3):
     vars_ = [xvar(i, 1) for i in range(1, nvars + 1)]
     for _ in range(nterms):
         m = mono(*((rng.choice(vars_), 1) for _ in range(rng.randint(0, maxdeg))))
-        add_product(terms, Polynomial({m: rng.randint(-5, 5)}).terms, {ONE: 1})
-    return Polynomial(terms)
+        LAYOUT.add_product(terms, poly({m: rng.randint(-5, 5)}).terms, {ONE: 1})
+    return Polynomial(terms, LAYOUT)
+
+
+def rand_mono(rng, variables, maxdeg=4):
+    return mono(*((rng.choice(variables), 1) for _ in range(rng.randint(0, maxdeg))))
 
 
 def test_arithmetic_basics():
     x, y = P(xvar(1, 1)), P(yvar(2, 1))
     xy = mono((xvar(1, 1), 1), (yvar(2, 1), 1))
-    assert (x * y).terms == (y * x).terms == {xy: 1}
-    assert (3 * x).terms == (x * 3).terms == {mono((xvar(1, 1), 1)): 3}
-    assert (0 * x).is_zero() and (x * Polynomial()).is_zero()
+    assert unpacked(x * y) == unpacked(y * x) == {xy: 1}
+    assert unpacked(3 * x) == unpacked(x * 3) == {mono((xvar(1, 1), 1)): 3}
+    assert (0 * x).is_zero() and (x * Polynomial({}, LAYOUT)).is_zero()
     # (x + y)(x - y) = x^2 - y^2, and x - x leaves no term
-    squares = add_product(add_product(None, x.terms, x.terms), y.terms, y.terms, -1)
-    assert add_product(None, {**x.terms, **y.terms},
-                       {**x.terms, **(-1 * y).terms}) == squares
-    assert add_product(dict(x.terms), x.terms, {ONE: 1}, -1) == {}
+    add = LAYOUT.add_product
+    squares = add(add(None, x.terms, x.terms), y.terms, y.terms, -1)
+    assert add(None, {**x.terms, **y.terms},
+               {**x.terms, **(-1 * y).terms}) == squares
+    assert add(dict(x.terms), x.terms, {ONE: 1}, -1) == {}
 
 
 def test_ring_axioms_randomized():
     rng = random.Random(0)
+    add = LAYOUT.add_product
     for _ in range(50):
         a, b, c = (rand_poly(rng) for _ in range(3))
-        b_plus_c = Polynomial(add_product(dict(b.terms), c.terms, {ONE: 1}))
-        assert (a * b_plus_c).terms == add_product(
-            add_product(None, a.terms, b.terms), a.terms, c.terms)
+        b_plus_c = Polynomial(add(dict(b.terms), c.terms, {ONE: 1}), LAYOUT)
+        assert (a * b_plus_c).terms == add(add(None, a.terms, b.terms),
+                                           a.terms, c.terms)
         assert ((a * b) * c).terms == (a * (b * c)).terms
-        assert (add_product(dict(a.terms), b.terms, {ONE: 1})
-                == add_product(dict(b.terms), a.terms, {ONE: 1}))
+        assert (add(dict(a.terms), b.terms, {ONE: 1})
+                == add(dict(b.terms), a.terms, {ONE: 1}))
         assert (a * b).terms == (b * a).terms
 
 
+def test_pack_against_tuple_monomials():
+    # unpacking lists the pairs in variable order, as the tuple form did,
+    # and a packed product is the tuple product packed
+    rng = random.Random(1)
+    variables = list(LAYOUT.variables)
+    for _ in range(300):
+        m1, m2 = rand_mono(rng, variables), rand_mono(rng, variables)
+        assert LAYOUT.unpack(pack(m1)) == m1
+        assert pack(m1) + pack(m2) == pack(mono_mul(m1, m2))
+        assert LAYOUT.unpack(pack(m1) + pack(m2)) == mono_mul(m1, m2)
+
+
+def test_triple_layout_order():
+    tr = validate_triple([2, 1], [2], [3, 2])
+    lay = triple_layout(tr)
+    assert lay.variables == (
+        xvar(1, 1), xvar(1, 2), xvar(2, 1), xvar(2, 2), xvar(3, 1), xvar(3, 2),
+        yvar(1, 1), yvar(1, 2), yvar(2, 1), yvar(2, 2), yvar(3, 1), yvar(3, 2),
+        avar(1, 1), avar(1, 2), avar(2, 1), avar(2, 2),
+        bvar(1, 1), bvar(2, 1))
+    # |F| = 5 needs three bits, and a fourth is the guard
+    assert lay.width == 4 and lay.mask == 15
+    assert lay.shift[yvar(1, 1)] == 24
+    assert lay.guard == sum(8 << 4 * k for k in range(18))
+
+
+def test_overflow_is_a_domain_error():
+    lay = Layout([xvar(1, 1), xvar(1, 2), zvar(1)], 3)   # exponents up to 3
+    x = Polynomial.variable(xvar(1, 1), lay)
+    x3 = x * x * x
+    assert unpacked(x3) == {mono((xvar(1, 1), 3)): 1}
+    with pytest.raises(ExponentOverflow) as exc:
+        x3 * x
+    assert str(exc.value) == ("the exponent of ('x', 1, 1) reached 4, past "
+                              "the 3-bit field that holds at most 3")
+    # the other fields stay clear of a carry, and a sum over a field that
+    # does not overflow passes
+    z = Polynomial.variable(zvar(1), lay)
+    assert unpacked(x3 * z * z * z) == {mono((xvar(1, 1), 3), (zvar(1), 3)): 1}
+    with pytest.raises(ExponentOverflow):
+        determinant([[x3, x], [x, x3]])
+
+
+def test_layouts_do_not_mix():
+    other = Layout(LAYOUT.variables, 4)
+    with pytest.raises(ValueError):
+        P(xvar(1, 1)) * Polynomial.variable(xvar(1, 1), other)
+
+
 def test_evaluate():
-    p = Polynomial({mono((xvar(1, 1), 2)): 1, mono((yvar(2, 1), 1)): -2})
+    p = poly({mono((xvar(1, 1), 2)): 1, mono((yvar(2, 1), 1)): -2})
     assert evaluate(p, {xvar(1, 1): 3, yvar(2, 1): 5}) == -1
     with pytest.raises(KeyError):
         evaluate(p, {xvar(1, 1): 3})
@@ -63,14 +121,14 @@ def test_y_order_single_variables():
     c = mono((yvar(1, 2), 1))
     assert y_order_key(a) > y_order_key(b) > y_order_key(c)
     assert y_order_key(a) == y_order_key(mono((yvar(1, 1), 1)))
-    assert leading_monomial(Polynomial({c: 1, b: 1, a: -1})) == (a, -1)
+    assert leading_monomial(poly({c: 1, b: 1, a: -1})) == (a, -1)
 
 
 def test_y_order_degree_dominates():
     big = mono((yvar(5, 3), 2))
     small = mono((yvar(1, 1), 1))
     assert y_order_key(big) > y_order_key(small)
-    assert leading_monomial(Polynomial({small: 1, big: 1}))[0] == big
+    assert leading_monomial(poly({small: 1, big: 1}))[0] == big
 
 
 def test_y_order_worked_comparison():
@@ -81,71 +139,74 @@ def test_y_order_worked_comparison():
     assert mono_text(m1) == "y[4,2]^2*y[5,3]^2"
     assert mono_text(m2) == "y[4,2]*y[4,3]*y[5,2]*y[5,3]"
     assert y_order_key(m1) > y_order_key(m2)
-    assert leading_monomial(Polynomial({m2: 1, m1: 3})) == (m1, 3)
+    assert leading_monomial(poly({m2: 1, m1: 3})) == (m1, 3)
 
 
 def test_y_order_rejects_other_families():
     with pytest.raises(UnorderedVariable):
         y_order_key(mono((xvar(1, 1), 1)))
     with pytest.raises(UnorderedVariable):
-        leading_monomial(Polynomial({mono((xvar(1, 1), 1)): 1,
-                                     mono((yvar(1, 1), 1)): 1}))
+        leading_monomial(poly({mono((xvar(1, 1), 1)): 1,
+                               mono((yvar(1, 1), 1)): 1}))
 
 
 def test_leading_monomial_errors():
     with pytest.raises(ZeroPolynomial):
-        leading_monomial(Polynomial())
+        leading_monomial(Polynomial({}, LAYOUT))
 
 
 def test_determinant_against_naive():
     rng = random.Random(2)
-    for n in range(0, 5):
+    assert unpacked(determinant([])) == {(): 1}
+    for n in range(1, 5):
         for _ in range(6):
-            m = [[Polynomial({ONE: rng.randint(-3, 3),
-                              mono((xvar(i + 1, j + 1), 1)): rng.randint(-2, 2)})
+            m = [[poly({(): rng.randint(-3, 3),
+                        mono((xvar(i + 1, j + 1), 1)): rng.randint(-2, 2)})
                   for j in range(n)] for i in range(n)]
             assert determinant(m).terms == determinant_naive(m).terms
 
 
 def test_determinant_nonsquare():
     with pytest.raises(NonSquare):
-        determinant([[Polynomial({ONE: 1}), Polynomial({ONE: 2})]])
+        determinant([[poly({(): 1}), poly({(): 2})]])
 
 
 def test_text_format_canonical():
-    p = Polynomial(add_product((P(xvar(1, 1)) * P(yvar(2, 1)) * -1).terms,
-                               P(xvar(2, 1)).terms, P(yvar(1, 1)).terms))
+    p = Polynomial(LAYOUT.add_product((P(xvar(1, 1)) * P(yvar(2, 1)) * -1).terms,
+                                      P(xvar(2, 1)).terms, P(yvar(1, 1)).terms),
+                   LAYOUT)
     text = poly_text(p)
-    assert "*" in text and text.count(" ") == 1
-    assert poly_text(Polynomial()) == "0"
+    assert text == "-1*x[1,1]*y[2,1] +1*x[2,1]*y[1,1]"
+    assert poly_text(Polynomial({}, LAYOUT)) == "0"
     assert mono_text(mono()) == "1"
 
 
 def test_json_format():
     # terms by descending degree, then by variables; coefficients as strings
     x, y, z = xvar(1, 1), yvar(2, 1), yvar(1, 2)
-    p = Polynomial({mono((x, 2), (y, 1)): 3, mono((z, 1)): -2, ONE: -7,
-                    mono((x, 1), (z, 1)): 1})
+    p = poly({mono((x, 2), (y, 1)): 3, mono((z, 1)): -2, (): -7,
+              mono((x, 1), (z, 1)): 1})
     assert poly_to_json(p) == {"terms": [
         {"c": "3", "m": [["x", 1, 1, 2], ["y", 2, 1, 1]]},
         {"c": "1", "m": [["x", 1, 1, 1], ["y", 1, 2, 1]]},
         {"c": "-2", "m": [["y", 1, 2, 1]]},
         {"c": "-7", "m": []}]}
-    assert poly_to_json(Polynomial()) == {"terms": []}
+    assert poly_to_json(Polynomial({}, LAYOUT)) == {"terms": []}
 
 
 def test_coefficient_of_and_split():
     b, x = bvar(1, 1), xvar(1, 1)
 
     def b_power(e):
-        return {mono((b, e)): 1}
+        return poly({mono((b, e)): 1}).terms
 
-    p = Polynomial({mono((b, 2), (x, 1)): 1, mono((b, 1), (x, 1)): 2,
-                    mono((x, 1)): 3})
+    p = poly({mono((b, 2), (x, 1)): 1, mono((b, 1), (x, 1)): 2,
+              mono((x, 1)): 3})
     assert coefficient_of(p, mono((b, 2)), {"b"}).terms == P(x).terms
     assert coefficient_of(p, mono(), {"b"}).terms == (3 * P(x)).terms
     # the coefficients of the powers of b put p back together
     whole = {}
     for e in range(3):
-        add_product(whole, b_power(e), coefficient_of(p, mono((b, e)), {"b"}).terms)
+        LAYOUT.add_product(whole, b_power(e),
+                           coefficient_of(p, mono((b, e)), {"b"}).terms)
     assert whole == p.terms

@@ -3,30 +3,86 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import check_e1_factorization, random_triple
+from conftest import (LAYOUT, all_triples, check_e1_factorization,
+                      move_one_power, poly, random_triple, tuple_coefficient,
+                      unpacked)
 from lrbasis import (check_basis, check_hwv, check_leading_term, delta,
-                     delta_MT, enumerate_lr, raising_operator_cols,
+                     delta_MT, delta_TY, enumerate_lr, raising_operator_cols,
                      raising_operator_rows, validate_triple, weight_profile)
-from lrbasis.errors import NonSquare, NotHomogeneous, ZeroPolynomial
+from lrbasis.errors import (ExponentOverflow, NonSquare, NotHomogeneous,
+                            ZeroPolynomial)
 from lrbasis.intlinalg import bareiss_det, int_rank
-from lrbasis.polyring import Polynomial, mono, xvar, yvar
+from lrbasis.polyring import (Layout, Polynomial, mono, triple_layout, xvar,
+                              yvar)
+
+
+def P(v):
+    return Polynomial.variable(v, LAYOUT)
 
 
 def test_raising_operator_rows_basic():
-    p = Polynomial.variable(xvar(2, 1))
+    p = P(xvar(2, 1))
     q = raising_operator_rows(p, 1, 2)
-    assert q.terms == Polynomial.variable(xvar(1, 1)).terms
+    assert q.terms == P(xvar(1, 1)).terms
     # power rule: applying to x21^3 gives 3 x11 x21^2
     p3 = p * p * p
     q3 = raising_operator_rows(p3, 1, 2)
-    assert q3.terms == (3 * Polynomial.variable(xvar(1, 1)) * p * p).terms
+    assert q3.terms == (3 * P(xvar(1, 1)) * p * p).terms
 
 
 def test_raising_operator_cols_basic():
-    p = Polynomial.variable(xvar(1, 2))
-    assert (raising_operator_cols(p, "x", 1, 2).terms
-            == Polynomial.variable(xvar(1, 1)).terms)
+    p = P(xvar(1, 2))
+    assert raising_operator_cols(p, "x", 1, 2).terms == P(xvar(1, 1)).terms
     assert raising_operator_cols(p, "y", 1, 2).is_zero()
+
+
+def test_operator_overflow_is_a_domain_error():
+    lay = Layout([xvar(1, 1), xvar(1, 2)], 3)    # exponents up to 3
+    x11, x12 = (Polynomial.variable(v, lay) for v in (xvar(1, 1), xvar(1, 2)))
+    assert unpacked(raising_operator_cols(x11 * x11 * x12, "x", 1, 2)) == {
+        mono((xvar(1, 1), 3)): 1}
+    with pytest.raises(ExponentOverflow, match=r"\('x', 1, 1\) reached 4, "
+                                               r"past the 3-bit field"):
+        raising_operator_cols(x11 * x11 * x11 * x12, "x", 1, 2)
+
+
+def _operators(tr):
+    """Each raising operator check_hwv applies to the triple's vectors, as
+    (operator, families, axis, src, dst) of move_one_power."""
+    for d in range(2, tr.F.width + 1):
+        yield (lambda p, d=d: raising_operator_rows(p, d - 1, d)), ("x", "y"), 1, d, d - 1
+    for fam, width in (("x", tr.D.width), ("y", tr.E.width)):
+        for d in range(2, width + 1):
+            yield ((lambda p, fam=fam, d=d: raising_operator_cols(p, fam, d - 1, d)),
+                   (fam,), 2, d, d - 1)
+
+
+def test_packed_against_tuple_monomials():
+    # every tableau with |F| <= 7: delta_MT, delta_TY and the raising
+    # operator images equal the same sums taken over tuple-form monomials
+    n = 0
+    for tr in all_triples(7):
+        for T in enumerate_lr(tr):
+            p = delta_MT(tr, T)
+            terms = unpacked(p)
+            assert terms == tuple_coefficient(tr, T)
+            assert unpacked(delta_TY(tr, T)) == tuple_coefficient(tr, T, False)
+            # one coefficient changed: every term has each row degree and
+            # column degree of the triple, so every operator now finds a
+            # variable to move and leaves an image
+            m = next(iter(p.terms))
+            bent = Polynomial({**p.terms, m: p.terms[m] + 1}, p.layout)
+            terms[p.layout.unpack(m)] += 1
+            operators = list(_operators(tr))
+            for op, *move in operators:
+                assert op(p).is_zero()
+                image = op(bent)
+                assert not image.is_zero()
+                assert unpacked(image) == move_one_power(terms, *move)
+            assert check_hwv(p, tr)
+            assert check_hwv(bent, tr) == (not operators)
+            n += 1
+    assert n == 636
 
 
 def test_row_operator_kills_determinant():
@@ -36,26 +92,30 @@ def test_row_operator_kills_determinant():
     assert raising_operator_rows(p, 1, 2).is_zero()
     assert check_hwv(p, tr)
     # a non-highest vector is caught
-    assert not check_hwv(Polynomial.variable(yvar(2, 1)), tr)
+    assert not check_hwv(Polynomial.variable(yvar(2, 1), triple_layout(tr)), tr)
 
 
 def test_weight_profile_values():
-    p = Polynomial.variable(xvar(1, 1)) * Polynomial.variable(yvar(2, 1))
+    p = P(xvar(1, 1)) * P(yvar(2, 1))
     w = weight_profile(p)
     assert w.row_degrees == (1, 1)
     assert w.x_col_degrees == (1,)
     assert w.y_col_degrees == (1,)
     # row 1 has degree 0; a zero before the last row stays in the vector
-    w = weight_profile(Polynomial.variable(xvar(2, 1)) * Polynomial.variable(yvar(2, 1)))
+    w = weight_profile(P(xvar(2, 1)) * P(yvar(2, 1)))
     assert w.row_degrees == (0, 2)
     assert w.x_col_degrees == (1,)
     assert w.y_col_degrees == (1,)
+    # a degree past what one exponent field holds (LAYOUT's hold 15)
+    p = poly({mono((xvar(1, 1), 8), (xvar(1, 2), 8), (yvar(1, 2), 8)): 1})
+    w = weight_profile(p)
+    assert (w.row_degrees, w.x_col_degrees, w.y_col_degrees) == ((24,), (8, 8), (0, 8))
 
 
 def test_weight_profile_errors():
     with pytest.raises(ZeroPolynomial):
-        weight_profile(Polynomial())
-    p = Polynomial({mono((xvar(1, 1), 1)): 1, mono((yvar(2, 1), 1)): 1})
+        weight_profile(Polynomial({}, LAYOUT))
+    p = poly({mono((xvar(1, 1), 1)): 1, mono((yvar(2, 1), 1)): 1})
     with pytest.raises(NotHomogeneous):
         weight_profile(p)
 
@@ -77,7 +137,7 @@ def test_check_hwv_edge_operators():
     # moves row F_1, x column D_1 or y column E_1
     tr = validate_triple([2], [3], [4, 1])
     for v in (xvar(4, 1), xvar(1, 2), yvar(1, 3)):
-        assert not check_hwv(Polynomial.variable(v), tr), v
+        assert not check_hwv(Polynomial.variable(v, triple_layout(tr)), tr), v
 
 
 def test_numeric_delta_is_hwv():
