@@ -195,7 +195,7 @@ def build_parser():
             ("delta-ty", cmd_delta_ty, [triple, tableau], "pure-y coefficient of a tableau"),
             ("verify", cmd_verify, [triple],
              "highest-weight, weight, leading-term and rank checks"),
-            ("oracle", cmd_oracle, [triple], "multiplicity by symmetric-function expansion"),
+            ("oracle", cmd_oracle, [triple], "multiplicity by the Kostka-Steinberg sum"),
             ("sl4-table", cmd_sl4_table, [], "recompute the bundled 18-row table"),
             ("bz-grade", cmd_bz_grade, [], "gradings and hexagon check of a diagram")):
         cmds[name] = sub.add_parser(name, parents=parents, help=text)

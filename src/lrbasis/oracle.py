@@ -1,11 +1,10 @@
-"""Independent multiplicity counts via symmetric-function expansion.
+"""Independent multiplicity counts by the Kostka-Steinberg sum.
 
-A Schur polynomial s_lambda gives each exponent vector the Kostka number
-K(lambda, alpha) of its sorted form alpha: the number of semistandard
-tableaux of shape lambda and content alpha, counted by removing horizontal
-strips.  A product is expanded back into Schur polynomials by repeatedly
-peeling off the lex-greatest partition exponent and subtracting its Kostka
-numbers, and the structure constants are read off.  Nothing here shares
+The Littlewood-Richardson coefficient is an alternating sum of Kostka
+numbers, c^lam_{mu,nu} = sum over permutations w of sgn(w) K(nu, w(lam +
+delta) - (mu + delta)), where delta = (n - 1, ..., 1, 0) for n rows and a
+Kostka number K(nu, alpha) counts the semistandard tableaux of shape nu
+and content alpha, by removing horizontal strips.  Nothing here shares
 logic with the tableau module, so the two can check each other.
 """
 
@@ -15,29 +14,6 @@ from math import factorial
 from .errors import NegativeCoefficient, NotSymmetric, TooFewVariables
 from .polyring import Layout, Polynomial, zvar
 from .shapes import Partition
-
-
-@lru_cache(maxsize=None)
-def _partitions(n, maxparts, maxpart):
-    """Partitions of n with at most maxparts parts, each at most maxpart."""
-    if n == 0:
-        return ((),)
-    if maxparts == 0:
-        return ()
-    return tuple((first,) + rest
-                 for first in range(min(n, maxpart), 0, -1)
-                 for rest in _partitions(n - first, maxparts - 1, first))
-
-
-def _dominates(lam, mu):
-    """Whether lam dominates mu; both are partitions of the same size."""
-    a = b = 0
-    for i in range(len(mu)):
-        a += lam[i] if i < len(lam) else 0
-        b += mu[i]
-        if a < b:
-            return False
-    return True
 
 
 def _strips(shape, k, row=0):
@@ -66,6 +42,36 @@ def _kostka(shape, content):
     if not content:
         return 1
     return sum(_kostka(mu, content[:-1]) for mu in _strips(shape, content[-1]))
+
+
+# The Schur polynomial and the expansion of a symmetric polynomial in
+# Schur polynomials: no package code calls them since the Kostka-Steinberg
+# sum replaced the product s_D' * s_E', but bench/spans.py wraps both by
+# name.  The next benchmark change (ROADMAP item 1) moves them, with their
+# helpers, polyring.zvar and the oracle errors, to tests/conftest.py.
+
+
+@lru_cache(maxsize=None)
+def _partitions(n, maxparts, maxpart):
+    """Partitions of n with at most maxparts parts, each at most maxpart."""
+    if n == 0:
+        return ((),)
+    if maxparts == 0:
+        return ()
+    return tuple((first,) + rest
+                 for first in range(min(n, maxpart), 0, -1)
+                 for rest in _partitions(n - first, maxparts - 1, first))
+
+
+def _dominates(lam, mu):
+    """Whether lam dominates mu; both are partitions of the same size."""
+    a = b = 0
+    for i in range(len(mu)):
+        a += lam[i] if i < len(lam) else 0
+        b += mu[i]
+        if a < b:
+            return False
+    return True
 
 
 def _rearrangements(vec):
@@ -195,10 +201,35 @@ def expand_in_schur(p, nvars):
 
 
 def lr_coefficient(triple):
-    """Multiplicity of transpose(F) in s_{transpose(D)} * s_{transpose(E)}."""
-    Dt, Et, Ft = triple.Dt, triple.Et, triple.Ft
-    nvars = max(1, Dt.depth, Et.depth, Ft.depth)
-    layout = _z_layout(nvars, Dt.size + Et.size)
-    prod = (schur_polynomial(Dt, nvars, layout)
-            * schur_polynomial(Et, nvars, layout))
-    return expand_in_schur(prod, nvars).get(Ft, 0)
+    """Multiplicity of transpose(F) in s_{transpose(D)} * s_{transpose(E)}.
+
+    That is c^F_{D,E}, and also c^{F'}_{D',E'}: the Kostka-Steinberg sum
+    takes (lam, mu, nu) = (F, D, E), or (F', D', E') when F' has fewer
+    rows, and picks w one row at a time.  A row whose content part is
+    negative, or past nu_1 where no tableau of shape nu has one, ends
+    that branch.
+    """
+    lam, mu, nu = triple.F, triple.D, triple.E
+    if lam.width < lam.depth:
+        lam, mu, nu = triple.Ft, triple.Dt, triple.Et
+    if not (lam.contains(mu) and lam.contains(nu)):
+        return 0
+    n = lam.depth
+    lam_d = [lam.part(i) + n - i for i in range(1, n + 1)]
+    mu_d = [mu.part(i) + n - i for i in range(1, n + 1)]
+    top = nu.width
+
+    def alternating(row, free, content):
+        if row == n:
+            return _kostka(nu.parts, tuple(sorted(content, reverse=True)))
+        total = 0
+        for k, j in enumerate(free):
+            part = lam_d[j] - mu_d[row]
+            if 0 <= part <= top:
+                rest = alternating(row + 1, free[:k] + free[k + 1:],
+                                   content + [part] if part else content)
+                # taking the k-th free row adds k inversions to w
+                total += -rest if k % 2 else rest
+        return total
+
+    return alternating(0, list(range(n)), [])

@@ -5,7 +5,7 @@ All indices are 1-based: cell (a, c) means row a (from the top), column c
 diagrams compare equal regardless of how many zeros the caller supplied.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import ShapeError, SizeMismatch
 
@@ -120,23 +120,20 @@ class SkewShape:
         return f"SkewShape({list(self.outer.parts)}, {list(self.inner.parts)})"
 
 
-@dataclass(frozen=True)
-class LRTriple:
-    """Diagrams (D, E, F) with |D| + |E| = |F|.
+class LRTriple(namedtuple("LRTriple", "D E F dt_in_ft")):
+    """Diagrams (D, E, F) with |D| + |E| = |F|, and whether transpose(D)
+    is contained in transpose(F).
 
     The paper's x and y matrices have n rows and k and ell columns, for
     any sizes large enough: the triple's vectors use only x[1..F_1, 1..D_1]
     and y[1..F_1, 1..E_1], so no size is stored.
     """
 
-    D: Partition
-    E: Partition
-    F: Partition
-    dt_in_ft: bool = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "dt_in_ft",
-                           self.F.transpose().contains(self.D.transpose()))
+    def __new__(cls, D, E, F):
+        return super().__new__(cls, D, E, F,
+                               F.transpose().contains(D.transpose()))
 
     @property
     def r(self):

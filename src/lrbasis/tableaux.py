@@ -17,7 +17,7 @@ the skew shape each strip cell came from is the exponent grid m, and the
 record of which row each cell sat in gives the monomial e.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NoPreimage, NotLR, ShapeError
 from .polyring import mono, xvar, yvar
@@ -158,17 +158,15 @@ def enumerate_lr(triple):
     return out
 
 
-@dataclass(frozen=True)
-class PeelingTrace:
+class PeelingTrace(namedtuple("PeelingTrace", "strips banal_shape")):
     """Result of standard peeling.
 
     strips[h-1] lists the cells removed in pass h, in the order of the
     values 1, 2, ... they contained; the lengths of the strips, sorted,
-    transpose to the content partition.
+    transpose to the content partition, the banal shape.
     """
 
-    strips: tuple
-    banal_shape: Partition
+    __slots__ = ()
 
 
 def standard_peeling(T):

@@ -8,7 +8,7 @@ rows within a single family for adjacent columns b = d - 1.
 """
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import NotHomogeneous, ZeroPolynomial
 from .intlinalg import int_rank
@@ -80,13 +80,11 @@ def check_hwv(p, triple):
     return True
 
 
-@dataclass(frozen=True)
-class WeightProfile:
+class WeightProfile(namedtuple("WeightProfile",
+                               "row_degrees x_col_degrees y_col_degrees")):
     """Degree vectors: by row, by x column, and by y column."""
 
-    row_degrees: tuple
-    x_col_degrees: tuple
-    y_col_degrees: tuple
+    __slots__ = ()
 
     def matches(self, triple):
         return (self.row_degrees == triple.Ft.parts
@@ -130,20 +128,16 @@ def check_leading_term(triple, T):
     return m == monomial_e(T) and abs(c) == 1
 
 
-@dataclass
-class BasisReport:
+class BasisReport(namedtuple("BasisReport",
+                             "lr_count oracle_count leading_distinct rank mode")):
     """Outcome of the spanning-family rank check for one triple."""
 
-    lr_count: int
-    oracle_count: int
-    leading_distinct: bool
-    rank: int
-    mode: str
-    passed: bool = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.passed = (self.lr_count == self.oracle_count == self.rank
-                       and self.leading_distinct)
+    @property
+    def passed(self):
+        return (self.lr_count == self.oracle_count == self.rank
+                and self.leading_distinct)
 
 
 def random_point(rng, triple, lo=-10**6, hi=10**6):

@@ -534,17 +534,26 @@ def peel_lr_coefficient(triple):
 @lru_cache(maxsize=None)
 def _peel_product(mu, nu, nvars):
     layout = Layout([zvar(i) for i in range(1, nvars + 1)], sum(mu) + sum(nu))
-    work = (_tableau_schur(mu, layout, nvars)
-            * _tableau_schur(nu, layout, nvars)).terms
+    # each term of the product unpacked once, to its exponent vector
+    work = {}
+    for m, c in (_tableau_schur(mu, layout, nvars)
+                 * _tableau_schur(nu, layout, nvars)).terms.items():
+        w = [0] * nvars
+        for v, e in layout.unpack(m):
+            w[v[1] - 1] = e
+        work[tuple(w)] = c
     out = {}
     while work:
-        top = max(tuple(dict((v[1], e) for v, e in layout.unpack(m)).get(i, 0)
-                        for i in range(1, nvars + 1)) for m in work)
+        top = max(work)
         assert all(top[i] >= top[i + 1] for i in range(nvars - 1)), top
-        c = work[pack(((zvar(i + 1), e) for i, e in enumerate(top)), layout)]
+        c = work[top]
         assert c > 0, (top, c)
         lam = tuple(x for x in top if x)
         out[lam] = c
-        layout.add_product(work, _tableau_schur(lam, layout, nvars).terms,
-                           {0: 1}, -c)
+        for w, k in tableau_ssyt_monomials(lam, nvars).items():
+            rest = work.get(w, 0) - c * k
+            if rest:
+                work[w] = rest
+            else:
+                del work[w]
     return out

@@ -278,3 +278,14 @@ def test_verify_builds_each_vector_once(monkeypatch, capsys):
                      "--all"]) == 0
     assert json.loads(capsys.readouterr().out)["rank"] == 2
     assert len(calls) == len(set(map(id, calls))) == 2
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses pulls in inspect, about 1 MB of the benchmark process's
+    # memory; pytest loads both, so the check runs in a fresh interpreter
+    code = ("import sys, lrbasis, lrbasis.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]

@@ -22,7 +22,7 @@ import types
 from collections import Counter
 from pathlib import Path
 
-from lrbasis import cli, hwv, polyring, tableaux, verify
+from lrbasis import cli, hwv, oracle, polyring, tableaux, verify
 from lrbasis.shapes import validate_triple
 from test_bench_spans import BENCH, benchmark_names, load_spans
 
@@ -262,6 +262,7 @@ def run_benchmark_calls():
             hwv.delta_MT_eval(triple, T, point)
         hwv.delta_eval(triple, J, ones, point)
         polyring.coefficient_of(hwv.delta(triple), (), {"b"})
+        oracle.expand_in_schur(oracle.schur_polynomial([2, 1], 3), 3)
         assert run_lrb(["verify", *TWO, "--all"]) == 0
 
 

@@ -1,6 +1,7 @@
 import ast
 import json
 import random
+import time
 from math import factorial
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import (all_triples, partitions_of, peel_lr_coefficient, poly,
                       random_triple, tableau_ssyt_monomials, unpacked)
-from lrbasis import (Partition, expand_in_schur, lr_coefficient,
+from lrbasis import (Partition, enumerate_lr, expand_in_schur, lr_coefficient,
                      schur_polynomial, validate_triple)
 from lrbasis.errors import ExponentOverflow, NegativeCoefficient, NotSymmetric
 from lrbasis.oracle import _ssyt_monomials
@@ -96,6 +97,22 @@ def test_lr_coefficient_known():
 def test_lr_coefficient_zero_cases():
     assert lr_coefficient(validate_triple([2], [], [1, 1])) == 0
     assert lr_coefficient(validate_triple([], [2, 2], [1, 1, 1, 1])) == 0
+    # len(D') > len(F'): D is wider than F
+    assert lr_coefficient(validate_triple([3], [1], [2, 2])) == 0
+    # D not inside F, though no wider and no deeper
+    assert lr_coefficient(validate_triple([2, 2], [2], [3, 1, 1, 1])) == 0
+
+
+def test_lr_coefficient_either_orientation_is_fast():
+    # the sum runs over the rows of F or of F', whichever are fewer.  Over
+    # the 20 rows of F', D = -, E = F = (20) has 2**19 permutations; the
+    # second triple takes about 1 s over the 21 rows of its F'
+    for D, E, F in (([], [20], [20]), ([2, 1], [20, 4, 2, 2], [21, 6, 2, 2])):
+        tr = validate_triple(D, E, F)
+        for t in (tr, validate_triple(tr.Dt, tr.Et, tr.Ft)):
+            start = time.process_time()
+            assert lr_coefficient(t) == 1
+            assert time.process_time() - start < 0.1, f"{t.D} {t.E} {t.F}"
 
 
 def test_lr_coefficient_symmetry():
@@ -153,12 +170,32 @@ def test_ssyt_monomials_rearrangements():
             assert len(weights) == keys
 
 
+def schur_expansion_coefficient(tr):
+    """lr_coefficient as it was before the Kostka-Steinberg sum: the
+    product s_D' * s_E' expanded back into Schur polynomials."""
+    nvars = max(1, tr.Dt.depth, tr.Et.depth, tr.Ft.depth)
+    lay = z_layout(nvars, tr.F.size)
+    prod = schur_polynomial(tr.Dt, nvars, lay) * schur_polynomial(tr.Et, nvars, lay)
+    return expand_in_schur(prod, nvars).get(tr.Ft, 0)
+
+
 def test_lr_coefficient_matches_peel_oracle():
     triples = 0
     for tr in all_triples(7):
-        assert lr_coefficient(tr) == peel_lr_coefficient(tr), f"{tr.D} {tr.E} {tr.F}"
+        c = lr_coefficient(tr)
+        assert c == peel_lr_coefficient(tr), f"{tr.D} {tr.E} {tr.F}"
+        assert c == schur_expansion_coefficient(tr), f"{tr.D} {tr.E} {tr.F}"
         triples += 1
     assert triples == 2759
+
+
+def test_lr_coefficient_past_the_schur_expansion():
+    # the expansion took over 60 s on each of these
+    for D, E, F, count in (([4, 3, 2, 1], [4, 3, 2, 1], [7, 5, 4, 2, 1, 1], 13),
+                           ([5, 4, 3, 2, 1], [4, 3, 2, 1],
+                            [7, 6, 5, 3, 2, 1, 1], 40)):
+        tr = validate_triple(D, E, F)
+        assert lr_coefficient(tr) == len(enumerate_lr(tr)) == count
 
 
 def test_lr_coefficient_verify_large_pool():
