@@ -20,10 +20,10 @@ Laplace plan below walks the rows of either.
 Neither determinant is expanded in the b variables.  A tableau's
 coefficient is a signed sum of products of column-initial minors, one
 per column block; the rows each block takes and the signs form a Laplace
-plan, built once per (triple, grid) and cached.  The plan is summed in
-two rings: over polynomial minors for the coefficient itself (delta_MT,
-delta_TY), and over integer minors at a point for its exact value there
-(delta_MT_eval).
+plan, built once per (triple, grid) and cached.  The plan is summed over
+the ring of its minors, each expanded once by polyring.column_minors:
+polynomial minors give the coefficient itself (delta_MT, delta_TY), and
+integer minors at a point give its exact value there (delta_MT_eval).
 """
 
 import functools
@@ -31,8 +31,8 @@ from itertools import combinations
 
 from .errors import DimensionMismatch, ZeroCoefficient
 from .intlinalg import bareiss_det
-from .polyring import (ONE, Polynomial, avar, bvar, determinant, triple_layout,
-                       xvar, yvar)
+from .polyring import (ONE, Polynomial, avar, bvar, column_minors, determinant,
+                       triple_layout, xvar, yvar)
 from .tableaux import monomial_M
 
 
@@ -167,37 +167,38 @@ def _laplace_plan(triple, grid, with_x):
     return start, tuple(levels), final
 
 
-def _plan_sum(plan, value, det, accumulate, one):
+def _plan_sum(plan, value, accumulate, one):
     """Sum a Laplace plan's terms over the ring of `one`.
 
-    value maps a variable into that ring and det takes the determinant of
-    a matrix over it; each distinct minor det x[local, 1..len(local)] or
-    det y[local, 1..len(local)] is computed once.  accumulate(acc, p, q,
-    c) returns acc + c * p * q, with None for a zero acc.  Returns None
-    when no term survives.
+    value maps a variable into that ring, falsy when zero, and
+    accumulate(acc, p, q, c) returns acc + c * p * q, with None for a zero
+    acc.  The minors det x[local, 1..len(local)] and det y[local,
+    1..len(local)] come from one column_minors per family, so each
+    distinct minor, and each minor inside it, is expanded once.  Returns
+    None or a falsy sum when no term survives.
     """
-    @functools.cache
-    def minor(make_var, local):
-        return det([[value(make_var(u, v)) for v in range(1, len(local) + 1)]
-                    for u in local])
+    def minors(make_var):
+        return column_minors(lambda u, v: value(make_var(u, v)), accumulate, one)
 
+    xminor, yminor = minors(xvar), minors(yvar)
     start, levels, final = plan
     level = {start: one}
     for edges in levels:
         nxt = {}
         for mask, rest, sign, local in edges:
             acc = level.get(mask)
-            if acc:
-                nxt[rest] = accumulate(nxt.get(rest), acc,
-                                       minor(yvar, local), sign)
+            ys = acc and yminor(local)
+            if ys:
+                nxt[rest] = accumulate(nxt.get(rest), acc, ys, sign)
         level = nxt
     out = None
     for mask, sign, xsets in final:
         acc = level.get(mask)
-        if acc:
-            xs = one
-            for local in xsets:
-                xs = accumulate(None, xs, minor(xvar, local), 1)
+        xs = acc and one
+        for local in xsets:
+            minor = xs and xminor(local)
+            xs = minor and accumulate(None, xs, minor, 1)
+        if xs:
             out = accumulate(out, acc, xs, sign)
     return out
 
@@ -206,8 +207,7 @@ def _tableau_coefficient(triple, grid, with_x):
     """Coefficient of b^grid in det Z (with_x) or in det Yo, with A = J."""
     layout = triple_layout(triple)
     out = _plan_sum(_laplace_plan(triple, grid, with_x),
-                    lambda v: Polynomial.variable(v, layout),
-                    lambda rows: determinant(rows).terms, layout.add_product,
+                    lambda v: {1 << layout.shift[v]: 1}, layout.add_product,
                     {ONE: 1})
     if not out:
         raise ZeroCoefficient("the tableau coefficient vanished")
@@ -236,9 +236,8 @@ def delta_eval(triple, A, B, assignment):
 def delta_MT_eval(triple, T, assignment):
     """Exact value of delta_MT(triple, T) at an integer (x, y) point.
 
-    The same Laplace plan as delta_MT, summed over the integers: each
-    minor is the determinant of its entries at the point.
+    The same Laplace plan as delta_MT, summed over the integers: its
+    minors are expanded by column_minors on the point's coordinates.
     """
     plan = _laplace_plan(triple, monomial_M(T).m, True)
-    return _plan_sum(plan, assignment.__getitem__, bareiss_det,
-                     _add_int_product, 1) or 0
+    return _plan_sum(plan, assignment.__getitem__, _add_int_product, 1) or 0

@@ -233,68 +233,66 @@ def coefficient_of(p, m, families):
 # larger variable winning.
 # ---------------------------------------------------------------------------
 
-def y_order_key(m):
-    """Key of a tuple-form y-monomial under which the larger monomial has
-    the larger key: its degree, then its variables as a weakly decreasing
-    sequence."""
-    seq = []
-    for v, e in m:
-        if v[0] != "y":
-            raise UnorderedVariable(f"{v} is not a y variable")
-        seq += [(-v[2], -v[1])] * e
-    seq.sort(reverse=True)
-    return len(seq), seq
-
-
 def leading_monomial(p):
     """(tuple-form monomial, coefficient) maximal under the y order among
-    terms of p."""
+    terms of p.  The key is the degree, then the exponents of y[1,1],
+    y[2,1], ..., y[1,2], ...: the same order, read off the packed ints."""
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial has no leading monomial")
-    unpack = p.layout.unpack
-    best = max(p.terms, key=lambda m: y_order_key(unpack(m)))
-    return unpack(best), p.terms[best]
+    lay, mask = p.layout, p.layout.mask
+    shifts = [s for _, _, s in sorted((v[2], v[1], s) for v, s in lay.shift.items()
+                                      if v[0] == "y")]
+    other = functools.reduce(or_, p.terms, 0) & ~sum(mask << s for s in shifts)
+    if other:
+        raise UnorderedVariable(f"{lay.unpack(other)[0][0]} is not a y variable")
+
+    def key(m):
+        exponents = [m >> s & mask for s in shifts]
+        return sum(exponents), exponents
+
+    best = max(p.terms, key=key)
+    return lay.unpack(best), p.terms[best]
 
 
 # ---------------------------------------------------------------------------
-# Determinants.
+# Determinants.  Every minor the package expands is column-initial.
 # ---------------------------------------------------------------------------
+
+def column_minors(entry, accumulate, one):
+    """The function R -> det M[R, 1..|R|] on row tuples R, over the ring of
+    `one`.  It expands along the last column, into minors on subtuples of
+    R that it caches, so each is computed once while the function is kept.
+
+    entry(u, v) is M[u, v], falsy when zero; accumulate(acc, p, q, c)
+    returns acc + c * p * q, with None for a zero acc.  A zero minor comes
+    back falsy: None, or an empty sum.
+    """
+    @functools.cache
+    def minor(rows):
+        if not rows:
+            return one
+        col = len(rows)
+        acc = None
+        for i, u in enumerate(rows):
+            e = entry(u, col)
+            if e:
+                sub = minor(rows[:i] + rows[i + 1:])
+                if sub:
+                    acc = accumulate(acc, e, sub, 1 if (col - i) % 2 else -1)
+        return acc
+
+    return minor
+
 
 def determinant(matrix):
-    """Determinant of a square matrix of polynomials of one layout.
-
-    Expands along the columns in the order given, with memoization on the
-    set of unused rows.
-    """
+    """Determinant of a square matrix of polynomials of one layout."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise NonSquare("matrix is not square")
     layout = matrix[0][0].layout if n else Layout((), 0)
-    rows = [[e.terms for e in row] for row in matrix]
-    memo = {}
-
-    def minor(col, mask):
-        if col == n:
-            return {ONE: 1}
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        acc = {}
-        pos = 0
-        for r in range(n):
-            bit = 1 << r
-            if not mask & bit:
-                continue
-            pos += 1
-            if rows[r][col]:
-                sub = minor(col + 1, mask ^ bit)
-                if sub:
-                    layout.add_product(acc, rows[r][col], sub,
-                                       1 if pos % 2 else -1)
-        memo[mask] = acc
-        return acc
-
-    return Polynomial(minor(0, (1 << n) - 1), layout)
+    minor = column_minors(lambda u, v: matrix[u][v - 1].terms,
+                          layout.add_product, {ONE: 1})
+    return Polynomial(minor(tuple(range(n))) or {}, layout)
 
 
 # ---------------------------------------------------------------------------

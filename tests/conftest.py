@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from lrbasis import enumerate_lr, monomial_M, parse_partition, validate_triple
+from lrbasis.errors import UnorderedVariable
 from lrbasis.hwv import _laplace_plan, _plan_sum
 from lrbasis.polyring import (Layout, Polynomial, bvar, triple_layout, var_key,
                               xvar, yvar, zvar)
@@ -164,36 +165,11 @@ def tuple_add_product(acc, p, q, c=1):
     return acc
 
 
-def tuple_determinant(matrix):
-    """Determinant of a square matrix of tuple-form term dicts, expanded
-    along the columns with memoization on the set of unused rows."""
-    n = len(matrix)
-    memo = {}
-
-    def minor(col, mask):
-        if col == n:
-            return {(): 1}
-        if mask not in memo:
-            acc, pos = {}, 0
-            for r in range(n):
-                if mask >> r & 1:
-                    pos += 1
-                    if matrix[r][col]:
-                        tuple_add_product(acc, matrix[r][col],
-                                          minor(col + 1, mask ^ 1 << r),
-                                          1 if pos % 2 else -1)
-            memo[mask] = acc
-        return memo[mask]
-
-    return minor(0, (1 << n) - 1)
-
-
 def tuple_coefficient(triple, T, with_x=True):
     """delta_MT (with_x) or delta_TY of a tableau, summed over tuple-form
     monomials by the same Laplace plan."""
     return _plan_sum(_laplace_plan(triple, monomial_M(T).m, with_x),
-                     lambda v: {((v, 1),): 1}, tuple_determinant,
-                     tuple_add_product, {(): 1})
+                     lambda v: {((v, 1),): 1}, tuple_add_product, {(): 1})
 
 
 def move_one_power(terms, families, axis, src, dst):
@@ -218,9 +194,23 @@ def move_one_power(terms, families, axis, src, dst):
     return out
 
 
+def y_order_key(m):
+    """Key of a tuple-form y-monomial under which the larger monomial has
+    the larger key: its degree, then its variables as a weakly decreasing
+    sequence, y[1,1] > y[2,1] > ... > y[1,2] > ...  The reference for
+    polyring.leading_monomial's key on packed monomials."""
+    seq = []
+    for v, e in m:
+        if v[0] != "y":
+            raise UnorderedVariable(f"{v} is not a y variable")
+        seq += [(-v[2], -v[1])] * e
+    seq.sort(reverse=True)
+    return len(seq), seq
+
+
 def determinant_naive(matrix):
-    """Permutation-sum determinant: the reference for polyring.determinant,
-    for small nonempty matrices."""
+    """Permutation-sum determinant: the reference for polyring.column_minors
+    and determinant, for small nonempty matrices."""
     layout = matrix[0][0].layout
     n = len(matrix)
     total = {}

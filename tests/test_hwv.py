@@ -192,6 +192,24 @@ def test_delta_MT_eval_matches_zero_one_oracle(running):
                     == zero_one_coefficient(running, T, pt))
 
 
+def test_delta_MT_eval_at_points_with_zeros():
+    # random_point never draws 0; here about half the coordinates are 0,
+    # so entries and whole minors vanish inside the Laplace sum
+    rng = random.Random(20)
+    n = zero = 0
+    for tr in all_triples(6):
+        for T in enumerate_lr(tr):
+            p = delta_MT(tr, T)
+            pt = {v: rng.choice([0, 0, 0, -2, -1, 1, 2])
+                  for v in random_point(rng, tr)}
+            value = delta_MT_eval(tr, T, pt)
+            assert value == evaluate(p, pt)
+            zero += value == 0
+            n += 1
+    assert n == 294
+    assert 0 < zero < n
+
+
 def test_delta_eval_matches_symbolic_numeric():
     rng = random.Random(17)
     for _ in range(10):

@@ -1,15 +1,18 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from conftest import (LAYOUT, determinant_naive, evaluate, mono_mul, pack,
-                      poly, unpacked)
+                      poly, unpacked, y_order_key)
 from lrbasis.errors import (ExponentOverflow, NonSquare, UnorderedVariable,
                             ZeroPolynomial)
+from lrbasis.hwv import _add_int_product
+from lrbasis.intlinalg import bareiss_det
 from lrbasis.polyring import (ONE, Layout, Polynomial, avar, bvar,
-                              coefficient_of, determinant, leading_monomial,
-                              mono, mono_text, poly_text, poly_to_json,
-                              triple_layout, xvar, y_order_key, yvar, zvar)
+                              coefficient_of, column_minors, determinant,
+                              leading_monomial, mono, mono_text, poly_text,
+                              poly_to_json, triple_layout, xvar, yvar, zvar)
 from lrbasis.shapes import validate_triple
 
 
@@ -122,6 +125,7 @@ def test_y_order_single_variables():
     assert y_order_key(a) > y_order_key(b) > y_order_key(c)
     assert y_order_key(a) == y_order_key(mono((yvar(1, 1), 1)))
     assert leading_monomial(poly({c: 1, b: 1, a: -1})) == (a, -1)
+    assert leading_monomial(poly({c: 1, b: 2})) == (b, 2)
 
 
 def test_y_order_degree_dominates():
@@ -164,6 +168,51 @@ def test_determinant_against_naive():
                         mono((xvar(i + 1, j + 1), 1)): rng.randint(-2, 2)})
                   for j in range(n)] for i in range(n)]
             assert determinant(m).terms == determinant_naive(m).terms
+
+
+def _row_subtuples(n):
+    """Every tuple of rows of an n-row matrix in increasing order, and
+    each reversed."""
+    for k in range(n + 1):
+        for rows in combinations(range(n), k):
+            yield rows
+            yield rows[::-1]
+
+
+def test_column_minors_against_naive():
+    # every column-initial minor of random integer and polynomial matrices
+    # of sizes 0-5, about a third of whose entries are zero
+    rng = random.Random(3)
+
+    def entry(i, j):
+        if rng.random() < 0.35:
+            return poly({})
+        return poly({(): rng.randint(-3, 3),
+                     mono((xvar(i + 1, j + 1), 1)): rng.randint(-2, 2)})
+
+    for n in range(6):
+        for _ in range(4):
+            ints = [[rng.choice([0, 0, rng.randint(-5, 5)]) for _ in range(n)]
+                    for _ in range(n)]
+            polys = [[entry(i, j) for j in range(n)] for i in range(n)]
+            int_minor = column_minors(lambda u, v: ints[u][v - 1],
+                                      _add_int_product, 1)
+            poly_minor = column_minors(lambda u, v: polys[u][v - 1].terms,
+                                       LAYOUT.add_product, {ONE: 1})
+            for rows in _row_subtuples(n):
+                k = len(rows)
+                if not k:
+                    assert int_minor(rows) == 1
+                    assert poly_minor(rows) == {ONE: 1}
+                    continue
+                sub = [ints[u][:k] for u in rows]
+                got = int_minor(rows) or 0
+                assert got == bareiss_det(sub)
+                assert ({ONE: got} if got else {}) == determinant_naive(
+                    [[Polynomial({ONE: c}, LAYOUT) for c in row]
+                     for row in sub]).terms
+                assert (poly_minor(rows) or {}) == determinant_naive(
+                    [polys[u][:k] for u in rows]).terms
 
 
 def test_determinant_nonsquare():

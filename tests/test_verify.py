@@ -5,10 +5,11 @@ import pytest
 
 from conftest import (LAYOUT, all_triples, check_e1_factorization,
                       move_one_power, poly, random_triple, tuple_coefficient,
-                      unpacked)
+                      unpacked, y_order_key)
 from lrbasis import (check_basis, check_hwv, check_leading_term, delta,
-                     delta_MT, delta_TY, enumerate_lr, raising_operator_cols,
-                     raising_operator_rows, validate_triple, weight_profile)
+                     delta_MT, delta_TY, enumerate_lr, leading_monomial,
+                     raising_operator_cols, raising_operator_rows,
+                     validate_triple, weight_profile)
 from lrbasis.errors import (ExponentOverflow, NonSquare, NotHomogeneous,
                             ZeroPolynomial)
 from lrbasis.intlinalg import bareiss_det, int_rank
@@ -58,15 +59,19 @@ def _operators(tr):
 
 
 def test_packed_against_tuple_monomials():
-    # every tableau with |F| <= 7: delta_MT, delta_TY and the raising
-    # operator images equal the same sums taken over tuple-form monomials
+    # every tableau with |F| <= 7: delta_MT, delta_TY, the leading term of
+    # delta_TY and the raising operator images equal the same taken over
+    # tuple-form monomials
     n = 0
     for tr in all_triples(7):
         for T in enumerate_lr(tr):
             p = delta_MT(tr, T)
             terms = unpacked(p)
             assert terms == tuple_coefficient(tr, T)
-            assert unpacked(delta_TY(tr, T)) == tuple_coefficient(tr, T, False)
+            ty = delta_TY(tr, T)
+            assert unpacked(ty) == tuple_coefficient(tr, T, False)
+            assert leading_monomial(ty) == max(
+                unpacked(ty).items(), key=lambda mc: y_order_key(mc[0]))
             # one coefficient changed: every term has each row degree and
             # column degree of the triple, so every operator now finds a
             # variable to move and leaves an image
