@@ -23,7 +23,8 @@ per column block; the rows each block takes and the signs form a Laplace
 plan, built once per (triple, grid) and cached.  The plan is summed over
 the ring of its minors, each expanded once by polyring.column_minors:
 polynomial minors give the coefficient itself (delta_MT, delta_TY), and
-integer minors at a point give its exact value there (delta_MT_eval).
+minors whose values are lists of integers, one per point, give its exact
+values at all the points from one sum of the plan (delta_MT_values).
 """
 
 import functools
@@ -94,11 +95,6 @@ def delta(triple, A="J", B="symbolic"):
     return determinant(build_Ztilde(triple, A, B))
 
 
-def _add_int_product(acc, p, q, c):
-    """acc + c * p * q on integers; None is zero."""
-    return (acc or 0) + c * p * q
-
-
 @functools.lru_cache(maxsize=128)
 def _laplace_plan(triple, grid, with_x):
     """The terms of the coefficient of b^grid in det Z (with_x) or det Yo.
@@ -156,10 +152,17 @@ def _laplace_plan(triple, grid, with_x):
         levels.append(edges)
         masks = {edge[1] for edge in edges}
     sign = -1 if with_x and triple.D.size * triple.E.size % 2 else 1
-    xblocks = range(1, triple.r + 1) if with_x else ()
+    # superrow j of Z is rows low..low + F_j - 1, local rows 1..F_j: the
+    # rows it leaves to x block j are the bits of mask >> low & span
+    spans = [(superrow[j - 1][0], (1 << triple.f(j)) - 1)
+             for j in range(1, triple.r + 1)] if with_x else []
+
+    @functools.cache
+    def local(bits):
+        return tuple(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
+
     final = tuple((mask, sign,
-                   tuple(tuple(rows[p][1] for p in superrow[j - 1]
-                               if mask >> p & 1) for j in xblocks))
+                   tuple(local(mask >> low & span) for low, span in spans))
                   for mask in masks)
     for i in reversed(range(len(levels))):
         levels[i] = tuple(edge for edge in levels[i] if edge[1] in masks)
@@ -170,12 +173,12 @@ def _laplace_plan(triple, grid, with_x):
 def _plan_sum(plan, value, accumulate, one):
     """Sum a Laplace plan's terms over the ring of `one`.
 
-    value maps a variable into that ring, falsy when zero, and
-    accumulate(acc, p, q, c) returns acc + c * p * q, with None for a zero
-    acc.  The minors det x[local, 1..len(local)] and det y[local,
-    1..len(local)] come from one column_minors per family, so each
-    distinct minor, and each minor inside it, is expanded once.  Returns
-    None or a falsy sum when no term survives.
+    value maps a variable into that ring, and accumulate(acc, p, q, c)
+    returns acc + c * p * q, with None for a zero acc; a falsy value or
+    minor is skipped as zero.  The minors det x[local, 1..len(local)] and
+    det y[local, 1..len(local)] come from one column_minors per family, so
+    each distinct minor, and each minor inside it, is expanded once.
+    Returns None or a falsy sum when no term survives.
     """
     def minors(make_var):
         return column_minors(lambda u, v: value(make_var(u, v)), accumulate, one)
@@ -233,11 +236,32 @@ def delta_eval(triple, A, B, assignment):
     return bareiss_det(_entries(triple, A, B, assignment.__getitem__))
 
 
-def delta_MT_eval(triple, T, assignment):
-    """Exact value of delta_MT(triple, T) at an integer (x, y) point.
+def _add_products(acc, p, q, c):
+    """acc + c * p * q entry by entry, for lists of integers and c = +-1;
+    None is zero."""
+    if acc is None:
+        if c == 1:
+            return [x * y for x, y in zip(p, q)]
+        return [-x * y for x, y in zip(p, q)]
+    if c == 1:
+        return [a + x * y for a, x, y in zip(acc, p, q)]
+    return [a - x * y for a, x, y in zip(acc, p, q)]
 
-    The same Laplace plan as delta_MT, summed over the integers: its
-    minors are expanded by column_minors on the point's coordinates.
+
+def delta_MT_values(triple, T, points):
+    """Exact values of delta_MT(triple, T) at integer (x, y) points, in order.
+
+    The same Laplace plan as delta_MT, summed once over lists of integers,
+    one entry per point: its minors are expanded by column_minors on the
+    points' coordinates, all points together.  A list of zeros is not
+    falsy, so a minor that vanishes at every point is summed, not skipped.
     """
     plan = _laplace_plan(triple, monomial_M(T).m, True)
-    return _plan_sum(plan, assignment.__getitem__, _add_int_product, 1) or 0
+    out = _plan_sum(plan, lambda v: [pt[v] for pt in points], _add_products,
+                    [1] * len(points))
+    return out or [0] * len(points)
+
+
+def delta_MT_eval(triple, T, assignment):
+    """Exact value of delta_MT(triple, T) at one integer (x, y) point."""
+    return delta_MT_values(triple, T, [assignment])[0]

@@ -263,9 +263,11 @@ def column_minors(entry, accumulate, one):
     `one`.  It expands along the last column, into minors on subtuples of
     R that it caches, so each is computed once while the function is kept.
 
-    entry(u, v) is M[u, v], falsy when zero; accumulate(acc, p, q, c)
-    returns acc + c * p * q, with None for a zero acc.  A zero minor comes
-    back falsy: None, or an empty sum.
+    entry(u, v) is M[u, v]; accumulate(acc, p, q, c) returns
+    acc + c * p * q, with None for a zero acc.  A falsy entry or sub-minor
+    is skipped as zero, and a minor with no term left comes back falsy:
+    None, or an empty sum.  A ring whose zero is truthy, such as lists of
+    integers, is summed in full.
     """
     @functools.cache
     def minor(rows):

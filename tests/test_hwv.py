@@ -7,8 +7,8 @@ from conftest import (RUNNING_TABLEAUX, admissible_grids, all_triples,
                       grid_support, interpolation_coefficient, random_triple,
                       tableau_by_rows, zero_one_coefficient)
 from lrbasis import (build_Ztilde, delta, delta_MT, delta_MT_eval,
-                     delta_TY, delta_eval, enumerate_lr, monomial_M,
-                     parse_partition, validate_triple)
+                     delta_MT_values, delta_TY, delta_eval, enumerate_lr, hwv,
+                     monomial_M, parse_partition, validate_triple)
 from lrbasis.errors import DimensionMismatch
 from lrbasis.hwv import _rows
 from lrbasis.polyring import poly_text
@@ -208,6 +208,34 @@ def test_delta_MT_eval_at_points_with_zeros():
             n += 1
     assert n == 294
     assert 0 < zero < n
+
+
+def test_delta_MT_values_at_all_points_at_once(monkeypatch):
+    # one plan sum over lists gives each point's value, at points where
+    # about half the coordinates are 0, for one point, and for none
+    rng = random.Random(21)
+    n = zero = 0
+    for tr in all_triples(6):
+        for T in enumerate_lr(tr):
+            p = delta_MT(tr, T)
+            pts = [{v: rng.choice([0, 0, 0, -2, -1, 1, 2])
+                    for v in random_point(rng, tr)}
+                   for _ in range(rng.randint(1, 5))]
+            values = [evaluate(p, pt) for pt in pts]
+            assert delta_MT_values(tr, T, pts) == values
+            assert delta_MT_values(tr, T, pts[:1]) == values[:1]
+            zero += values.count(0)
+            n += len(values)
+    assert 0 < zero < n
+    tr = validate_triple([2, 1], [2, 1], [3, 2, 1])
+    T = enumerate_lr(tr)[0]
+    origin = dict.fromkeys(random_point(rng, tr), 0)
+    # every term is summed, to a zero list; with no point, or a plan with
+    # no term, no term survives
+    assert delta_MT_values(tr, T, [origin] * 3) == [0, 0, 0]
+    assert delta_MT_values(tr, T, []) == []
+    monkeypatch.setattr(hwv, "_laplace_plan", lambda *args: (0, (), ()))
+    assert delta_MT_values(tr, T, [origin] * 3) == [0, 0, 0]
 
 
 def test_delta_eval_matches_symbolic_numeric():

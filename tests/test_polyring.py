@@ -7,7 +7,6 @@ from conftest import (LAYOUT, determinant_naive, evaluate, mono_mul, pack,
                       poly, unpacked, y_order_key)
 from lrbasis.errors import (ExponentOverflow, NonSquare, UnorderedVariable,
                             ZeroPolynomial)
-from lrbasis.hwv import _add_int_product
 from lrbasis.intlinalg import bareiss_det
 from lrbasis.polyring import (ONE, Layout, Polynomial, avar, bvar,
                               coefficient_of, column_minors, determinant,
@@ -195,8 +194,9 @@ def test_column_minors_against_naive():
             ints = [[rng.choice([0, 0, rng.randint(-5, 5)]) for _ in range(n)]
                     for _ in range(n)]
             polys = [[entry(i, j) for j in range(n)] for i in range(n)]
-            int_minor = column_minors(lambda u, v: ints[u][v - 1],
-                                      _add_int_product, 1)
+            int_minor = column_minors(
+                lambda u, v: ints[u][v - 1],
+                lambda acc, p, q, c: (acc or 0) + c * p * q, 1)
             poly_minor = column_minors(lambda u, v: polys[u][v - 1].terms,
                                        LAYOUT.add_product, {ONE: 1})
             for rows in _row_subtuples(n):

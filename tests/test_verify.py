@@ -7,9 +7,10 @@ from conftest import (LAYOUT, all_triples, check_e1_factorization,
                       move_one_power, poly, random_triple, tuple_coefficient,
                       unpacked, y_order_key)
 from lrbasis import (check_basis, check_hwv, check_leading_term, delta,
-                     delta_MT, delta_TY, enumerate_lr, leading_monomial,
-                     raising_operator_cols, raising_operator_rows,
-                     validate_triple, weight_profile)
+                     delta_MT, delta_MT_eval, delta_TY, enumerate_lr, hwv,
+                     leading_monomial, raising_operator_cols,
+                     raising_operator_rows, validate_triple, verify,
+                     weight_profile)
 from lrbasis.errors import (ExponentOverflow, NonSquare, NotHomogeneous,
                             ZeroPolynomial)
 from lrbasis.intlinalg import bareiss_det, int_rank
@@ -260,6 +261,35 @@ def test_check_basis_reuses_given_vectors():
     # the given vectors are what gets ranked: a repeated one drops the rank
     rep = check_basis(tr, tableaux=tabs, polys=[polys[0], polys[0]])
     assert rep.rank == 1 and not rep.passed
+
+
+def test_evaluation_basis_sums_each_plan_once(running, monkeypatch):
+    # above SYMBOLIC_LIMIT each tableau's plan is summed once for all its
+    # c + 4 points, not once per point, and the ranked matrix is the one
+    # built point by point
+    plan_sums, matrices = [], []
+    plan_sum, rank = hwv._plan_sum, verify.int_rank
+
+    def counting(*args):
+        plan_sums.append(1)
+        return plan_sum(*args)
+
+    def recording(matrix):
+        matrices.append(matrix)
+        return rank(matrix)
+
+    monkeypatch.setattr(hwv, "_plan_sum", counting)
+    monkeypatch.setattr(verify, "int_rank", recording)
+    rep = check_basis(running, seed=7)
+    assert rep.mode == "evaluation" and rep.passed
+    assert len(plan_sums) == rep.lr_count == 4
+    monkeypatch.setattr(verify, "delta_MT_values", lambda tr, T, points:
+                        [delta_MT_eval(tr, T, pt) for pt in points])
+    assert check_basis(running, seed=7) == rep
+    assert len(plan_sums) == 4 + 4 * 8
+    one_pass, per_point = matrices
+    assert one_pass == per_point
+    assert len(one_pass) == 4 and {len(row) for row in one_pass} == {8}
 
 
 def test_leading_term_deep_E():
