@@ -123,7 +123,7 @@ def cmd_verify(args):
     tabs = enumerate_lr(triple)
     polys = None
     if args.hwv or args.weights or run_all:
-        polys = [hwv.delta_MT(triple, T) for T in tabs]
+        polys = hwv.delta_MT_all(triple, tabs)
     if args.hwv or run_all:
         report["hwv"] = all(verify.check_hwv(p, triple) for p in polys)
     if args.weights or run_all:

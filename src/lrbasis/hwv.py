@@ -15,19 +15,18 @@ b-monomial in det Yo is the pure-y part used for leading-term arguments.
 The layout is written down once: _rows lists the rows of Z or Yo as
 (superrow, local row) pairs; _entries fills in the rows of Z, as
 polynomials (build_Ztilde) or as integers at a point (delta_eval); the
-Laplace plan below walks the rows of either.
+Laplace sum below walks the rows of either.
 
 Neither determinant is expanded in the b variables.  A tableau's
-coefficient is a signed sum of products of column-initial minors, one
-per column block; the rows each block takes and the signs form a Laplace
-plan, built once per (triple, grid) and cached.  The plan is summed over
-the ring of its minors, each expanded once by polyring.column_minors:
-polynomial minors give the coefficient itself (delta_MT, delta_TY), and
-minors whose values are lists of integers, one per point, give its exact
-values at all the points from one sum of the plan (delta_MT_values).
+coefficient is a signed sum of products of column-initial minors, one per
+column block, and one Laplace sum, run backward from the x blocks, gives
+those of all the tableaux of a triple: grids that end in the same columns
+share that part of it.  Over polynomial minors, each expanded once by
+polyring.column_minors, it gives the coefficients (delta_MT, delta_MT_all,
+delta_TY); over lists of integers, one per point, their exact values at
+all the points (delta_MT_values).  Nothing it builds outlives the call.
 """
 
-import functools
 from itertools import combinations
 
 from .errors import DimensionMismatch, ZeroCoefficient
@@ -95,37 +94,42 @@ def delta(triple, A="J", B="symbolic"):
     return determinant(build_Ztilde(triple, A, B))
 
 
-@functools.lru_cache(maxsize=128)
-def _laplace_plan(triple, grid, with_x):
-    """The terms of the coefficient of b^grid in det Z (with_x) or det Yo.
+def _laplace_sums(triple, grids, with_x, value, accumulate, one):
+    """The coefficient of b^grid in det Z (with_x) or det Yo, with A = J,
+    for each grid, over the ring of `one`; None or a falsy sum for a grid
+    with no term.
 
-    Expand the determinant by generalized Laplace along Z's column blocks
-    x_1..x_r, y_1..y_s, with A = J.  A term gives each block as many rows
-    as it has columns, and its b-monomial is b^grid exactly when y block k
-    takes grid[j][k] rows of superrow j; x block j then takes the other
-    D_j rows of superrow j.  A block contributes the column-initial minor
-    det x[R, 1..D_j] or det y[R, 1..E_k] on the local row indices R of its
-    rows, which vanishes when R repeats an index.  The sign of a term is
-    the parity of its rows concatenated in block order, times the sign
-    that sorts each minor's local rows.  det Yo is the same sum without
-    the x blocks, over the rows D_j + 1..F_j of each superrow.
+    Expand by generalized Laplace along Z's column blocks x_1..x_r,
+    y_1..y_s.  A term has b-monomial b^grid when y block k takes grid[j][k]
+    rows of superrow j, and x block j the other D_j.  Each block gives the
+    column-initial minor on the local indices of its rows, zero when one
+    repeats; the sign is the parity of the rows in block order times the
+    signs that sort each minor's rows.  Taking the x blocks last moves them
+    past all |E| y rows: a sign of (-1)^(|D| |E|), applied once per grid.
+    det Yo is the same sum without the x blocks, on the rows D_j + 1..F_j
+    of each superrow.
 
-    The plan is (start, levels, final), with rows as bit masks and start
-    the mask of all rows.  levels holds, for each y block in turn, the
-    edges (mask, next_mask, sign, local): from the free rows `mask` the
-    block takes its rows, leaving `next_mask`, with the factor sign *
-    det y[local, 1..E_k].  final holds (mask, sign, xsets): the rows left
-    fill the x blocks, with the factor sign times the product of
-    det x[local, 1..D_j] over local in xsets.  Taking the x blocks last
-    moves them past all |E| y rows: a sign of (-1)^(|D| |E|).  Only edges
-    that lead to `final` are kept.
+    The sum runs backward from the x blocks.  A state after y block k is
+    (mask of the free rows, grid columns k+1..s); its value is computed
+    once and shared by every grid with those columns, and the x product
+    of a final mask once per mask.  The states and the edges into them are
+    found forward; then the blocks are summed from the last back, each
+    state's value dropped once the states before it hold it.  A state with
+    no term has no value.
+
+    value maps a variable into the ring; accumulate(acc, p, q, c) returns
+    acc + c * p * q, None being zero, and may sum into acc in place, so a
+    state's value goes only in p or q.  A falsy value or minor is zero.
+    Each minor, and each minor inside it, is expanded once by column_minors.
     """
+    if not grids:      # no tableau, and D may not even fit inside F
+        return []
     rows = _rows(triple, with_x)   # (superrow, local index), in matrix order
     superrow = [[p for p, (i, _) in enumerate(rows) if i == j]
                 for j in range(1, triple.t + 1)]
 
     def choices(mask, counts):
-        """(rows taken, sign, sorted local rows) for each way to fill a y block."""
+        """(rows left, sign, sorted local rows) for each way to fill a y block."""
         picks = [(0, ())]
         for j, c in counts:
             free = [p for p in superrow[j - 1] if mask >> p & 1]
@@ -139,92 +143,103 @@ def _laplace_plan(triple, grid, with_x):
             rest = mask & ~taken
             inv = sum((rest & ((1 << p) - 1)).bit_count() for p in chosen)
             inv += sum(a > b for i, a in enumerate(local) for b in local[i + 1:])
-            yield taken, -1 if inv % 2 else 1, tuple(sorted(local))
+            yield rest, -1 if inv % 2 else 1, tuple(sorted(local))
 
-    start = (1 << len(rows)) - 1
-    levels = []
-    masks = {start}
-    for k in range(triple.s):
-        counts = [(j, grid[j - 1][k]) for j in range(1, triple.t + 1)
-                  if grid[j - 1][k]]
-        edges = [(mask, mask & ~taken, sign, local) for mask in masks
-                 for taken, sign, local in choices(mask, counts)]
-        levels.append(edges)
-        masks = {edge[1] for edge in edges}
-    sign = -1 if with_x and triple.D.size * triple.E.size % 2 else 1
+    def minors(make_var):
+        return column_minors(lambda u, v: value(make_var(u, v)), accumulate, one)
+
+    xminor, yminor = minors(xvar), minors(yvar)
     # superrow j of Z is rows low..low + F_j - 1, local rows 1..F_j: the
     # rows it leaves to x block j are the bits of mask >> low & span
     spans = [(superrow[j - 1][0], (1 << triple.f(j)) - 1)
              for j in range(1, triple.r + 1)] if with_x else []
 
-    @functools.cache
-    def local(bits):
-        return tuple(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
+    tails = {}         # xproduct(mask, j) for j > 0, by j and the rows it reads
 
-    final = tuple((mask, sign,
-                   tuple(local(mask >> low & span) for low, span in spans))
-                  for mask in masks)
-    for i in reversed(range(len(levels))):
-        levels[i] = tuple(edge for edge in levels[i] if edge[1] in masks)
-        masks = {edge[0] for edge in levels[i]}
-    return start, tuple(levels), final
+    def xproduct(mask, j=0):
+        """The product of x blocks j + 1..r on the rows left in `mask`."""
+        if j == len(spans):
+            return one
+        low, span = spans[j]
+        bits = mask >> low & span
+        minor = xminor(tuple(i + 1 for i in range(bits.bit_length())
+                             if bits >> i & 1))
+        if not minor or j + 1 == len(spans):
+            return minor
+        key = (j + 1, mask >> spans[j + 1][0])
+        if key not in tails:
+            tails[key] = xproduct(mask, j + 1)
+        rest = tails[key]
+        return rest and accumulate(None, minor, rest, 1)
 
-
-def _plan_sum(plan, value, accumulate, one):
-    """Sum a Laplace plan's terms over the ring of `one`.
-
-    value maps a variable into that ring, and accumulate(acc, p, q, c)
-    returns acc + c * p * q, with None for a zero acc; a falsy value or
-    minor is skipped as zero.  The minors det x[local, 1..len(local)] and
-    det y[local, 1..len(local)] come from one column_minors per family, so
-    each distinct minor, and each minor inside it, is expanded once.
-    Returns None or a falsy sum when no term survives.
-    """
-    def minors(make_var):
-        return column_minors(lambda u, v: value(make_var(u, v)), accumulate, one)
-
-    xminor, yminor = minors(xvar), minors(yvar)
-    start, levels, final = plan
-    level = {start: one}
-    for edges in levels:
-        nxt = {}
-        for mask, rest, sign, local in edges:
-            acc = level.get(mask)
-            ys = acc and yminor(local)
-            if ys:
-                nxt[rest] = accumulate(nxt.get(rest), acc, ys, sign)
-        level = nxt
-    out = None
-    for mask, sign, xsets in final:
-        acc = level.get(mask)
-        xs = acc and one
-        for local in xsets:
-            minor = xs and xminor(local)
-            xs = minor and accumulate(None, xs, minor, 1)
-        if xs:
-            out = accumulate(out, acc, xs, sign)
+    # a suffix of grid columns is a node: (the counts its first block takes
+    # from each superrow, the node of the columns after it); None is empty
+    ids, suffix, roots = {}, [], []
+    for grid in grids:
+        node = None
+        for column in reversed(list(zip(*grid))):
+            key = (tuple((j, c) for j, c in enumerate(column, 1) if c), node)
+            if key not in ids:
+                ids[key] = len(suffix)
+                suffix.append(key)
+            node = ids[key]
+        roots.append(node)
+    start = (1 << len(rows)) - 1
+    states = {(start, node) for node in roots}
+    blocks = []        # per y block: {state after it: [(state before, sign, minor)]}
+    for _ in range(triple.s):
+        into = {}
+        for state in states:
+            counts, node = suffix[state[1]]
+            for rest, sign, local in choices(state[0], counts):
+                ys = yminor(local)
+                if ys:
+                    into.setdefault((rest, node), []).append((state, sign, ys))
+        blocks.append(into)
+        states = into
+    below = None       # the values after the block summed next; None: x products
+    while blocks:
+        into, above = blocks.pop(), {}
+        for state, edges in into.items():
+            after = (xproduct(state[0]) if below is None
+                     else below.pop(state, None))
+            if after:
+                for before, sign, ys in edges:
+                    above[before] = accumulate(above.get(before), ys, after, sign)
+        below = above
+    out = [xproduct(start) if below is None else below.get((start, node))
+           for node in roots]
+    if with_x and triple.D.size * triple.E.size % 2:
+        out = [v and accumulate(None, v, one, -1) for v in out]
     return out
 
 
-def _tableau_coefficient(triple, grid, with_x):
-    """Coefficient of b^grid in det Z (with_x) or in det Yo, with A = J."""
+def _tableau_coefficients(triple, tableaux, with_x):
+    """Coefficient of b^M(T) in det Z (with_x) or in det Yo, with A = J,
+    for each tableau T, from one sum."""
     layout = triple_layout(triple)
-    out = _plan_sum(_laplace_plan(triple, grid, with_x),
-                    lambda v: {1 << layout.shift[v]: 1}, layout.add_product,
-                    {ONE: 1})
-    if not out:
+    out = _laplace_sums(triple, [monomial_M(T).m for T in tableaux], with_x,
+                        lambda v: {1 << layout.shift[v]: 1},
+                        layout.add_product, {ONE: 1})
+    if not all(out):
         raise ZeroCoefficient("the tableau coefficient vanished")
-    return Polynomial(out, layout)
+    out.reverse()      # each sum is let go once its Polynomial holds a copy
+    return [Polynomial(out.pop(), layout) for _ in range(len(out))]
 
 
 def delta_MT(triple, T):
     """Coefficient of the tableau's b-monomial in the J-reduced determinant."""
-    return _tableau_coefficient(triple, monomial_M(T).m, True)
+    return _tableau_coefficients(triple, [T], True)[0]
+
+
+def delta_MT_all(triple, tableaux):
+    """delta_MT of each tableau, in order, from one sum over their grids."""
+    return _tableau_coefficients(triple, tableaux, True)
 
 
 def delta_TY(triple, T):
     """Coefficient of the tableau's b-monomial in det Yo; pure y variables."""
-    return _tableau_coefficient(triple, monomial_M(T).m, False)
+    return _tableau_coefficients(triple, [T], False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,20 +263,21 @@ def _add_products(acc, p, q, c):
     return [a - x * y for a, x, y in zip(acc, p, q)]
 
 
-def delta_MT_values(triple, T, points):
-    """Exact values of delta_MT(triple, T) at integer (x, y) points, in order.
+def delta_MT_values(triple, tableaux, points):
+    """Exact values of delta_MT(triple, T) at integer (x, y) points: one
+    row per tableau T, one entry per point.
 
-    The same Laplace plan as delta_MT, summed once over lists of integers,
-    one entry per point: its minors are expanded by column_minors on the
+    One Laplace sum for all the tableaux, over lists of integers, one
+    entry per point: its minors are expanded by column_minors on the
     points' coordinates, all points together.  A list of zeros is not
     falsy, so a minor that vanishes at every point is summed, not skipped.
     """
-    plan = _laplace_plan(triple, monomial_M(T).m, True)
-    out = _plan_sum(plan, lambda v: [pt[v] for pt in points], _add_products,
-                    [1] * len(points))
-    return out or [0] * len(points)
+    out = _laplace_sums(triple, [monomial_M(T).m for T in tableaux], True,
+                        lambda v: [pt[v] for pt in points], _add_products,
+                        [1] * len(points))
+    return [row or [0] * len(points) for row in out]
 
 
 def delta_MT_eval(triple, T, assignment):
     """Exact value of delta_MT(triple, T) at one integer (x, y) point."""
-    return delta_MT_values(triple, T, [assignment])[0]
+    return delta_MT_values(triple, [T], [assignment])[0][0]

@@ -1,4 +1,5 @@
-"""Exact linear algebra over the integers, by fraction-free elimination."""
+"""Exact linear algebra over the integers, by fraction-free elimination;
+ranks first try elimination modulo a prime."""
 
 from .errors import NonSquare
 
@@ -40,6 +41,30 @@ def bareiss_det(matrix):
     return sign * pivot if rank == len(matrix) else 0
 
 
+# A rank modulo the prime P is at most the rank over the rationals: a minor
+# that is nonzero modulo P is nonzero.
+P = (1 << 61) - 1
+
+
+def _rank_mod_p(matrix):
+    """Rank of an integer matrix modulo P, by Gaussian elimination."""
+    rows, rank = [[x % P for x in row] for row in matrix], 0
+    for c in range(len(matrix[0]) if matrix else 0):
+        top = next((row for row in rows if row[c]), None)
+        if top is not None:
+            rows.remove(top)
+            inv = pow(top[c], -1, P)
+            for i, row in enumerate(rows):
+                if row[c]:
+                    a = row[c] * inv
+                    rows[i] = [(x - a * y) % P for x, y in zip(row, top)]
+            rank += 1
+    return rank
+
+
 def int_rank(matrix):
-    """Exact rank of an integer matrix (equals the rank over the rationals)."""
-    return _eliminate(matrix)[0]
+    """Exact rank of an integer matrix (equals the rank over the rationals):
+    the rank modulo P when that is the number of rows, else by fraction-free
+    elimination."""
+    rank = _rank_mod_p(matrix)
+    return rank if rank == len(matrix) else _eliminate(matrix)[0]

@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from .errors import NotHomogeneous, ZeroPolynomial
 from .intlinalg import int_rank
-from .hwv import delta_MT, delta_MT_values, delta_TY
+from .hwv import delta_MT_all, delta_MT_values, delta_TY
 from .oracle import lr_coefficient
 from .polyring import Polynomial, leading_monomial, xvar, yvar
 from .tableaux import enumerate_lr, monomial_bigE, monomial_e
@@ -164,10 +164,10 @@ def check_basis(triple, seed=0, tableaux=None, polys=None):
     matrix of the constructed polynomials, whose columns grow with the
     number of monomials.  For larger |F| the polynomials are evaluated
     exactly at c + 4 random integer points instead, for c tableaux, one
-    sum of each tableau's Laplace plan giving its values at all the
-    points; the evaluation matrix has rank at most that of the coefficient
-    matrix, which in turn is at most the tableau count, so equality of all
-    three is still conclusive.
+    Laplace sum over all the tableaux giving the c x (c + 4) matrix; the
+    evaluation matrix has rank at most that of the coefficient matrix,
+    which in turn is at most the tableau count, so equality of all three
+    is still conclusive.
 
     A caller that already holds the enumerated tableaux, or their vectors
     delta_MT in the same order, passes them in so they are not rebuilt.
@@ -179,14 +179,14 @@ def check_basis(triple, seed=0, tableaux=None, polys=None):
         return BasisReport(0, oracle_count, True, 0, "empty")
     if triple.F.size <= SYMBOLIC_LIMIT:
         if polys is None:
-            polys = [delta_MT(triple, T) for T in tabs]
+            polys = delta_MT_all(triple, tabs)
         monos = dict.fromkeys(m for p in polys for m in p.terms)
         matrix = [[p.terms.get(m, 0) for m in monos] for p in polys]
         mode = "symbolic"
     else:
         rng = random.Random(seed)
         points = [random_point(rng, triple) for _ in range(len(tabs) + 4)]
-        matrix = [delta_MT_values(triple, T, points) for T in tabs]
+        matrix = delta_MT_values(triple, tabs, points)
         mode = "evaluation"
     return BasisReport(len(tabs), oracle_count, distinct, int_rank(matrix),
                        mode)

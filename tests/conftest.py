@@ -1,14 +1,14 @@
-from functools import lru_cache
-from itertools import permutations
+from functools import cache, lru_cache
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
 
 from lrbasis import enumerate_lr, monomial_M, parse_partition, validate_triple
 from lrbasis.errors import UnorderedVariable
-from lrbasis.hwv import _laplace_plan, _plan_sum
-from lrbasis.polyring import (Layout, Polynomial, bvar, triple_layout, var_key,
-                              xvar, yvar, zvar)
+from lrbasis.hwv import _rows
+from lrbasis.polyring import (Layout, Polynomial, bvar, column_minors,
+                              triple_layout, var_key, xvar, yvar, zvar)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -165,11 +165,114 @@ def tuple_add_product(acc, p, q, c=1):
     return acc
 
 
+def laplace_plan(triple, grid, with_x):
+    """The terms of the coefficient of b^grid in det Z (with_x) or det Yo.
+
+    The generalized Laplace expansion of hwv._laplace_sums, built for one
+    grid at a time and summed forward from y block 1 by plan_sum: the
+    oracle that the backward sum shared by all the grids must equal.
+
+    The plan is (start, levels, final), with rows as bit masks and start
+    the mask of all rows.  levels holds, for each y block in turn, the
+    edges (mask, next_mask, sign, local): from the free rows `mask` the
+    block takes its rows, leaving `next_mask`, with the factor sign *
+    det y[local, 1..E_k].  final holds (mask, sign, xsets): the rows left
+    fill the x blocks, with the factor sign times the product of
+    det x[local, 1..D_j] over local in xsets.  Taking the x blocks last
+    moves them past all |E| y rows: a sign of (-1)^(|D| |E|).  Only edges
+    that lead to `final` are kept.
+    """
+    rows = _rows(triple, with_x)   # (superrow, local index), in matrix order
+    superrow = [[p for p, (i, _) in enumerate(rows) if i == j]
+                for j in range(1, triple.t + 1)]
+
+    def choices(mask, counts):
+        """(rows taken, sign, sorted local rows) for each way to fill a y block."""
+        picks = [(0, ())]
+        for j, c in counts:
+            free = [p for p in superrow[j - 1] if mask >> p & 1]
+            picks = [(taken | sum(1 << p for p in combo), chosen + combo)
+                     for taken, chosen in picks
+                     for combo in combinations(free, c)]
+        for taken, chosen in picks:          # chosen is in row order
+            local = [rows[p][1] for p in chosen]
+            if len(set(local)) < len(local):
+                continue
+            rest = mask & ~taken
+            inv = sum((rest & ((1 << p) - 1)).bit_count() for p in chosen)
+            inv += sum(a > b for i, a in enumerate(local) for b in local[i + 1:])
+            yield taken, -1 if inv % 2 else 1, tuple(sorted(local))
+
+    start = (1 << len(rows)) - 1
+    levels = []
+    masks = {start}
+    for k in range(triple.s):
+        counts = [(j, grid[j - 1][k]) for j in range(1, triple.t + 1)
+                  if grid[j - 1][k]]
+        edges = [(mask, mask & ~taken, sign, local) for mask in masks
+                 for taken, sign, local in choices(mask, counts)]
+        levels.append(edges)
+        masks = {edge[1] for edge in edges}
+    sign = -1 if with_x and triple.D.size * triple.E.size % 2 else 1
+    # superrow j of Z is rows low..low + F_j - 1, local rows 1..F_j: the
+    # rows it leaves to x block j are the bits of mask >> low & span
+    spans = [(superrow[j - 1][0], (1 << triple.f(j)) - 1)
+             for j in range(1, triple.r + 1)] if with_x else []
+
+    @cache
+    def local(bits):
+        return tuple(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
+
+    final = tuple((mask, sign,
+                   tuple(local(mask >> low & span) for low, span in spans))
+                  for mask in masks)
+    for i in reversed(range(len(levels))):
+        levels[i] = tuple(edge for edge in levels[i] if edge[1] in masks)
+        masks = {edge[0] for edge in levels[i]}
+    return start, tuple(levels), final
+
+
+def plan_sum(plan, value, accumulate, one):
+    """Sum a Laplace plan's terms over the ring of `one`.
+
+    value maps a variable into that ring, and accumulate(acc, p, q, c)
+    returns acc + c * p * q, with None for a zero acc; a falsy value or
+    minor is skipped as zero.  The minors det x[local, 1..len(local)] and
+    det y[local, 1..len(local)] come from one column_minors per family, so
+    each distinct minor, and each minor inside it, is expanded once.
+    Returns None or a falsy sum when no term survives.
+    """
+    def minors(make_var):
+        return column_minors(lambda u, v: value(make_var(u, v)), accumulate, one)
+
+    xminor, yminor = minors(xvar), minors(yvar)
+    start, levels, final = plan
+    level = {start: one}
+    for edges in levels:
+        nxt = {}
+        for mask, rest, sign, local in edges:
+            acc = level.get(mask)
+            ys = acc and yminor(local)
+            if ys:
+                nxt[rest] = accumulate(nxt.get(rest), acc, ys, sign)
+        level = nxt
+    out = None
+    for mask, sign, xsets in final:
+        acc = level.get(mask)
+        xs = acc and one
+        for local in xsets:
+            minor = xs and xminor(local)
+            xs = minor and accumulate(None, xs, minor, 1)
+        if xs:
+            out = accumulate(out, acc, xs, sign)
+    return out
+
+
 def tuple_coefficient(triple, T, with_x=True):
     """delta_MT (with_x) or delta_TY of a tableau, summed over tuple-form
-    monomials by the same Laplace plan."""
-    return _plan_sum(_laplace_plan(triple, monomial_M(T).m, with_x),
-                     lambda v: {((v, 1),): 1}, tuple_add_product, {(): 1})
+    monomials by the forward Laplace plan."""
+    return plan_sum(laplace_plan(triple, monomial_M(T).m, with_x),
+                    lambda v: {((v, 1),): 1}, tuple_add_product, {(): 1})
 
 
 def move_one_power(terms, families, axis, src, dst):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import readme_block
-from lrbasis import cli, enumerate_lr, hwv, validate_triple, verify
+from lrbasis import cli, enumerate_lr, hwv, validate_triple
 from lrbasis.polyring import Layout
 
 # the child process imports lrbasis from where this one found it
@@ -85,6 +85,12 @@ def test_verify_all():
     out = json.loads(p.stdout)
     assert out["pass"] and out["rank"] == 1
     assert p.returncode == 0
+    # D = 1,1 does not fit inside F = 2: no tableau and no vector to build
+    p = run("verify", "--D", "1,1", "--E", "-", "--F", "2", "--all")
+    assert p.returncode == 0
+    assert json.loads(p.stdout) == {
+        "hwv": True, "weights": True, "leading": True, "rank": 0,
+        "lr_count": 0, "oracle_count": 0, "basis": True, "pass": True}
 
 
 def test_oracle_cmd():
@@ -266,18 +272,19 @@ def test_parser_built_once():
 
 
 def test_verify_builds_each_vector_once(monkeypatch, capsys):
+    # every delta_MT comes from one Laplace sum over all the tableaux,
+    # which the rank check reuses; the leading-term check sums det Yo
     calls = []
-    original = hwv.delta_MT
+    original = hwv._laplace_sums
 
-    def counting(triple, T):
-        calls.append(T)
-        return original(triple, T)
-    monkeypatch.setattr(hwv, "delta_MT", counting)
-    monkeypatch.setattr(verify, "delta_MT", counting)
+    def counting(triple, grids, with_x, *ring):
+        calls.append((len(grids), with_x))
+        return original(triple, grids, with_x, *ring)
+    monkeypatch.setattr(hwv, "_laplace_sums", counting)
     assert cli.main(["verify", "--D", "2,1", "--E", "2,1", "--F", "3,2,1",
                      "--all"]) == 0
     assert json.loads(capsys.readouterr().out)["rank"] == 2
-    assert len(calls) == len(set(map(id, calls))) == 2
+    assert sorted(calls) == [(1, False), (1, False), (2, True)]
 
 
 def test_import_loads_no_dataclasses():

@@ -264,6 +264,7 @@ def run_benchmark_calls():
         polyring.coefficient_of(hwv.delta(triple), (), {"b"})
         oracle.expand_in_schur(oracle.schur_polynomial([2, 1], 3), 3)
         assert run_lrb(["verify", *TWO, "--all"]) == 0
+        assert run_lrb(["delta", *TWO, "--index", "0"]) == 0
 
 
 def test_every_function_runs(tmp_path):

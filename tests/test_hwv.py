@@ -1,18 +1,30 @@
+import json
 import random
+import types
+from pathlib import Path
 
 import pytest
 
 from conftest import (RUNNING_TABLEAUX, admissible_grids, all_triples,
                       b_variable_coefficients, build_Yo, evaluate,
-                      grid_support, interpolation_coefficient, random_triple,
-                      tableau_by_rows, zero_one_coefficient)
+                      grid_support, interpolation_coefficient, laplace_plan,
+                      plan_sum, random_triple, tableau_by_rows,
+                      zero_one_coefficient)
 from lrbasis import (build_Ztilde, delta, delta_MT, delta_MT_eval,
                      delta_MT_values, delta_TY, delta_eval, enumerate_lr, hwv,
                      monomial_M, parse_partition, validate_triple)
 from lrbasis.errors import DimensionMismatch
 from lrbasis.hwv import _rows
-from lrbasis.polyring import poly_text
+from lrbasis.polyring import ONE, poly_text, triple_layout
 from lrbasis.verify import random_point
+
+POOL = Path(__file__).resolve().parents[1] / "bench" / "pools" / "verify-large.json"
+
+
+def pool_triples():
+    """The triples of the verify-large benchmark pool, read as they are."""
+    return [validate_triple(D, E, F)
+            for D, E, F, *_ in json.loads(POOL.read_text())["triples"]]
 
 
 def test_tiny_symbolic_delta():
@@ -192,6 +204,12 @@ def test_delta_MT_eval_matches_zero_one_oracle(running):
                     == zero_one_coefficient(running, T, pt))
 
 
+def zero_heavy_point(rng, tr):
+    """A point of the triple whose coordinates are 0 with probability 3/7,
+    so that entries and whole minors vanish inside the Laplace sum."""
+    return {v: rng.choice([0, 0, 0, -2, -1, 1, 2]) for v in random_point(rng, tr)}
+
+
 def test_delta_MT_eval_at_points_with_zeros():
     # random_point never draws 0; here about half the coordinates are 0,
     # so entries and whole minors vanish inside the Laplace sum
@@ -200,8 +218,7 @@ def test_delta_MT_eval_at_points_with_zeros():
     for tr in all_triples(6):
         for T in enumerate_lr(tr):
             p = delta_MT(tr, T)
-            pt = {v: rng.choice([0, 0, 0, -2, -1, 1, 2])
-                  for v in random_point(rng, tr)}
+            pt = zero_heavy_point(rng, tr)
             value = delta_MT_eval(tr, T, pt)
             assert value == evaluate(p, pt)
             zero += value == 0
@@ -211,31 +228,90 @@ def test_delta_MT_eval_at_points_with_zeros():
 
 
 def test_delta_MT_values_at_all_points_at_once(monkeypatch):
-    # one plan sum over lists gives each point's value, at points where
-    # about half the coordinates are 0, for one point, and for none
+    # one sum over lists gives each tableau's value at each point, at
+    # points where about half the coordinates are 0, for one point, and
+    # for none
     rng = random.Random(21)
     n = zero = 0
     for tr in all_triples(6):
-        for T in enumerate_lr(tr):
-            p = delta_MT(tr, T)
-            pts = [{v: rng.choice([0, 0, 0, -2, -1, 1, 2])
-                    for v in random_point(rng, tr)}
-                   for _ in range(rng.randint(1, 5))]
-            values = [evaluate(p, pt) for pt in pts]
-            assert delta_MT_values(tr, T, pts) == values
-            assert delta_MT_values(tr, T, pts[:1]) == values[:1]
-            zero += values.count(0)
-            n += len(values)
+        tabs = enumerate_lr(tr)
+        if not tabs:
+            continue
+        pts = [zero_heavy_point(rng, tr) for _ in range(rng.randint(1, 5))]
+        values = [[evaluate(delta_MT(tr, T), pt) for pt in pts] for T in tabs]
+        assert delta_MT_values(tr, tabs, pts) == values
+        assert delta_MT_values(tr, tabs, pts[:1]) == [row[:1] for row in values]
+        zero += sum(row.count(0) for row in values)
+        n += len(pts) * len(tabs)
     assert 0 < zero < n
     tr = validate_triple([2, 1], [2, 1], [3, 2, 1])
-    T = enumerate_lr(tr)[0]
+    tabs = enumerate_lr(tr)
     origin = dict.fromkeys(random_point(rng, tr), 0)
-    # every term is summed, to a zero list; with no point, or a plan with
-    # no term, no term survives
-    assert delta_MT_values(tr, T, [origin] * 3) == [0, 0, 0]
-    assert delta_MT_values(tr, T, []) == []
-    monkeypatch.setattr(hwv, "_laplace_plan", lambda *args: (0, (), ()))
-    assert delta_MT_values(tr, T, [origin] * 3) == [0, 0, 0]
+    # every term is summed, to a zero list; with no point no term survives
+    assert delta_MT_values(tr, tabs, [origin] * 3) == [[0, 0, 0]] * 2
+    assert delta_MT_values(tr, tabs, []) == [[], []]
+    # D = 0, E = 2, F = 1,1: its one grid takes local row 1 of both
+    # superrows into y block 1, so every term repeats a row and the sum
+    # has no term: a zero row
+    dead = validate_triple([], [2], [1, 1])
+    assert enumerate_lr(dead) == []
+    monkeypatch.setattr(hwv, "monomial_M",
+                        lambda T: types.SimpleNamespace(m=((1,), (1,))))
+    point = dict.fromkeys(random_point(rng, dead), 1)
+    assert delta_MT_values(dead, [None], [point] * 3) == [[0, 0, 0]]
+
+
+def test_shared_sum_matches_forward_plans(running):
+    # the backward sum shared by all the tableaux of a triple against each
+    # tableau's own forward plan (conftest.laplace_plan): over lists of
+    # integers at points with many zero coordinates, and over packed
+    # polynomials for det Z and det Yo; for |F| <= 6 also against the
+    # independent 0/1-specialization and b-variable oracles
+    rng = random.Random(22)
+    n = 0
+    for tr in [*all_triples(7), running, *pool_triples()]:
+        tabs = enumerate_lr(tr)
+        if not tabs:
+            continue
+        grids = [monomial_M(T).m for T in tabs]
+        pts = [zero_heavy_point(rng, tr) for _ in range(3)]
+        rings = [(True, (lambda v: [pt[v] for pt in pts], hwv._add_products,
+                         [1] * len(pts)))]
+        layout = triple_layout(tr)
+        packed = (lambda v: {1 << layout.shift[v]: 1}, layout.add_product,
+                  {ONE: 1})
+        # det Z over polynomials has about a million terms per tableau
+        # on the worked example: left to the list ring there
+        rings += [(with_x, packed) for with_x in (True, False)
+                  if with_x is False or tr is not running]
+        for with_x, ring in rings:
+            shared = hwv._laplace_sums(tr, grids, with_x, *ring)
+            assert shared == [plan_sum(laplace_plan(tr, grid, with_x), *ring)
+                              for grid in grids]
+            assert all(shared)
+        if tr.F.size <= 6:
+            assert delta_MT_values(tr, tabs, pts) == [
+                [zero_one_coefficient(tr, T, pt) for pt in pts] for T in tabs]
+            for with_x in (True, False):
+                assert [p.terms for p in hwv._tableau_coefficients(
+                    tr, tabs, with_x)] == [
+                    p.terms for p in b_variable_coefficients(tr, with_x)]
+        n += len(tabs)
+    assert n == 636 + 4 + 43
+
+
+def test_repeated_tableau_in_one_sum():
+    # a tableau passed twice shares every state of the sum, its root
+    # included; each copy must come out whole, with the global sign
+    # (-1)^(|D| |E|) = -1 applied once to each
+    tr = validate_triple([2, 1], [2, 1], [3, 2, 1])
+    assert tr.D.size * tr.E.size % 2
+    T0, T1 = enumerate_lr(tr)
+    polys = [delta_MT(tr, T).terms for T in (T0, T1, T0, T0)]
+    assert [p.terms for p in hwv.delta_MT_all(tr, [T0, T1, T0, T0])] == polys
+    pts = [random_point(random.Random(23), tr)] * 2
+    assert delta_MT_values(tr, [T0, T0, T1], pts) == [
+        [evaluate(delta_MT(tr, T), pt) for pt in pts] for T in (T0, T0, T1)]
 
 
 def test_delta_eval_matches_symbolic_numeric():

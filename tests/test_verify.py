@@ -8,7 +8,7 @@ from conftest import (LAYOUT, all_triples, check_e1_factorization,
                       unpacked, y_order_key)
 from lrbasis import (check_basis, check_hwv, check_leading_term, delta,
                      delta_MT, delta_MT_eval, delta_TY, enumerate_lr, hwv,
-                     leading_monomial, raising_operator_cols,
+                     intlinalg, leading_monomial, raising_operator_cols,
                      raising_operator_rows, validate_triple, verify,
                      weight_profile)
 from lrbasis.errors import (ExponentOverflow, NonSquare, NotHomogeneous,
@@ -231,6 +231,26 @@ def test_int_rank_known():
     assert int_rank([[1], [2], [3]]) == 1
 
 
+def test_int_rank_modular_fallback(monkeypatch):
+    # the rank modulo P can fall short of the rank over the rationals: then
+    # the exact elimination decides, and only then
+    P = intlinalg.P
+    exact = []
+    eliminate = intlinalg._eliminate
+    monkeypatch.setattr(intlinalg, "_eliminate",
+                        lambda m: exact.append(m) or eliminate(m))
+    for m, rank_p, rank in (([[P, 2 * P], [3, 5]], 1, 2),
+                            ([[2, 1], [1, (P + 1) // 2]], 1, 2),
+                            ([[P]], 0, 1),
+                            ([[1, 2], [2, 4]], 1, 1)):
+        assert intlinalg._rank_mod_p(m) == rank_p
+        assert int_rank(m) == rank
+        assert exact.pop() == m
+    assert int_rank([[P + 1, 2], [3, 5 * P]]) == 2
+    assert intlinalg._rank_mod_p([[2 * P + 3, -P], [-5, 7]]) == 2
+    assert exact == []
+
+
 def test_int_rank_random_vs_fractions():
     rng = random.Random(21)
     for _ in range(40):
@@ -263,30 +283,31 @@ def test_check_basis_reuses_given_vectors():
     assert rep.rank == 1 and not rep.passed
 
 
-def test_evaluation_basis_sums_each_plan_once(running, monkeypatch):
-    # above SYMBOLIC_LIMIT each tableau's plan is summed once for all its
-    # c + 4 points, not once per point, and the ranked matrix is the one
-    # built point by point
-    plan_sums, matrices = [], []
-    plan_sum, rank = hwv._plan_sum, verify.int_rank
+def test_evaluation_basis_is_one_shared_sum(running, monkeypatch):
+    # above SYMBOLIC_LIMIT one Laplace sum over all c tableaux gives their
+    # values at all c + 4 points, not one sum per tableau or per point, and
+    # the ranked matrix is the one built point by point
+    sums, matrices = [], []
+    laplace_sums, rank = hwv._laplace_sums, verify.int_rank
 
-    def counting(*args):
-        plan_sums.append(1)
-        return plan_sum(*args)
+    def counting(triple, grids, *args):
+        sums.append(len(grids))
+        return laplace_sums(triple, grids, *args)
 
     def recording(matrix):
         matrices.append(matrix)
         return rank(matrix)
 
-    monkeypatch.setattr(hwv, "_plan_sum", counting)
+    monkeypatch.setattr(hwv, "_laplace_sums", counting)
     monkeypatch.setattr(verify, "int_rank", recording)
     rep = check_basis(running, seed=7)
     assert rep.mode == "evaluation" and rep.passed
-    assert len(plan_sums) == rep.lr_count == 4
-    monkeypatch.setattr(verify, "delta_MT_values", lambda tr, T, points:
-                        [delta_MT_eval(tr, T, pt) for pt in points])
+    assert sums == [rep.lr_count] == [4]
+    monkeypatch.setattr(verify, "delta_MT_values", lambda tr, tabs, points:
+                        [[delta_MT_eval(tr, T, pt) for pt in points]
+                         for T in tabs])
     assert check_basis(running, seed=7) == rep
-    assert len(plan_sums) == 4 + 4 * 8
+    assert sums == [4] + [1] * 4 * 8
     one_pass, per_point = matrices
     assert one_pass == per_point
     assert len(one_pass) == 4 and {len(row) for row in one_pass} == {8}
