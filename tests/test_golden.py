@@ -19,7 +19,10 @@ from conftest import all_triples
 from lrbasis import cli, enumerate_lr, validate_triple
 
 POOL = Path(__file__).resolve().parents[1] / "bench" / "pools" / "verify-symbolic.json"
-DIGEST = "fcc0ab810cf041ceba5d949288351338969cedd1c307b286c2ad1d9b9e9cc96d"
+DIGEST = "e28250c0b2b7f7c958f73be82d8fc6c123485334437acd0bc1c6851f12e1fe65"
+# 12 boxes and 4 tableaux each: the largest triples whose rank is not
+# drawn from the verify-symbolic pool's 1-in-20 rows
+TWELVE = [("3,2,1", "3,2,1", F) for F in ("5,4,2,1", "5,3,2,1,1", "4,3,2,2,1")]
 
 
 def _fmt(p):
@@ -34,7 +37,8 @@ def commands():
     """`count` for every triple with |F| <= 6, `--format text delta --A J`
     for every triple with |F| <= 5 and `--A symbolic` with |F| <= 4, and
     `verify --all` with every `delta --index i` on each 20th triple of the
-    verify-symbolic pool."""
+    verify-symbolic pool, and `verify --basis` and `verify --basis
+    --leading` on those triples and on TWELVE."""
     small = [(tr.F.size, _args(*map(_fmt, (tr.D, tr.E, tr.F))))
              for tr in all_triples(6)]
     out = [["count", *args] for _, args in small]
@@ -42,11 +46,16 @@ def commands():
             for A, most in (("J", 5), ("symbolic", 4))
             for size, args in small if size <= most]
     rows = json.loads(POOL.read_text())["triples"][::20]
+    ranked = []
     for D, E, F, _, _ in rows:
         args = _args(*(",".join(map(str, p)) for p in (D, E, F)))
+        ranked.append(args)
         out.append(["verify", *args, "--all"])
         tabs = enumerate_lr(validate_triple(D, E, F))
         out += [["delta", *args, "--index", str(i)] for i in range(len(tabs))]
+    ranked += [_args(*triple) for triple in TWELVE]
+    out += [["verify", *args, *checks] for args in ranked
+            for checks in (["--basis"], ["--basis", "--leading"])]
     return out
 
 
