@@ -12,14 +12,10 @@ from collections import namedtuple
 
 from .errors import NotHomogeneous, ZeroPolynomial
 from .intlinalg import int_rank
-from .hwv import delta_MT_all, delta_MT_values, delta_TY
+from .hwv import delta_MT_values, delta_TY
 from .oracle import lr_coefficient
 from .polyring import Polynomial, leading_monomial, xvar, yvar
 from .tableaux import enumerate_lr, monomial_bigE, monomial_e
-
-# The largest |F| whose basis check ranks the exact coefficient matrix;
-# beyond it check_basis ranks exact values at random points instead.
-SYMBOLIC_LIMIT = 12
 
 
 def _move_one_power(p, families, axis, src, dst):
@@ -160,26 +156,21 @@ def random_point(rng, triple, lo=-10**6, hi=10**6):
 def check_basis(triple, seed=0, tableaux=None, polys=None):
     """Count, construct, and rank the tableau coefficients of a triple.
 
-    For |F| <= SYMBOLIC_LIMIT the rank is that of the exact coefficient
-    matrix of the constructed polynomials, whose columns grow with the
-    number of monomials.  For larger |F| the polynomials are evaluated
-    exactly at c + 4 random integer points instead, for c tableaux, one
-    Laplace sum over all the tableaux giving the c x (c + 4) matrix; the
-    evaluation matrix has rank at most that of the coefficient matrix,
-    which in turn is at most the tableau count, so equality of all three
-    is still conclusive.
-
-    A caller that already holds the enumerated tableaux, or their vectors
-    delta_MT in the same order, passes them in so they are not rebuilt.
+    Given the vectors delta_MT of the tableaux, in order, the rank is that
+    of their exact coefficient matrix (mode "symbolic").  Otherwise no
+    polynomial is built: one Laplace sum over all c tableaux gives their
+    exact values at c + 4 integer points drawn from `seed`, and the rank
+    is that of this c x (c + 4) matrix (mode "evaluation"), at most the
+    rank of the coefficient matrix, which is at most c; so equality of
+    rank, count and oracle is conclusive either way.  A caller that holds
+    the enumerated tableaux passes them in so they are not rebuilt.
     """
     tabs = enumerate_lr(triple) if tableaux is None else tableaux
     oracle_count = lr_coefficient(triple)
     distinct = len({monomial_bigE(T, triple) for T in tabs}) == len(tabs)
     if not tabs:
         return BasisReport(0, oracle_count, True, 0, "empty")
-    if triple.F.size <= SYMBOLIC_LIMIT:
-        if polys is None:
-            polys = delta_MT_all(triple, tabs)
+    if polys is not None:
         monos = dict.fromkeys(m for p in polys for m in p.terms)
         matrix = [[p.terms.get(m, 0) for m in monos] for p in polys]
         mode = "symbolic"

@@ -273,18 +273,28 @@ def test_parser_built_once():
 
 def test_verify_builds_each_vector_once(monkeypatch, capsys):
     # every delta_MT comes from one Laplace sum over all the tableaux,
-    # which the rank check reuses; the leading-term check sums det Yo
+    # which the rank check reuses; the leading-term check sums det Yo.
+    # Without --hwv, --weights or --all no polynomial is expanded: the rank
+    # is taken of values, from one sum over lists of integers.  The ring of
+    # a sum shows in its `one`: a list for values, a dict for polynomials
     calls = []
     original = hwv._laplace_sums
 
-    def counting(triple, grids, with_x, *ring):
-        calls.append((len(grids), with_x))
-        return original(triple, grids, with_x, *ring)
+    def counting(triple, grids, with_x, value, accumulate, one):
+        calls.append((len(grids), with_x, type(one).__name__))
+        return original(triple, grids, with_x, value, accumulate, one)
     monkeypatch.setattr(hwv, "_laplace_sums", counting)
-    assert cli.main(["verify", "--D", "2,1", "--E", "2,1", "--F", "3,2,1",
-                     "--all"]) == 0
-    assert json.loads(capsys.readouterr().out)["rank"] == 2
-    assert sorted(calls) == [(1, False), (1, False), (2, True)]
+    two = ["--D", "2,1", "--E", "2,1", "--F", "3,2,1"]
+    for checks, sums in (
+            (["--basis"], [(2, True, "list")]),
+            (["--basis", "--leading"],
+             [(1, False, "dict"), (1, False, "dict"), (2, True, "list")]),
+            (["--all"],
+             [(1, False, "dict"), (1, False, "dict"), (2, True, "dict")])):
+        calls.clear()
+        assert cli.main(["verify", *two, *checks]) == 0
+        assert json.loads(capsys.readouterr().out)["rank"] == 2
+        assert sorted(calls) == sums, checks
 
 
 def test_import_loads_no_dataclasses():

@@ -178,9 +178,6 @@ def benchmark_spans():
 
 SMALL = ["--D", "1", "--E", "1", "--F", "2"]
 TWO = ["--D", "2,1", "--E", "2,1", "--F", "3,2,1"]      # two tableaux
-# |F| = 13 > SYMBOLIC_LIMIT, so verify ranks values at points; one tableau
-TALL = ["--D", "1,1,1,1,1,1,1", "--E", "1,1,1,1,1,1",
-        "--F", "1,1,1,1,1,1,1,1,1,1,1,1,1"]
 # a tableau of TWO, and so of no other triple
 TABLEAU = '{"outer": [3, 2, 1], "inner": [2, 1], "rows": [[1], [1], [2]]}'
 
@@ -202,7 +199,8 @@ def lrb_runs(tableau_file):
         (0, ["delta", *TWO, "--index", "0"], ""),
         (0, ["--format", "text", "delta-ty", *TWO, "--index", "1"], ""),
         (0, ["verify", *TWO, "--all"], ""),
-        (0, ["verify", *TALL, "--all"], ""),
+        # no check that needs the polynomials: the rank is of values at points
+        (0, ["verify", *TWO, "--basis"], ""),
         (0, ["oracle", *TWO], ""),
         (0, ["sl4-table"], ""),
         (0, ["bz-grade", "--dots", "x21,z12,y11,y22,x13"], ""),

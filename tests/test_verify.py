@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +9,7 @@ from conftest import (LAYOUT, all_triples, check_e1_factorization,
                       move_one_power, poly, random_triple, tuple_coefficient,
                       unpacked, y_order_key)
 from lrbasis import (check_basis, check_hwv, check_leading_term, delta,
-                     delta_MT, delta_MT_eval, delta_TY, enumerate_lr, hwv,
+                     delta_MT, delta_MT_all, delta_MT_eval, delta_TY, enumerate_lr, hwv,
                      intlinalg, leading_monomial, raising_operator_cols,
                      raising_operator_rows, validate_triple, verify,
                      weight_profile)
@@ -16,6 +18,8 @@ from lrbasis.errors import (ExponentOverflow, NonSquare, NotHomogeneous,
 from lrbasis.intlinalg import bareiss_det, int_rank
 from lrbasis.polyring import (Layout, Polynomial, mono, triple_layout, xvar,
                               yvar)
+
+POOL = Path(__file__).resolve().parents[1] / "bench" / "pools" / "verify-symbolic.json"
 
 
 def P(v):
@@ -261,7 +265,7 @@ def test_int_rank_random_vs_fractions():
 
 def test_check_basis_small():
     rep = check_basis(validate_triple([1], [1], [2]))
-    assert rep.passed and rep.rank == 1 and rep.mode == "symbolic"
+    assert rep.passed and rep.rank == 1 and rep.mode == "evaluation"
     rep = check_basis(validate_triple([2, 1], [2, 1], [3, 2, 1]))
     assert rep.passed and rep.lr_count == 2 and rep.rank == 2
 
@@ -281,10 +285,30 @@ def test_check_basis_reuses_given_vectors():
     # the given vectors are what gets ranked: a repeated one drops the rank
     rep = check_basis(tr, tableaux=tabs, polys=[polys[0], polys[0]])
     assert rep.rank == 1 and not rep.passed
+    # and without them the values are: a repeated tableau drops the rank
+    rep = check_basis(tr, tableaux=[tabs[0], tabs[0]])
+    assert rep.mode == "evaluation" and rep.rank == 1 and not rep.passed
+
+
+def test_evaluation_rank_agrees_with_symbolic():
+    # the rank of the values at the seeded points, and so the report, is
+    # the rank of the coefficient matrix on every triple with |F| <= 8, on
+    # the verify-symbolic pool and on three 12-box triples of 4 tableaux
+    pool = json.loads(POOL.read_text())["triples"]
+    triples = [*all_triples(8),
+               *(validate_triple(D, E, F) for D, E, F, _, _ in pool),
+               *(validate_triple([3, 2, 1], [3, 2, 1], F)
+                 for F in ([5, 4, 2, 1], [5, 3, 2, 1, 1], [4, 3, 2, 2, 1]))]
+    for tr in triples:
+        tabs = enumerate_lr(tr)
+        values = check_basis(tr, tableaux=tabs)
+        polys = check_basis(tr, tableaux=tabs, polys=delta_MT_all(tr, tabs))
+        assert values[:4] == polys[:4], (tr.D, tr.E, tr.F)
+        assert values.passed == polys.passed
 
 
 def test_evaluation_basis_is_one_shared_sum(running, monkeypatch):
-    # above SYMBOLIC_LIMIT one Laplace sum over all c tableaux gives their
+    # without polynomials one Laplace sum over all c tableaux gives their
     # values at all c + 4 points, not one sum per tableau or per point, and
     # the ranked matrix is the one built point by point
     sums, matrices = [], []
