@@ -2,14 +2,14 @@
 
 Partitions are comma-separated part lists ("5,5,4,3,1,1"), with "-" for
 the empty partition.  Tableaux travel as JSON objects with keys "outer",
-"inner", and "rows", and must have the triple's skew shape; pass a file
-path or "-" for stdin, or select one by its position in the canonical
-enumeration with --index.  Naming a tableau both ways, or neither way to
-peel, monomials or delta-ty, or giving delta's --A together with a
-tableau, is a usage error.  Exit status is 0 on success, 1 on a domain
-error (reported as JSON on stderr; running out of memory or of recursion
-depth counts as one) or when a check of verify or sl4-table fails (the
-report still goes to stdout), 2 on a usage error.
+"inner" and "rows", and must have the triple's skew shape and content
+transpose(E); pass a file path or "-" for stdin, or select one by its
+position in the canonical enumeration with --index.  Naming a tableau
+both ways, or neither way to peel, monomials or delta-ty, or giving
+delta's --A with a tableau, is a usage error.  Exit status is 0 on
+success, 1 on a domain error (reported as JSON on stderr; running out of
+memory or of recursion depth counts as one) or when a check of verify or
+sl4-table fails (the report still goes to stdout), 2 on a usage error.
 """
 
 import argparse
@@ -53,6 +53,12 @@ def _triple_and_tableau(args):
     if T.shape != shape:
         raise ShapeError(f"the tableau's shape {T.shape} is not the "
                          f"triple's {shape}")
+    content = [0] * max(T.entries.values(), default=0)
+    for v in T.entries.values():
+        content[v - 1] += 1
+    if tuple(content) != triple.Et.parts:
+        raise ShapeError(f"the tableau's content {tuple(content)} is not the "
+                         f"triple's transpose(E) {triple.Et.parts}")
     return triple, T
 
 

@@ -144,6 +144,22 @@ def test_tableau_of_another_triple_exit_1(tmp_path, capsys):
         assert _domain_error(capsys, argv) == "ShapeError"
 
 
+def test_tableau_of_another_content_exit_1(tmp_path, capsys):
+    # the triple's skew shape, filled LR, but with content (1, 1), not
+    # transpose(E) = (2)
+    path = tmp_path / "tableau.json"
+    path.write_text(json.dumps({"outer": [2, 1], "inner": [1],
+                                "rows": [[1], [2]]}))
+    for command in ("peel", "monomials", "delta", "delta-ty"):
+        argv = [command, "--D", "1", "--E", "1,1", "--F", "2,1",
+                "--tableau", str(path)]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        error = json.loads(err)
+        assert out == "" and error["error"] == "ShapeError"
+        assert "(1, 1)" in error["message"] and "(2,)" in error["message"]
+
+
 def test_empty_tableau_path(capsys):
     # an empty --tableau is a path like any other, not a missing option
     for command in ("delta", "peel"):
