@@ -136,28 +136,20 @@ def test_malformed_tableau_exit_1(tmp_path, capsys):
 
 
 def test_tableau_of_another_triple_exit_1(tmp_path, capsys):
+    # a tableau of another shape, and one with the triple's skew shape,
+    # filled LR, but with content (1, 1), not transpose(E) = (2)
     other = enumerate_lr(validate_triple([2, 1], [2, 1], [3, 2, 1]))[0]
+    content = {"outer": [2, 1], "inner": [1], "rows": [[1], [2]]}
     path = tmp_path / "tableau.json"
-    path.write_text(json.dumps(other.to_json()))
-    for command in ("peel", "monomials", "delta", "delta-ty"):
-        argv = [command, *SMALL, "--tableau", str(path)]
-        assert _domain_error(capsys, argv) == "ShapeError"
-
-
-def test_tableau_of_another_content_exit_1(tmp_path, capsys):
-    # the triple's skew shape, filled LR, but with content (1, 1), not
-    # transpose(E) = (2)
-    path = tmp_path / "tableau.json"
-    path.write_text(json.dumps({"outer": [2, 1], "inner": [1],
-                                "rows": [[1], [2]]}))
-    for command in ("peel", "monomials", "delta", "delta-ty"):
-        argv = [command, "--D", "1", "--E", "1,1", "--F", "2,1",
-                "--tableau", str(path)]
-        assert cli.main(argv) == 1
-        out, err = capsys.readouterr()
-        error = json.loads(err)
-        assert out == "" and error["error"] == "ShapeError"
-        assert "(1, 1)" in error["message"] and "(2,)" in error["message"]
+    for tableau, triple in ((other.to_json(), SMALL),
+                            (content, ["--D", "1", "--E", "1,1", "--F", "2,1"])):
+        path.write_text(json.dumps(tableau))
+        for command in ("peel", "monomials", "delta", "delta-ty"):
+            argv = [command, *triple, "--tableau", str(path)]
+            assert _domain_error(capsys, argv) == "ShapeError"
+    assert cli.main(argv) == 1
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "content (1, 1)" in message and "(2,)" in message
 
 
 def test_empty_tableau_path(capsys):
