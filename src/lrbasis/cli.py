@@ -10,6 +10,12 @@ delta's --A with a tableau, is a usage error.  Exit status is 0 on
 success, 1 on a domain error (reported as JSON on stderr; running out of
 memory or of recursion depth counts as one) or when a check of verify or
 sl4-table fails (the report still goes to stdout), 2 on a usage error.
+
+A command builds the parser of the subcommand it names, not all ten.
+Help (-h, --help), an unknown or missing command, and every other usage
+error of the top level (a bad --format, unrecognized arguments) come from
+the full parser, so their text and exit status are the same either way;
+a subcommand's own errors print that subcommand's usage.
 """
 
 import argparse
@@ -173,53 +179,108 @@ def cmd_bz_grade(args):
     print(json.dumps(out))
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser():
-    triple = argparse.ArgumentParser(add_help=False)
-    triple.add_argument("--D", required=True, help='left diagram, e.g. "3,3,2,1,1" or "-"')
-    triple.add_argument("--E", required=True, help="right diagram")
-    triple.add_argument("--F", required=True, help="target diagram")
-    tableau = argparse.ArgumentParser(add_help=False)
-    which = tableau.add_mutually_exclusive_group()
+def _triple_options(parser):
+    parser.add_argument("--D", required=True, help='left diagram, e.g. "3,3,2,1,1" or "-"')
+    parser.add_argument("--E", required=True, help="right diagram")
+    parser.add_argument("--F", required=True, help="target diagram")
+
+
+def _tableau_options(parser):
+    which = parser.add_mutually_exclusive_group()
     which.add_argument("--tableau", help='tableau JSON file, or "-" for stdin')
     which.add_argument("--index", type=int, help="pick the i-th enumerated tableau")
 
-    ap = argparse.ArgumentParser(
+
+def _delta_options(parser):
+    parser.add_argument("--A", choices=("J", "symbolic"),
+                        help="x-block coefficients (default J); not with a tableau")
+
+
+def _verify_options(parser):
+    for flag in ("--hwv", "--weights", "--leading", "--basis", "--all"):
+        parser.add_argument(flag, action="store_true")
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _bz_grade_options(parser):
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--assignment", help='JSON {vertex: value} file, or "-"')
+    source.add_argument("--dots", help="comma-separated vertex names with value 1")
+
+
+# name: (handler, the functions that add its options, help)
+COMMANDS = {
+    "count": (cmd_count, (_triple_options,),
+              "number of LR tableaux, with oracle cross-check"),
+    "tableaux": (cmd_tableaux, (_triple_options,), "enumerate the LR tableaux"),
+    "peel": (cmd_peel, (_triple_options, _tableau_options),
+             "standard peeling strips"),
+    "monomials": (cmd_monomials, (_triple_options, _tableau_options),
+                  "exponent grid, e and E monomials"),
+    "delta": (cmd_delta, (_triple_options, _tableau_options, _delta_options),
+              "block determinant, or the coefficient of one tableau"),
+    "delta-ty": (cmd_delta_ty, (_triple_options, _tableau_options),
+                 "pure-y coefficient of a tableau"),
+    "verify": (cmd_verify, (_triple_options, _verify_options),
+               "highest-weight, weight, leading-term and rank checks"),
+    "oracle": (cmd_oracle, (_triple_options,),
+               "multiplicity by the Kostka-Steinberg sum"),
+    "sl4-table": (cmd_sl4_table, (), "recompute the bundled 18-row table"),
+    "bz-grade": (cmd_bz_grade, (_bz_grade_options,),
+                 "gradings and hexagon check of a diagram"),
+}
+
+
+class _Reparse(Exception):
+    """A top-level usage error of a one-command parser."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """Top level of a parser with one subcommand: its usage names only that
+    command, so its own errors are left to the full parser to report."""
+
+    def error(self, message):
+        raise _Reparse(message)
+
+
+@functools.lru_cache(maxsize=None)
+def build_parser(command=None):
+    """The lrb parser with every subcommand, or with only `command`."""
+    ap = (argparse.ArgumentParser if command is None else _OneCommandParser)(
         prog="lrb",
         description="Littlewood-Richardson tableaux and their determinantal "
                     "highest weight vectors, in exact arithmetic.")
     ap.add_argument("--format", choices=("json", "text"), default="json")
-    sub = ap.add_subparsers(dest="command", required=True)
-    cmds = {}
-    for name, fn, parents, text in (
-            ("count", cmd_count, [triple], "number of LR tableaux, with oracle cross-check"),
-            ("tableaux", cmd_tableaux, [triple], "enumerate the LR tableaux"),
-            ("peel", cmd_peel, [triple, tableau], "standard peeling strips"),
-            ("monomials", cmd_monomials, [triple, tableau], "exponent grid, e and E monomials"),
-            ("delta", cmd_delta, [triple, tableau],
-             "block determinant, or the coefficient of one tableau"),
-            ("delta-ty", cmd_delta_ty, [triple, tableau], "pure-y coefficient of a tableau"),
-            ("verify", cmd_verify, [triple],
-             "highest-weight, weight, leading-term and rank checks"),
-            ("oracle", cmd_oracle, [triple], "multiplicity by the Kostka-Steinberg sum"),
-            ("sl4-table", cmd_sl4_table, [], "recompute the bundled 18-row table"),
-            ("bz-grade", cmd_bz_grade, [], "gradings and hexagon check of a diagram")):
-        cmds[name] = sub.add_parser(name, parents=parents, help=text)
-        cmds[name].set_defaults(fn=fn, parser=cmds[name])
-    cmds["delta"].add_argument("--A", choices=("J", "symbolic"),
-                               help="x-block coefficients (default J); not with a tableau")
-    for flag in ("--hwv", "--weights", "--leading", "--basis", "--all"):
-        cmds["verify"].add_argument(flag, action="store_true")
-    cmds["verify"].add_argument("--seed", type=int, default=0)
-    source = cmds["bz-grade"].add_mutually_exclusive_group(required=True)
-    source.add_argument("--assignment", help='JSON {vertex: value} file, or "-"')
-    source.add_argument("--dots", help="comma-separated vertex names with value 1")
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=argparse.ArgumentParser)
+    for name, (fn, options, text) in COMMANDS.items():
+        if command in (None, name):
+            parser = sub.add_parser(name, help=text)
+            for add in options:
+                add(parser)
+            parser.set_defaults(fn=fn, parser=parser)
     return ap
 
 
+def _parse(argv):
+    """argv parsed by the parser of the command it names after an optional
+    leading --format; by the full parser for help, for an unknown or
+    missing command and for every top-level usage error."""
+    rest = argv
+    if argv[:1] == ["--format"]:
+        rest = argv[2:]
+    elif argv and argv[0].startswith("--format="):
+        rest = argv[1:]
+    if rest and rest[0] in COMMANDS and not {"-h", "--help"} & set(argv):
+        try:
+            return build_parser(rest[0]).parse_args(argv)
+        except _Reparse:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         rc = args.fn(args)
     except (LRBError, OSError, json.JSONDecodeError, MemoryError,

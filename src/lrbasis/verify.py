@@ -153,17 +153,27 @@ def random_point(rng, triple, lo=-10**6, hi=10**6):
     return assignment
 
 
+def _coefficient_rank(polys, monos):
+    """Rank of the coefficients of the polynomials at the given monomials."""
+    return int_rank([[p.terms.get(m, 0) for m in monos] for p in polys])
+
+
 def check_basis(triple, seed=0, tableaux=None, polys=None):
     """Count, construct, and rank the tableau coefficients of a triple.
 
     Given the vectors delta_MT of the tableaux, in order, the rank is that
-    of their exact coefficient matrix (mode "symbolic").  Otherwise no
-    polynomial is built: one Laplace sum over all c tableaux gives their
-    exact values at c + 4 integer points drawn from `seed`, and the rank
-    is that of this c x (c + 4) matrix (mode "evaluation"), at most the
-    rank of the coefficient matrix, which is at most c; so equality of
-    rank, count and oracle is conclusive either way.  A caller that holds
-    the enumerated tableaux passes them in so they are not rebuilt.
+    of their exact coefficient matrix (mode "symbolic").  Its columns at
+    each vector's largest packed monomial are ranked first: rank c there
+    is the full rank, as it is whenever those c monomials are distinct
+    (the c x c minor is then triangular in their order), and only when it
+    falls short (a repeated or zero vector, say) is every column ranked.
+    Without the vectors no polynomial is built: one Laplace sum over all c
+    tableaux gives their exact values at c + 4 integer points drawn from
+    `seed`, and the rank is that of this c x (c + 4) matrix (mode
+    "evaluation"), at most the rank of the coefficient matrix, which is at
+    most c; so equality of rank, count and oracle is conclusive either
+    way.  A caller that holds the enumerated tableaux passes them in so
+    they are not rebuilt.
     """
     tabs = enumerate_lr(triple) if tableaux is None else tableaux
     oracle_count = lr_coefficient(triple)
@@ -171,13 +181,13 @@ def check_basis(triple, seed=0, tableaux=None, polys=None):
     if not tabs:
         return BasisReport(0, oracle_count, True, 0, "empty")
     if polys is not None:
-        monos = dict.fromkeys(m for p in polys for m in p.terms)
-        matrix = [[p.terms.get(m, 0) for m in monos] for p in polys]
+        rank = _coefficient_rank(polys, {max(p.terms, default=0) for p in polys})
+        if rank < len(polys):
+            rank = _coefficient_rank(polys, {m for p in polys for m in p.terms})
         mode = "symbolic"
     else:
         rng = random.Random(seed)
         points = [random_point(rng, triple) for _ in range(len(tabs) + 4)]
-        matrix = delta_MT_values(triple, tabs, points)
+        rank = int_rank(delta_MT_values(triple, tabs, points))
         mode = "evaluation"
-    return BasisReport(len(tabs), oracle_count, distinct, int_rank(matrix),
-                       mode)
+    return BasisReport(len(tabs), oracle_count, distinct, rank, mode)

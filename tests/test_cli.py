@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -187,20 +188,23 @@ def test_bz_grade_needs_one_input():
         assert "usage: lrb bz-grade" in p.stderr
 
 
+# a tableau by --index and by --tableau, or by --index and delta's --A;
+# also named neither way, to a command that needs one
+TABLEAU_USAGE_ERRORS = (
+    ("peel", ["peel", *SMALL, "--index", "0", "--tableau", "/nonexistent.json"]),
+    ("delta", ["--format", "text", "delta", *SMALL, "--index", "0",
+               "--A", "symbolic"]),
+    ("peel", ["peel", *SMALL]),
+    ("monomials", ["monomials", *SMALL]),
+    ("delta-ty", ["delta-ty", *SMALL]),
+    # before the triple is read: |D| + |E| != |F| here
+    ("peel", ["peel", "--D", "2", "--E", "1", "--F", "2"]),
+    ("monomials", ["monomials", "--D", "2", "--E", "1", "--F", "2"]),
+    ("delta-ty", ["delta-ty", "--D", "2", "--E", "1", "--F", "2"]))
+
+
 def test_tableau_named_two_ways_exit_2(capsys):
-    # a tableau by --index and by --tableau, or by --index and delta's --A;
-    # also named neither way, to a command that needs one
-    for command, argv in (
-            ("peel", ["peel", *SMALL, "--index", "0", "--tableau", "/nonexistent.json"]),
-            ("delta", ["--format", "text", "delta", *SMALL, "--index", "0",
-                       "--A", "symbolic"]),
-            ("peel", ["peel", *SMALL]),
-            ("monomials", ["monomials", *SMALL]),
-            ("delta-ty", ["delta-ty", *SMALL]),
-            # before the triple is read: |D| + |E| != |F| here
-            ("peel", ["peel", "--D", "2", "--E", "1", "--F", "2"]),
-            ("monomials", ["monomials", "--D", "2", "--E", "1", "--F", "2"]),
-            ("delta-ty", ["delta-ty", "--D", "2", "--E", "1", "--F", "2"])):
+    for command, argv in TABLEAU_USAGE_ERRORS:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         out, err = capsys.readouterr()
@@ -249,11 +253,11 @@ def test_domain_error_exit_1():
 
 
 def test_usage_error_exit_2():
-    p = run("count", "--D", "1")
-    assert p.returncode == 2
-    # the matrix sizes are not options
-    p = run("count", *SMALL, "--n", "3")
-    assert p.returncode == 2
+    # a missing option, and the matrix sizes, which are not options
+    for argv in (["count", "--D", "1"], ["count", *SMALL, "--n", "3"]):
+        p = run(*argv)
+        assert p.returncode == 2 and "Traceback" not in p.stderr
+        assert "usage: lrb" in p.stderr
 
 
 def test_thread_count_variable_ignored(monkeypatch, capsys):
@@ -271,6 +275,79 @@ def test_resource_error_exit_1(monkeypatch, capsys, exc):
     assert cli.main(["count", *SMALL]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": exc.__name__, "message": "out of room"}
+
+
+def _outcome(capsys, run, argv):
+    """Exit status, stdout and stderr of run(argv)."""
+    try:
+        rc = run(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    return (rc, *capsys.readouterr())
+
+
+def _full_parser_main(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.fn(args)
+
+
+def test_one_command_parser_agrees_with_full_parser(monkeypatch, capsys):
+    # help and usage errors, at the top level and in each subcommand, read
+    # the same from main as from the parser with every subcommand; compared
+    # in one interpreter, as argparse words them differently by version
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (
+            # the usage errors of the tests above
+            ["bz-grade"], ["bz-grade", "--dots", "x11", "--assignment", "-"],
+            *(argv for _, argv in TABLEAU_USAGE_ERRORS),
+            ["delta", *SMALL, "--tableau", "", "--A", "symbolic"],
+            ["count", "--D", "1"], ["count", *SMALL, "--n", "3"],
+            # no or an unknown command, a bad or missing --format, options
+            # after the command that are not its own, and an abbreviation
+            [], ["frobnicate", *SMALL], ["--format", "xml", "count", *SMALL],
+            ["--format=xml", "count", *SMALL], ["--format"],
+            ["count", *SMALL, "--format", "text"], ["count", *SMALL, "extra"],
+            ["verify", *SMALL, "--al"], ["delta", *SMALL, "--index", "x"],
+            ["-h"], *([command, "-h"] for command in cli.COMMANDS)):
+        rc, out, err = _outcome(capsys, cli.main, argv)
+        assert (rc, out, err) == _outcome(capsys, _full_parser_main, argv), argv
+        assert "Traceback" not in err and (rc == 2) == ("usage: lrb" in err)
+
+
+def test_parser_built_for_the_named_command(monkeypatch, capsys):
+    # a command builds the top level and its own subparser; help and every
+    # top-level usage error build the full parser, one per command more
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    full = 1 + len(cli.COMMANDS)
+    for argv, parsers in ((["verify", *SMALL, "--basis"], 2),
+                          (["--format", "text", "count", *SMALL], 2),
+                          (["--format=text", "count", *SMALL], 2),
+                          (["-h"], full), (["count", "-h"], full),
+                          (["frobnicate"], full),
+                          (["count", *SMALL, "extra"], 2 + full)):
+        cli.build_parser.cache_clear()
+        built.clear()
+        _outcome(capsys, cli.main, argv)
+        assert len(built) == parsers, argv
+    verify = cli.build_parser("verify")
+    assert verify is cli.build_parser("verify")
+    (sub,) = (a for a in verify._actions
+              if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["verify"]
+
+
+def test_no_parser_built_at_import():
+    code = "import lrbasis.cli as c; print(c.build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_parser_built_once():

@@ -290,6 +290,29 @@ def test_check_basis_reuses_given_vectors():
     assert rep.mode == "evaluation" and rep.rank == 1 and not rep.passed
 
 
+def test_symbolic_rank_reads_all_columns_only_when_needed(monkeypatch):
+    # vectors with distinct largest monomials are ranked on those c columns
+    # alone; p and p + q share theirs, so that minor has rank 1 and every
+    # column is ranked, which finds the rank 2 of the pair
+    widths, rank = [], verify.int_rank
+
+    def recording(matrix):
+        widths.append(len(matrix[0]))
+        return rank(matrix)
+    monkeypatch.setattr(verify, "int_rank", recording)
+    tr = validate_triple([2, 1], [2, 1], [3, 2, 1])
+    tabs = enumerate_lr(tr)
+    polys = delta_MT_all(tr, tabs)
+    assert check_basis(tr, tableaux=tabs, polys=polys).rank == 2
+    assert widths == [2]
+    widths.clear()
+    p, q = sorted(polys, key=lambda v: max(v.terms), reverse=True)
+    p_plus_q = Polynomial({m: p.terms.get(m, 0) + q.terms.get(m, 0)
+                           for m in p.terms.keys() | q.terms.keys()}, p.layout)
+    rep = check_basis(tr, tableaux=tabs, polys=[p, p_plus_q])
+    assert rep.rank == 2 and rep.passed and rep.mode == "symbolic"
+    assert widths == [1, len(p.terms.keys() | q.terms.keys())]
+
 def test_evaluation_rank_agrees_with_symbolic():
     # the rank of the values at the seeded points, and so the report with
     # its `passed`, is that of the coefficient matrix on every triple with
