@@ -11,11 +11,7 @@ success, 1 on a domain error (reported as JSON on stderr; running out of
 memory or of recursion depth counts as one) or when a check of verify or
 sl4-table fails (the report still goes to stdout), 2 on a usage error.
 
-A command builds the parser of the subcommand it names, not all ten.
-Help (-h, --help), an unknown or missing command, and every other usage
-error of the top level (a bad --format, unrecognized arguments) come from
-the full parser, so their text and exit status are the same either way;
-a subcommand's own errors print that subcommand's usage.
+A subcommand's options are built only when argv reaches it.
 """
 
 import argparse
@@ -55,11 +51,13 @@ def _triple_and_tableau(args):
         if not 0 <= args.index < len(tabs):
             raise LRBError(f"index {args.index} out of range; {len(tabs)} tableaux")
         return triple, tabs[args.index]
-    T, shape = LRTableau.from_json(_load_json(args.tableau)), triple.skew_shape()
-    if T.shape != shape:
-        raise ShapeError(f"the tableau's shape {T.shape} is not the "
-                         f"triple's {shape}")
-    content = [0] * max(T.entries.values(), default=0)
+    T = LRTableau.from_json(_load_json(args.tableau), triple.skew_shape())
+    # the shape is the triple's, so |E| cells: no content is longer
+    top = max(T.entries.values(), default=0)
+    if top > len(T.entries):
+        raise ShapeError(f"the tableau's entry {top} exceeds its {len(T.entries)} "
+                         f"cells; the triple's transpose(E) is {triple.Et.parts}")
+    content = [0] * top
     for v in T.entries.values():
         content[v - 1] += 1
     if tuple(content) != triple.Et.parts:
@@ -231,60 +229,43 @@ COMMANDS = {
 }
 
 
-class _Reparse(Exception):
-    """A top-level usage error of a one-command parser."""
+class _Command:
+    """A subcommand's parser, built from COMMANDS when argparse hands it
+    argv; add_parser's keywords (prog, and color on newer Pythons) go
+    through to it."""
 
+    def __init__(self, command, **kwargs):
+        self.command, self.kwargs = command, kwargs
 
-class _OneCommandParser(argparse.ArgumentParser):
-    """Top level of a parser with one subcommand: its usage names only that
-    command, so its own errors are left to the full parser to report."""
-
-    def error(self, message):
-        raise _Reparse(message)
+    def parse_known_args(self, args, namespace):
+        fn, options, _ = COMMANDS[self.command]
+        parser = argparse.ArgumentParser(**self.kwargs)
+        for add in options:
+            add(parser)
+        parser.set_defaults(fn=fn, parser=parser)
+        return parser.parse_known_args(args, namespace)
 
 
 @functools.lru_cache(maxsize=None)
-def build_parser(command=None):
-    """The lrb parser with every subcommand, or with only `command`."""
-    ap = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+def build_parser():
+    """The lrb parser; see _Command for its subcommands."""
+    ap = argparse.ArgumentParser(
         prog="lrb",
         description="Littlewood-Richardson tableaux and their determinantal "
                     "highest weight vectors, in exact arithmetic.")
     ap.add_argument("--format", choices=("json", "text"), default="json")
-    sub = ap.add_subparsers(dest="command", required=True,
-                            parser_class=argparse.ArgumentParser)
-    for name, (fn, options, text) in COMMANDS.items():
-        if command in (None, name):
-            parser = sub.add_parser(name, help=text)
-            for add in options:
-                add(parser)
-            parser.set_defaults(fn=fn, parser=parser)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Command)
+    for name, (_, _, text) in COMMANDS.items():
+        sub.add_parser(name, help=text, command=name)
     return ap
 
 
-def _parse(argv):
-    """argv parsed by the parser of the command it names after an optional
-    leading --format; by the full parser for help, for an unknown or
-    missing command and for every top-level usage error."""
-    rest = argv
-    if argv[:1] == ["--format"]:
-        rest = argv[2:]
-    elif argv and argv[0].startswith("--format="):
-        rest = argv[1:]
-    if rest and rest[0] in COMMANDS and not {"-h", "--help"} & set(argv):
-        try:
-            return build_parser(rest[0]).parse_args(argv)
-        except _Reparse:
-            pass
-    return build_parser().parse_args(argv)
-
-
 def main(argv=None):
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    args = build_parser().parse_args(argv)
     try:
         rc = args.fn(args)
-    except (LRBError, OSError, json.JSONDecodeError, MemoryError,
-            RecursionError) as exc:
+    except (LRBError, OSError, json.JSONDecodeError, UnicodeDecodeError,
+            MemoryError, RecursionError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

@@ -116,9 +116,6 @@ class SkewShape:
     def __hash__(self):
         return hash((self.outer, self.inner))
 
-    def __repr__(self):
-        return f"SkewShape({list(self.outer.parts)}, {list(self.inner.parts)})"
-
 
 class LRTriple(namedtuple("LRTriple", "D E F dt_in_ft")):
     """Diagrams (D, E, F) with |D| + |E| = |F|, and whether transpose(D)

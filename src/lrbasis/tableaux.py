@@ -21,7 +21,7 @@ from collections import namedtuple
 
 from .errors import NoPreimage, NotLR, ShapeError
 from .polyring import mono, xvar, yvar
-from .shapes import Partition, SkewShape
+from .shapes import Partition
 
 
 class LRTableau:
@@ -49,14 +49,21 @@ class LRTableau:
                 "rows": rows}
 
     @classmethod
-    def from_json(cls, data):
+    def from_json(cls, data, shape):
+        """The tableau of a JSON object, which must have `shape`, a triple's
+        skew shape: its diagrams are compared with shape's before a cell is
+        built, so that no number in it sizes an allocation."""
         if not (isinstance(data, dict)
                 and all(isinstance(data.get(key), list)
                         for key in ("outer", "inner", "rows"))
                 and all(isinstance(row, list) for row in data["rows"])):
             raise ShapeError('a tableau is a JSON object with list values '
                              '"outer", "inner" and "rows", each row a list')
-        shape = SkewShape(tuple(data["outer"]), tuple(data["inner"]))
+        outer, inner = Partition(data["outer"]), Partition(data["inner"])
+        if (outer, inner) != (shape.outer, shape.inner):
+            raise ShapeError(f"the tableau's outer and inner diagrams {outer} "
+                             f"and {inner} are not the triple's {shape.outer} "
+                             f"and {shape.inner}")
         entries = {}
         for a, row in enumerate(data["rows"], start=1):
             span = shape.row_span(a)

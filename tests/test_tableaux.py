@@ -5,8 +5,8 @@ import pytest
 from conftest import (RUNNING_E, RUNNING_GRIDS, RUNNING_TABLEAUX, all_triples,
                       check_grid, grid_sums, monomial_e1, random_triple,
                       tableau_by_rows)
-from lrbasis import (ExponentMatrix, LRTableau, check_lr1, check_lr2,
-                     enumerate_lr, is_lr, monomial_M,
+from lrbasis import (ExponentMatrix, LRTableau, SkewShape, check_lr1,
+                     check_lr2, enumerate_lr, is_lr, monomial_M,
                      monomial_bigE, monomial_e, recover_from_M,
                      recover_from_e, standard_peeling, validate_triple)
 from lrbasis.errors import NoPreimage, NotLR, ShapeError
@@ -180,15 +180,17 @@ def test_monomial_M_injective_small():
 
 def test_tableau_json_roundtrip(running):
     for T in enumerate_lr(running):
-        assert LRTableau.from_json(T.to_json()) == T
+        assert LRTableau.from_json(T.to_json(), T.shape) == T
 
 
 def test_tableau_json_rejects_malformed():
     good = {"outer": [1, 1], "inner": [1], "rows": [[], [1]]}
-    assert LRTableau.from_json(good).to_json() == good
+    shape = SkewShape([1, 1], [1])
+    assert LRTableau.from_json(good, shape).to_json() == good
     for bad in ([], 5, {}, {"outer": [1, 1], "inner": [1]},
                 {**good, "outer": 5}, {**good, "inner": None},
                 {**good, "rows": "1"}, {**good, "rows": [[], 1]},
-                {**good, "rows": [[], [True]]}, {**good, "outer": [1, True]}):
+                {**good, "rows": [[], [True]]}, {**good, "outer": [1, True]},
+                {**good, "outer": [2, 1]}, {**good, "inner": [2]}):
         with pytest.raises(ShapeError):
-            LRTableau.from_json(bad)
+            LRTableau.from_json(bad, shape)
