@@ -70,7 +70,7 @@ def _poly_out(args, p):
     if args.format == "text":
         print(poly_text(p))
     else:
-        print(json.dumps(poly_to_json(p)))
+        print(poly_to_json(p))
 
 
 def cmd_count(args):

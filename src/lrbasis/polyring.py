@@ -16,8 +16,10 @@ Layout.add_product; a Polynomial wraps one with its layout and multiplies,
 with no sum or comparison of its own.
 
 Monomials take the tuple form, the (variable, exponent) pairs in variable
-order, only at the edges: text and JSON output, leading monomials, and the
-tableau monomials e(T) and E(T).
+order, only at the edges: leading monomials, the tableau monomials e(T) and
+E(T), and output.  Text and JSON output take it once for each distinct
+family part of a monomial, sort the terms on one int key each, and write
+the text directly: poly_to_json returns the JSON text, not a dict.
 """
 
 import functools
@@ -299,10 +301,12 @@ def determinant(matrix):
 
 # ---------------------------------------------------------------------------
 # Serialization.  Text looks like "+1*x[1,1]*y[2,1] -1*x[2,1]*y[1,1]";
-# JSON is {"terms": [{"c": "<int>", "m": [["y", 5, 3, 1], ...]}, ...]}.
+# JSON is {"terms": [{"c": "<int>", "m": [["y", 5, 3, 1], ...]}, ...]},
+# written as the text json.dumps gives it with no dict or list built.
 # Terms come by descending degree; within a degree, the term whose first
 # variable comes first in the variable order, then with the larger
-# exponent, and so on.
+# exponent, and so on.  That is one int per term: its degree above its
+# exponents with the fields in reverse, the first variable's on top.
 # ---------------------------------------------------------------------------
 
 def _sorted_terms(p, show):
@@ -311,17 +315,20 @@ def _sorted_terms(p, show):
     of its monomial, in family order; show runs once per distinct part."""
     lay = p.layout
     w, variables = lay.width, lay.variables
+    top = len(variables) * w
 
     def read(fields):
-        # e - (k << w) orders as (-k, e), since e < 1 << w
-        return (sum(e for _, e in fields), [e - (k << w) for k, e in fields],
-                show(tuple((variables[k], e) for k, e in fields)))
+        # field k moves to (n - 1 - k) * w, the first variable's on top; a
+        # term's parts hold different variables, so their keys add with no
+        # carry, and their degrees add above every field
+        key = sum(e for _, e in fields) << top
+        for k, e in fields:
+            key += e << top - (k + 1) * w
+        return key, show(tuple((variables[k], e) for k, e in fields))
 
-    out = []
-    for parts, c in zip(lay.read_parts(p.terms, read), p.terms.values()):
-        key = (sum(d for d, _, _ in parts), [x for _, k, _ in parts for x in k])
-        out.append((key, c, [shown for _, _, shown in parts]))
-    out.sort(key=lambda t: t[0], reverse=True)
+    out = [(sum(key for key, _ in parts), c, [shown for _, shown in parts])
+           for parts, c in zip(lay.read_parts(p.terms, read), p.terms.values())]
+    out.sort(reverse=True)    # the keys differ, so c and shown never compare
     return [(c, shown) for _, c, shown in out]
 
 
@@ -346,8 +353,12 @@ def poly_text(p):
 
 
 def poly_to_json(p):
+    """The JSON text of p, byte for byte as json.dumps writes the object
+    above."""
     def show(pairs):
-        return [[v[0], v[1], v[2], e] for v, e in pairs]
+        return ", ".join('["%s", %d, %d, %d]' % (v[0], v[1], v[2], e)
+                         for v, e in pairs)
 
-    return {"terms": [{"c": str(c), "m": [v for part in parts for v in part]}
-                      for c, parts in _sorted_terms(p, show)]}
+    return '{"terms": [%s]}' % ", ".join(
+        '{"c": "%d", "m": [%s]}' % (c, ", ".join(parts))
+        for c, parts in _sorted_terms(p, show))

@@ -64,6 +64,9 @@ class LRTableau:
             raise ShapeError(f"the tableau's outer and inner diagrams {outer} "
                              f"and {inner} are not the triple's {shape.outer} "
                              f"and {shape.inner}")
+        if len(data["rows"]) != outer.depth:
+            raise ShapeError(f"the tableau has {len(data['rows'])} rows, its "
+                             f"outer diagram {outer} has {outer.depth}")
         entries = {}
         for a, row in enumerate(data["rows"], start=1):
             span = shape.row_span(a)

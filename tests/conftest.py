@@ -8,7 +8,8 @@ from lrbasis import enumerate_lr, monomial_M, parse_partition, validate_triple
 from lrbasis.errors import UnorderedVariable
 from lrbasis.hwv import _rows
 from lrbasis.polyring import (Layout, Polynomial, bvar, column_minors,
-                              triple_layout, var_key, xvar, yvar, zvar)
+                              mono_text, triple_layout, var_key, xvar, yvar,
+                              zvar)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -113,6 +114,38 @@ def poly(terms, layout=LAYOUT):
 def unpacked(p):
     """The terms of a Polynomial as {tuple-form monomial: coefficient}."""
     return {p.layout.unpack(m): c for m, c in p.terms.items()}
+
+
+def oracle_terms(p):
+    """(coefficient, tuple-form monomial) of each term of p in output order,
+    sorted on the list-based key polyring's writers once used: the degree,
+    then the field index and exponent of each variable from the first, an
+    earlier variable or a larger exponent coming first."""
+    lay = p.layout
+    w = lay.width
+
+    def key(m):
+        fields = lay.fields(m)
+        # e - (k << w) orders as (-k, e), since e < 1 << w
+        return sum(e for _, e in fields), [e - (k << w) for k, e in fields]
+
+    return [(p.terms[m], lay.unpack(m))
+            for m in sorted(p.terms, key=key, reverse=True)]
+
+
+def oracle_json(p):
+    """The dict whose json.dumps poly_to_json must write byte for byte."""
+    return {"terms": [{"c": str(c), "m": [[v[0], v[1], v[2], e] for v, e in m]}
+                      for c, m in oracle_terms(p)]}
+
+
+def oracle_text(p):
+    """The text poly_text must write."""
+    if p.is_zero():
+        return "0"
+    return " ".join(f"{'+' if c >= 0 else '-'}{abs(c)}"
+                    + ("*" + mono_text(m) if m else "")
+                    for c, m in oracle_terms(p))
 
 
 def evaluate(p, assignment):

@@ -129,8 +129,10 @@ def _domain_error(capsys, argv):
 
 def test_malformed_tableau_exit_1(tmp_path, capsys):
     path = tmp_path / "tableau.json"
+    # the last is SMALL's one-cell tableau with empty rows below its shape
     for bad in ({}, {"outer": 5, "inner": [], "rows": []}, [[1]],
-                {"outer": [1, 1], "inner": [1], "rows": [[], 1]}):
+                {"outer": [1, 1], "inner": [1], "rows": [[], 1]},
+                {"outer": [1, 1], "inner": [1], "rows": [[], [1], [], [], []]}):
         path.write_text(json.dumps(bad))
         argv = ["peel", *SMALL, "--tableau", str(path)]
         assert _domain_error(capsys, argv) == "ShapeError"

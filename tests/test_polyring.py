@@ -1,10 +1,13 @@
+import json
 import random
 from itertools import combinations
 
 import pytest
 
-from conftest import (LAYOUT, determinant_naive, evaluate, mono_mul, pack,
-                      poly, unpacked, y_order_key)
+from conftest import (LAYOUT, all_triples, determinant_naive, evaluate,
+                      mono_mul, oracle_json, oracle_text, pack, poly, unpacked,
+                      y_order_key)
+from lrbasis import delta, delta_MT, enumerate_lr
 from lrbasis.errors import (ExponentOverflow, NonSquare, UnorderedVariable,
                             ZeroPolynomial)
 from lrbasis.intlinalg import bareiss_det
@@ -235,12 +238,84 @@ def test_json_format():
     x, y, z = xvar(1, 1), yvar(2, 1), yvar(1, 2)
     p = poly({mono((x, 2), (y, 1)): 3, mono((z, 1)): -2, (): -7,
               mono((x, 1), (z, 1)): 1})
-    assert poly_to_json(p) == {"terms": [
+    text = poly_to_json(p)
+    assert text == ('{"terms": [{"c": "3", "m": [["x", 1, 1, 2], ["y", 2, 1, 1]]}, '
+                    '{"c": "1", "m": [["x", 1, 1, 1], ["y", 1, 2, 1]]}, '
+                    '{"c": "-2", "m": [["y", 1, 2, 1]]}, {"c": "-7", "m": []}]}')
+    assert json.loads(text) == {"terms": [
         {"c": "3", "m": [["x", 1, 1, 2], ["y", 2, 1, 1]]},
         {"c": "1", "m": [["x", 1, 1, 1], ["y", 1, 2, 1]]},
         {"c": "-2", "m": [["y", 1, 2, 1]]},
         {"c": "-7", "m": []}]}
-    assert poly_to_json(Polynomial({}, LAYOUT)) == {"terms": []}
+    assert poly_to_json(Polynomial({}, LAYOUT)) == '{"terms": []}'
+
+
+def assert_writes_as_oracle(p):
+    assert poly_to_json(p) == json.dumps(oracle_json(p))
+    assert poly_text(p) == oracle_text(p)
+
+
+def test_writers_match_oracle_on_delta_MT():
+    for triple in all_triples(7):
+        for T in enumerate_lr(triple):
+            assert_writes_as_oracle(delta_MT(triple, T))
+
+
+def test_writers_match_oracle_on_symbolic_delta():
+    # A = "symbolic" puts a and b variables in the terms, next to x and y
+    families = set()
+    for triple in all_triples(4):
+        p = delta(triple, A="symbolic")
+        families |= {v[0] for m in p.terms for v, _ in p.layout.unpack(m)}
+        assert_writes_as_oracle(p)
+    assert families == {"x", "y", "a", "b"}
+
+
+def test_writers_match_oracle_on_random_polynomials():
+    # every family of LAYOUT, z included, exponents up to the field maximum
+    # and coefficients of either sign past 2**64
+    rng = random.Random(11)
+    top = LAYOUT.mask >> 1
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randint(0, 12)):
+            m = mono(*((v, rng.choice((1, 2, top)))
+                       for v in rng.sample(LAYOUT.variables, rng.randint(0, 5))))
+            terms[pack(m)] = rng.choice((-1, 1)) * rng.randint(1, 2**rng.choice((3, 70)))
+        assert_writes_as_oracle(Polynomial(terms, LAYOUT))
+
+
+def test_output_order_edge_cases():
+    top = LAYOUT.mask >> 1    # the largest exponent a field holds
+    x11, x12, y55, z1, z4 = xvar(1, 1), xvar(1, 2), yvar(5, 5), zvar(1), zvar(4)
+    p = poly({mono((x11, 1)): 1, mono((z1, 1)): 1, (): 5,
+              # of higher degree, though its variable comes later than x[1,1]
+              mono((y55, 2)): 2,
+              # an exponent at the field maximum next to an exponent 1 in a
+              # later variable, both ways round
+              mono((x11, 1), (x12, top)): 2**64 + 1,
+              mono((x11, top), (z4, 1)): -2**70,
+              mono((x11, top), (x12, 1)): -3})
+    assert poly_text(p) == (
+        f"-3*x[1,1]^{top}*x[1,2] -{2**70}*x[1,1]^{top}*z[4] "
+        f"+{2**64 + 1}*x[1,1]*x[1,2]^{top} +2*y[5,5]^2 +1*x[1,1] +1*z[1] +5")
+    assert poly_to_json(p) == (
+        f'{{"terms": [{{"c": "-3", "m": [["x", 1, 1, {top}], ["x", 1, 2, 1]]}}, '
+        f'{{"c": "-{2**70}", "m": [["x", 1, 1, {top}], ["z", 4, 1, 1]]}}, '
+        f'{{"c": "{2**64 + 1}", "m": [["x", 1, 1, 1], ["x", 1, 2, {top}]]}}, '
+        '{"c": "2", "m": [["y", 5, 5, 2]]}, {"c": "1", "m": [["x", 1, 1, 1]]}, '
+        '{"c": "1", "m": [["z", 1, 1, 1]]}, {"c": "5", "m": []}]}')
+    assert_writes_as_oracle(p)
+    # the constant and zero polynomials, here and on the empty triple's
+    # layout, which has no variable
+    empty = validate_triple((), (), ())
+    for layout in (LAYOUT, triple_layout(empty)):
+        constant, zero = Polynomial({ONE: -1}, layout), Polynomial({}, layout)
+        assert poly_to_json(constant) == '{"terms": [{"c": "-1", "m": []}]}'
+        assert poly_text(constant) == "-1"
+        assert (poly_to_json(zero), poly_text(zero)) == ('{"terms": []}', "0")
+    assert poly_to_json(delta(empty)) == '{"terms": [{"c": "1", "m": []}]}'
+    assert poly_text(delta(empty)) == "+1"
 
 
 def test_coefficient_of_and_split():

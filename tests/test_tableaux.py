@@ -194,3 +194,13 @@ def test_tableau_json_rejects_malformed():
                 {**good, "outer": [2, 1]}, {**good, "inner": [2]}):
         with pytest.raises(ShapeError):
             LRTableau.from_json(bad, shape)
+
+
+def test_tableau_json_rows_match_outer_depth():
+    # to_json writes one row, empty or not, for each row of the outer
+    # diagram; a file with more or fewer is rejected, naming both counts
+    shape = SkewShape([1, 1], [1])
+    for rows in ([[], [1], [], [], []], [[], [1], []], [[]], []):
+        with pytest.raises(ShapeError, match=f"has {len(rows)} rows, .* has 2"):
+            LRTableau.from_json({"outer": [1, 1], "inner": [1], "rows": rows},
+                                shape)
