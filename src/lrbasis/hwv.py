@@ -68,16 +68,21 @@ def _entries(triple, A, B, value):
 
     Row (j, u) of _rows holds, block by block, A[j,k] * x[u,v] for
     v = 1..D_k, then B[j,k] * y[u,v] for v = 1..E_k; value maps a variable
-    to its polynomial, or to its integer at a point.
+    to its polynomial, or to its integer at a point.  Row u of the x and y
+    values is read once, as wide as the widest block, for every superrow.
     """
     blocks = [("A", A, xvar, triple.D.parts), ("B", B, yvar, triple.E.parts)]
     for name, M, _, widths in blocks:
         if len(M) != triple.t or any(len(row) != len(widths) for row in M):
             raise DimensionMismatch(f"{name} must be {triple.t}x{len(widths)}")
-    return [[c * value(make_var(u, v))
-             for _, M, make_var, widths in blocks
+    lines = [[[value(make_var(u, v))
+               for v in range(1, max(widths, default=0) + 1)]
+              for _, _, make_var, widths in blocks]
+             for u in range(1, triple.f(1) + 1)]
+    return [[c * x
+             for (_, M, _, widths), line in zip(blocks, lines[u - 1])
              for c, w in zip(M[j - 1], widths)
-             for v in range(1, w + 1)]
+             for x in line[:w]]
             for j, u in _rows(triple)]
 
 

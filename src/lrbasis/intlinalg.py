@@ -1,5 +1,6 @@
-"""Exact linear algebra over the integers, by fraction-free elimination;
-ranks first try elimination modulo a prime."""
+"""Exact linear algebra over the integers, by fraction-free elimination
+that leaves a row with a zero in the pivot column unscaled until it is
+next read; ranks first try elimination modulo a prime."""
 
 from .errors import NonSquare
 
@@ -10,9 +11,21 @@ def _eliminate(matrix):
     Returns (rank, sign of the row swaps, last pivot).  Each pivot is a
     minor of the row-swapped matrix, so a full-rank square matrix has
     determinant sign * last pivot.
+
+    A step with pivot p in column c maps each row below the pivot row to
+    (row * p - row[c] * top) / prev, prev being the pivot before p: a row
+    with row[c] = 0 is only scaled by p / prev, and the step skips it.  The
+    skipped scales telescope, so level[i] is the pivot of the last step
+    that updated row i (1 before any), and the eager row is
+    row * prev / level[i].  An update divides by level[i] in place of prev,
+    and a row that becomes the pivot row is first scaled by prev / level[i];
+    both divisions are exact, as they give entries of the eager elimination.
+    Zero entries stay zero under nonzero scales, so rank, sign and pivots
+    are those of the eager elimination.
     """
     m = [list(row) for row in matrix]
     nrows, ncols = len(m), len(m[0]) if m else 0
+    level = [1] * nrows
     rank, sign, prev = 0, 1, 1
     for c in range(ncols):
         if rank == nrows:
@@ -22,12 +35,20 @@ def _eliminate(matrix):
             continue
         if piv != rank:
             m[rank], m[piv] = m[piv], m[rank]
+            level[rank], level[piv] = level[piv], level[rank]
             sign = -sign
-        top, p = m[rank], m[rank][c]
-        for row in m[rank + 1:]:
+        top, lv = m[rank], level[rank]
+        if lv != prev:
+            top[c:] = [x * prev // lv for x in top[c:]]
+        p, tail = top[c], top[c + 1:]
+        for i in range(rank + 1, nrows):
+            row = m[i]
             a = row[c]
-            for j in range(c + 1, ncols):
-                row[j] = (row[j] * p - a * top[j]) // prev
+            if a:
+                lv = level[i]
+                row[c + 1:] = [(x * p - a * y) // lv
+                               for x, y in zip(row[c + 1:], tail)]
+                level[i] = p
         prev = p
         rank += 1
     return rank, sign, prev

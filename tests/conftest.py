@@ -683,3 +683,76 @@ def _peel_product(mu, nu, nvars):
             else:
                 del work[w]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Integer matrices: the eager forms of intlinalg._eliminate and
+# hwv._entries, and the matrices of the factorization identity.
+# ---------------------------------------------------------------------------
+
+def eliminate_eager(matrix):
+    """Fraction-free (Bareiss) elimination that rescales every row below
+    the pivot at every step: (rank, sign of the row swaps, last pivot),
+    the reference for intlinalg._eliminate."""
+    m = [list(row) for row in matrix]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        if rank == nrows:
+            break
+        piv = next((i for i in range(rank, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        top, p = m[rank], m[rank][c]
+        for row in m[rank + 1:]:
+            a = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (row[j] * p - a * top[j]) // prev
+        prev = p
+        rank += 1
+    return rank, sign, prev
+
+
+def entries_eager(triple, A, B, value):
+    """The entries of Z with one value lookup per cell, the reference for
+    hwv._entries: row (j, u) is A[j,k] * x[u,v] for v = 1..D_k, block by
+    block, then B[j,k] * y[u,v] for v = 1..E_k."""
+    blocks = [(A, xvar, triple.D.parts), (B, yvar, triple.E.parts)]
+    return [[c * value(make_var(u, v))
+             for M, make_var, widths in blocks
+             for c, w in zip(M[j - 1], widths)
+             for v in range(1, w + 1)]
+            for j, u in _rows(triple)]
+
+
+def matmul(X, Y, ncols):
+    """The product of integer matrices X and Y, Y having ncols columns."""
+    return [[sum(x[i] * Y[i][j] for i in range(len(Y))) for j in range(ncols)]
+            for x in X]
+
+
+def triangular_pair(rng, triple):
+    """(A, B, J, B0, factor) with det Z(A, B) = factor * det Z(J, B0).
+
+    A = N Dg J V and B = N Dg B0, with N unit lower triangular, Dg
+    diagonal and V unit upper triangular; factor is the product of
+    Dg[i][i] ** F_i over the first r rows."""
+    t, r, s = triple.t, triple.r, triple.s
+    N = [[1 if i == j else (rng.randint(-3, 3) if i > j else 0)
+          for j in range(t)] for i in range(t)]
+    diag = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(r)]
+    Dg = [[(diag[i] if i < r else 1) if i == j else 0 for j in range(t)]
+          for i in range(t)]
+    V = [[1 if i == j else (rng.randint(-3, 3) if i < j else 0)
+          for j in range(r)] for i in range(r)]
+    J = [[1 if i == j else 0 for j in range(r)] for i in range(t)]
+    B0 = [[rng.randint(-5, 5) for _ in range(s)] for _ in range(t)]
+    A = matmul(matmul(N, Dg, t), matmul(J, V, r), r)
+    B = matmul(matmul(N, Dg, t), B0, s)
+    factor = 1
+    for i in range(r):
+        factor *= diag[i] ** triple.f(i + 1)
+    return A, B, J, B0, factor

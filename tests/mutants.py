@@ -1,0 +1,139 @@
+"""Mutations of the package that its tests must catch.
+
+Each mutant names a file under src/lrbasis, a text that must occur in it
+exactly once, the text that replaces it, and the tests expected to fail.
+The mutant is applied to a copy of src/ in a temporary directory, and its
+tests run there with `pytest -x`.  Needs pytest; from the repository root:
+
+    python3 tests/mutants.py [name ...]
+
+runs every mutant, or those named, prints one line per mutant, and exits 1
+naming each mutant that survives, whose text no longer occurs once, or
+whose tests do not run or fail on the unmutated package.  A refactor of
+mutated code updates the table with it; a mutant leaves the table only
+when the code it mutates is deleted.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ELIMINATE = ["tests/test_verify.py::test_eliminate_matches_eager",
+             "tests/test_hwv.py::test_eliminate_matches_eager_on_delta_eval_matrices"]
+
+# name: (file, old text, new text, tests expected to catch it)
+MUTANTS = {
+    # intlinalg._eliminate: the lazy row scaling
+    "refresh factor inverted": (
+        "intlinalg.py",
+        "top[c:] = [x * prev // lv for x in top[c:]]",
+        "top[c:] = [x * lv // prev for x in top[c:]]",
+        ELIMINATE),
+    "level of an updated row kept": (
+        "intlinalg.py",
+        "                level[i] = p\n",
+        "",
+        ELIMINATE),
+    "stale pivot row not refreshed": (
+        "intlinalg.py",
+        "        if lv != prev:\n",
+        "        if False:\n",
+        ELIMINATE),
+    "level not swapped with its row": (
+        "intlinalg.py",
+        "            level[rank], level[piv] = level[piv], level[rank]\n",
+        "",
+        ELIMINATE),
+    # hwv._entries
+    "values read as wide as the narrowest block": (
+        "hwv.py",
+        "for v in range(1, max(widths, default=0) + 1)",
+        "for v in range(1, min(widths, default=0) + 1)",
+        ["tests/test_hwv.py::test_entries_match_eager"]),
+    # hwv._laplace_sums
+    "state keyed by its mask alone": (
+        "hwv.py",
+        "into.setdefault((rest, node), [])",
+        "into.setdefault(next((k for k in into if k[0] == rest),"
+        " (rest, node)), [])",
+        ["tests/test_hwv.py::test_shared_sum_matches_forward_plans"]),
+    "global sign applied twice": (
+        "hwv.py",
+        "out = [v and accumulate(None, v, one, -1) for v in out]",
+        "out = [v and accumulate(None, accumulate(None, v, one, -1), one, -1)"
+        " for v in out]",
+        ["tests/test_hwv.py::test_shared_sum_matches_forward_plans"]),
+    # polyring._sorted_terms
+    "sort key without the degree": (
+        "polyring.py",
+        "key = sum(e for _, e in fields) << top",
+        "key = 0",
+        ["tests/test_polyring.py::test_writers_match_oracle_on_random_polynomials",
+         "tests/test_polyring.py::test_output_order_edge_cases"]),
+    # verify.check_basis
+    "check_basis ignores the polynomials it is handed": (
+        "verify.py",
+        "    if polys is not None:\n",
+        "    if False:\n",
+        ["tests/test_verify.py::test_check_basis_reuses_given_vectors",
+         "tests/test_cli.py::test_verify_builds_each_vector_once"]),
+    # cli._triple_and_tableau
+    "tableau content check removed": (
+        "cli.py",
+        "    if tuple(content) != triple.Et.parts:\n",
+        "    if False:\n",
+        ["tests/test_cli.py::test_tableau_of_another_triple_exit_1"]),
+}
+
+
+def run_tests(src, tests):
+    """The exit status of pytest -x on tests, with the package from src in
+    place of the pythonpath that pyproject.toml gives pytest."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "-o", f"pythonpath={src}", *tests], cwd=ROOT, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def outcome(name, work):
+    """What became of one mutant: "killed", or why it is reported."""
+    file, old, new, tests = MUTANTS[name]
+    src = work / name.replace(" ", "_")
+    shutil.copytree(ROOT / "src", src)
+    path = src / "lrbasis" / file
+    text = path.read_text()
+    if text.count(old) != 1:
+        return f"its text occurs {text.count(old)} times in {file}"
+    if run_tests(src, tests) != 0:
+        return "its tests do not pass on the unmutated package"
+    path.write_text(text.replace(old, new))
+    rc = run_tests(src, tests)
+    return {0: "survived", 1: "killed"}.get(rc, f"pytest exit status {rc}")
+
+
+def main(names):
+    unknown = [n for n in names if n not in MUTANTS]
+    if unknown:
+        sys.exit(f"unknown mutants: {', '.join(unknown)}")
+    bad, t0 = [], time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names or MUTANTS:
+            result = outcome(name, Path(tmp))
+            print(f"{result:>10}  {name}" if result == "killed"
+                  else f"FAIL  {name}: {result}", flush=True)
+            if result != "killed":
+                bad.append(name)
+    print(f"{len(names or MUTANTS) - len(bad)} killed, {len(bad)} reported, "
+          f"{time.perf_counter() - t0:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

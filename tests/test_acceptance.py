@@ -9,7 +9,7 @@ import time
 
 from conftest import (RUNNING_E, RUNNING_GRIDS, RUNNING_TABLEAUX, all_triples,
                       check_e1_factorization, check_grid, random_triple,
-                      tableau_by_rows)
+                      tableau_by_rows, triangular_pair)
 from lrbasis import (check_basis, check_hwv, check_leading_term, delta,
                      delta_eval, delta_MT, enumerate_lr, leading_monomial,
                      lr_coefficient, monomial_M, monomial_e, recover_from_M,
@@ -91,31 +91,12 @@ def test_acceptance_05_weight_profiles(capsys):
 def test_acceptance_06_factorization_identity(capsys):
     rng = random.Random(103)
     t0 = time.time()
-
-    def matmul(A, B, ncolsB):
-        return [[sum(a[x] * B[x][j] for x in range(len(B)))
-                 for j in range(ncolsB)] for a in A]
-
     done = 0
     while done < 10:
         tr = random_triple(rng, 8, require_tableaux=True)
-        t, r, s = tr.t, tr.r, tr.s
-        if r == 0:
+        if tr.r == 0:
             continue
-        N = [[1 if i == j else (rng.randint(-3, 3) if i > j else 0)
-              for j in range(t)] for i in range(t)]
-        diag = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(r)]
-        Dg = [[(diag[i] if i < r else 1) if i == j else 0
-               for j in range(t)] for i in range(t)]
-        V = [[1 if i == j else (rng.randint(-3, 3) if i < j else 0)
-              for j in range(r)] for i in range(r)]
-        J = [[1 if i == j else 0 for j in range(r)] for i in range(t)]
-        B0 = [[rng.randint(-5, 5) for _ in range(s)] for _ in range(t)]
-        A = matmul(matmul(N, Dg, t), matmul(J, V, r), r)
-        B = matmul(matmul(N, Dg, t), B0, s)
-        factor = 1
-        for i in range(r):
-            factor *= diag[i] ** tr.f(i + 1)
+        A, B, J, B0, factor = triangular_pair(rng, tr)
         for _ in range(8):
             pt = random_point(rng, tr)
             assert delta_eval(tr, A, B, pt) == factor * delta_eval(tr, J, B0, pt)

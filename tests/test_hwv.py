@@ -6,16 +6,17 @@ from pathlib import Path
 import pytest
 
 from conftest import (RUNNING_TABLEAUX, admissible_grids, all_triples,
-                      b_variable_coefficients, build_Yo, evaluate,
-                      grid_support, interpolation_coefficient, laplace_plan,
-                      plan_sum, random_triple, tableau_by_rows,
+                      b_variable_coefficients, build_Yo, eliminate_eager,
+                      entries_eager, evaluate, grid_support,
+                      interpolation_coefficient, laplace_plan, plan_sum,
+                      random_triple, tableau_by_rows, triangular_pair,
                       zero_one_coefficient)
 from lrbasis import (build_Ztilde, delta, delta_MT, delta_MT_eval,
                      delta_MT_values, delta_TY, delta_eval, enumerate_lr, hwv,
-                     monomial_M, parse_partition, validate_triple)
+                     intlinalg, monomial_M, parse_partition, validate_triple)
 from lrbasis.errors import DimensionMismatch
 from lrbasis.hwv import _rows
-from lrbasis.polyring import ONE, poly_text, triple_layout
+from lrbasis.polyring import ONE, Polynomial, poly_text, triple_layout
 from lrbasis.verify import random_point
 
 POOL = Path(__file__).resolve().parents[1] / "bench" / "pools" / "verify-large.json"
@@ -323,3 +324,44 @@ def test_delta_eval_matches_symbolic_numeric():
         p = delta(tr, A=A, B=B)
         pt = random_point(rng, tr, lo=-20, hi=20)
         assert delta_eval(tr, A, B, pt) == evaluate(p, pt)
+
+
+def test_entries_match_eager():
+    # each row of x and y values read once, as wide as the widest block,
+    # gives the entries of one lookup per cell: for A = J, symbolic and
+    # integer coefficients with zeros, as polynomials and at integer
+    # points; all_triples(5) has triples with D or E empty
+    rng = random.Random(24)
+    n = 0
+    for tr in all_triples(5):
+        layout = triple_layout(tr)
+        A = [[rng.randint(-1, 1) for _ in range(tr.r)] for _ in range(tr.t)]
+        B = [[rng.randint(-1, 1) for _ in range(tr.s)] for _ in range(tr.t)]
+        for a, b in (("J", "symbolic"), ("symbolic", "symbolic"), (A, "J"),
+                     (A, B)):
+            want = entries_eager(tr, hwv._coefficients(tr, a, "A"),
+                                 hwv._coefficients(tr, b, "B"),
+                                 lambda v: Polynomial.variable(v, layout))
+            assert [[p.terms for p in row] for row in build_Ztilde(tr, a, b)] \
+                == [[p.terms for p in row] for row in want]
+        pt = random_point(rng, tr, lo=-9, hi=9)
+        for a, b in ((hwv._coefficients(tr, "J", "A"), B), (A, B)):
+            assert hwv._entries(tr, a, b, pt.__getitem__) == entries_eager(
+                tr, a, b, pt.__getitem__)
+        n += not (tr.r and tr.s)
+    assert n > 0
+
+
+def test_eliminate_matches_eager_on_delta_eval_matrices(running):
+    # the matrices of the factorization identity det Z(A, B) = factor *
+    # det Z(J, B0), at two points each: Z(J, B0), whose x blocks each sit
+    # in one superrow, and the dense Z(A, B)
+    rng = random.Random(25)
+    for tr in [running, *pool_triples()]:
+        A, B, J, B0, factor = triangular_pair(rng, tr)
+        for _ in range(2):
+            pt = random_point(rng, tr)
+            for a, b in ((J, B0), (A, B)):
+                Z = hwv._entries(tr, a, b, pt.__getitem__)
+                assert intlinalg._eliminate(Z) == eliminate_eager(Z)
+            assert delta_eval(tr, A, B, pt) == factor * delta_eval(tr, J, B0, pt)

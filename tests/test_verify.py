@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from conftest import (LAYOUT, all_triples, check_e1_factorization,
-                      move_one_power, poly, random_triple, tuple_coefficient,
-                      unpacked, y_order_key)
+                      eliminate_eager, move_one_power, poly, random_triple,
+                      tuple_coefficient, unpacked, y_order_key)
 from lrbasis import (check_basis, check_hwv, check_leading_term, delta,
                      delta_MT, delta_MT_all, delta_MT_eval, delta_TY,
                      enumerate_lr, hwv, intlinalg, leading_monomial,
@@ -226,6 +226,46 @@ def test_bareiss_det_random_vs_fractions():
                 bareiss_det(m)
 
 
+def _sparse_matrices(rng):
+    """Integer matrices for the elimination that skips rows with a zero in
+    the pivot column: sparse and dense, square, wide (c x (c + 4)) and
+    tall, some with a row that combines the rows above it; then
+    block-diagonal ones with their rows reordered, so that a row skipped
+    for a whole block is later swapped in as the pivot row."""
+    for _ in range(300):
+        c = rng.randint(1, 7)
+        nr, nc = rng.choice(((c, c), (c, c + 4), (c + 4, c)))
+        density = rng.choice((0.15, 0.4, 1.0))
+        m = [[rng.randint(-9, 9) if rng.random() < density else 0
+              for _ in range(nc)] for _ in range(nr)]
+        if nr > 1 and rng.random() < 0.3:
+            ks = [rng.randint(-2, 2) for _ in range(nr - 1)]
+            m[-1] = [sum(k * row[j] for k, row in zip(ks, m)) for j in range(nc)]
+        yield m
+    for _ in range(200):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        n, at = sum(sizes), 0
+        m = [[0] * n for _ in range(n)]
+        for k in sizes:
+            for i in range(at, at + k):
+                m[i][at:at + k] = [rng.choice((-7, -2, -1, 1, 3, 5))
+                                   for _ in range(k)]
+            at += k
+        # the last block first, ahead of the rows that pivot before it
+        m = m[n - sizes[-1]:] + m[:n - sizes[-1]]
+        yield m
+        rng.shuffle(m)
+        yield m
+
+
+def test_eliminate_matches_eager():
+    # the elimination that leaves a row unscaled while its pivot-column
+    # entry is zero gives the rank, sign and last pivot of eager Bareiss
+    rng = random.Random(26)
+    for m in _sparse_matrices(rng):
+        assert intlinalg._eliminate(m) == eliminate_eager(m), m
+
+
 def test_int_rank_known():
     assert int_rank([]) == 0
     assert int_rank([[0, 0], [0, 0]]) == 0
@@ -246,7 +286,11 @@ def test_int_rank_modular_fallback(monkeypatch):
     for m, rank_p, rank in (([[P, 2 * P], [3, 5]], 1, 2),
                             ([[2, 1], [1, (P + 1) // 2]], 1, 2),
                             ([[P]], 0, 1),
-                            ([[1, 2], [2, 4]], 1, 1)):
+                            ([[1, 2], [2, 4]], 1, 1),
+                            # sparse and wide: the last row is skipped at
+                            # the first step and then swapped in as pivot
+                            ([[P, 0, 0, 0, 2 * P], [3, 0, 0, 0, 5],
+                              [0, 0, 1, 0, 0]], 2, 3)):
         assert intlinalg._rank_mod_p(m) == rank_p
         assert int_rank(m) == rank
         assert exact.pop() == m
