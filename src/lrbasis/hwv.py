@@ -12,40 +12,27 @@ The companion matrix Yo keeps only the y columns and, of superrow j, the
 rows D_j + 1..F_j below the diagonal x block.  The coefficient of the same
 b-monomial in det Yo is the pure-y part used for leading-term arguments.
 
-The layout is written down once: _rows lists the rows of Z or Yo as
-(superrow, local row) pairs; _entries fills in the rows of Z, as
-polynomials (build_Ztilde) or as integers at a point (delta_eval); the
-Laplace sum below walks the rows of either.
+The layout is written down once: _entries fills in the rows of Z, as
+polynomials (build_Ztilde) or as integers at a point (delta_eval).
 
 Neither determinant is expanded in the b variables.  A tableau's
 coefficient is a signed sum of products of column-initial minors, one per
-column block, and one Laplace sum, run backward from the x blocks, gives
-those of all the tableaux of a triple: grids that end in the same columns
-share that part of it.  Over polynomial minors, each expanded once by
-polyring.column_minors, it gives the coefficients (delta_MT, delta_MT_all,
-delta_TY); over lists of integers, one per point, their exact values at
-all the points (delta_MT_values).  Nothing it builds outlives the call.
+column block, and one Laplace sum, a walk over the columns of the exponent
+grid run backward from the last, gives those of all the tableaux of a
+triple: grids that end in the same columns share that part of it.  Over
+polynomial minors, each expanded once by polyring.column_minors, it gives
+the coefficients (delta_MT, delta_MT_all, delta_TY); over lists of
+integers, one per point, their exact values at all the points
+(delta_MT_values).  Nothing it builds outlives the call.
 """
 
-from itertools import combinations
+from functools import cache
 
 from .errors import DimensionMismatch, ZeroCoefficient
 from .intlinalg import bareiss_det
 from .polyring import (ONE, Polynomial, avar, bvar, column_minors, determinant,
                        triple_layout, xvar, yvar)
 from .tableaux import monomial_M
-
-
-def _rows(triple, with_x=True):
-    """The rows of Z (with_x) or of Yo, as (superrow j, local row u) pairs.
-
-    Superrow j of Z is rows 1..F_j of the x and y matrices; of Yo, rows
-    D_j + 1..F_j, so Yo needs D_j <= F_j.
-    """
-    if not with_x and not triple.dt_in_ft:
-        raise DimensionMismatch("some F_j < D_j; the reduced matrix is undefined")
-    return [(j, u) for j in range(1, triple.t + 1)
-            for u in range(1 if with_x else triple.d(j) + 1, triple.f(j) + 1)]
 
 
 def _coefficients(triple, spec, name):
@@ -66,7 +53,7 @@ def _coefficients(triple, spec, name):
 def _entries(triple, A, B, value):
     """The entries of Z, in the ring of `value`.
 
-    Row (j, u) of _rows holds, block by block, A[j,k] * x[u,v] for
+    Row u = 1..F_j of superrow j holds, block by block, A[j,k] * x[u,v] for
     v = 1..D_k, then B[j,k] * y[u,v] for v = 1..E_k; value maps a variable
     to its polynomial, or to its integer at a point.  Row u of the x and y
     values is read once, as wide as the widest block, for every superrow.
@@ -83,7 +70,8 @@ def _entries(triple, A, B, value):
              for (_, M, _, widths), line in zip(blocks, lines[u - 1])
              for c, w in zip(M[j - 1], widths)
              for x in line[:w]]
-            for j, u in _rows(triple)]
+            for j in range(1, triple.t + 1)
+            for u in range(1, triple.f(j) + 1)]
 
 
 def build_Ztilde(triple, A="J", B="symbolic"):
@@ -104,23 +92,26 @@ def _laplace_sums(triple, grids, with_x, value, accumulate, one):
     for each grid, over the ring of `one`; None or a falsy sum for a grid
     with no term.
 
-    Expand by generalized Laplace along Z's column blocks x_1..x_r,
-    y_1..y_s.  A term has b-monomial b^grid when y block k takes grid[j][k]
-    rows of superrow j, and x block j the other D_j.  Each block gives the
-    column-initial minor on the local indices of its rows, zero when one
-    repeats; the sign is the parity of the rows in block order times the
-    signs that sort each minor's rows.  Taking the x blocks last moves them
-    past all |E| y rows: a sign of (-1)^(|D| |E|), applied once per grid.
-    det Yo is the same sum without the x blocks, on the rows D_j + 1..F_j
-    of each superrow.
+    Expand by generalized Laplace along the column blocks, in the order of
+    the columns of the paper's exponent grid [grid | diag(D)]: y block k
+    takes grid[j][k] rows of superrow j, then x block j the D_j rows left
+    in superrow j.  Each block gives the column-initial minor on the local
+    indices of its rows, zero when one repeats; the sign is the parity of
+    the rows in block order times the signs that sort each minor's rows.
+    Taking the x blocks last moves them past all |E| y rows: a sign of
+    (-1)^(|D| |E|), applied once per grid.  det Yo is the same walk with no
+    x columns, from Z's rows less local rows 1..D_j of each superrow j:
+    Yo's rows, in Yo's order and with Yo's local indices.
 
-    The sum runs backward from the x blocks.  A state after y block k is
-    (mask of the free rows, grid columns k+1..s); its value is computed
-    once and shared by every grid with those columns, and the x product
-    of a final mask once per mask.  The states and the edges into them are
-    found forward; then the blocks are summed from the last back, each
-    state's value dropped once the states before it hold it.  A state with
-    no term has no value.
+    Local row u of superrow j is bit low_j + u - 1 of a row mask.  A pick's
+    parity adds, over superrows: the rows left before those taken in
+    superrow j, c_j times the rows left in superrows 1..j - 1, and the
+    crossings of the local rows taken from different superrows.  A state
+    after block k is (mask of the free rows, node of the grid columns
+    k+1..); its value is computed once and shared by every grid with those
+    columns.  The states and the edges into them are found forward; then
+    the blocks are summed from the last back, each state's value dropped
+    once the states before it hold it.  A state with no term has no value.
 
     value maps a variable into the ring; accumulate(acc, p, q, c) returns
     acc + c * p * q, None being zero, and may sum into acc in place, so a
@@ -129,91 +120,94 @@ def _laplace_sums(triple, grids, with_x, value, accumulate, one):
     """
     if not grids:      # no tableau, and D may not even fit inside F
         return []
-    rows = _rows(triple, with_x)   # (superrow, local index), in matrix order
-    superrow = [[p for p, (i, _) in enumerate(rows) if i == j]
-                for j in range(1, triple.t + 1)]
+    if not with_x and not triple.dt_in_ft:
+        raise DimensionMismatch("some F_j < D_j; the reduced matrix is undefined")
+    superrow, start, low = {}, 0, 0    # j: (low_j, mask of local rows 1..F_j)
+    for j in range(1, max(triple.t, triple.r) + 1):
+        f, skip = triple.f(j), 0 if with_x else triple.d(j)
+        superrow[j] = low, (1 << f) - 1
+        start |= ((1 << f) - (1 << skip)) << low
+        low += f
+
+    @cache
+    def local_rows(bits):
+        return tuple(u for u in range(1, bits.bit_length() + 1)
+                     if bits >> u - 1 & 1)
+
+    @cache
+    def subsets(bits, c):
+        """(sub, parity) for each c-subset sub of the local rows `bits`,
+        parity counting the pairs of a row left before a row taken."""
+        if c == 0:
+            return [(0, 0)]
+        if bits.bit_count() < c:
+            return []
+        top = 1 << bits.bit_length() - 1
+        rest = bits ^ top
+        passed = rest.bit_count() - c + 1    # the rows left before a taken top
+        return subsets(rest, c) + [(sub | top, parity + passed)
+                                   for sub, parity in subsets(rest, c - 1)]
 
     def choices(mask, counts):
-        """(rows left, sign, sorted local rows) for each way to fill a y block."""
-        picks = [(0, ())]
+        """(rows left, sign, sorted local rows) for each way to fill a block."""
+        picks, parity, earlier = [(0, 0, 0)], 0, 0
         for j, c in counts:
-            free = [p for p in superrow[j - 1] if mask >> p & 1]
-            picks = [(taken | sum(1 << p for p in combo), chosen + combo)
-                     for taken, chosen in picks
-                     for combo in combinations(free, c)]
-        for taken, chosen in picks:          # chosen is in row order
-            local = [rows[p][1] for p in chosen]
-            if len(set(local)) < len(local):
-                continue
-            rest = mask & ~taken
-            inv = sum((rest & ((1 << p) - 1)).bit_count() for p in chosen)
-            inv += sum(a > b for i, a in enumerate(local) for b in local[i + 1:])
-            yield rest, -1 if inv % 2 else 1, tuple(sorted(local))
+            low, span = superrow[j]
+            parity += c * ((mask & ((1 << low) - 1)).bit_count() - earlier)
+            earlier += c
+            picks = [(taken | sub << low, local | sub,
+                      odd + p + (local and sum((local >> u).bit_count()
+                                               for u in local_rows(sub))))
+                     for taken, local, odd in picks
+                     for sub, p in subsets(mask >> low & span, c)
+                     if not local & sub]
+        return [(mask & ~taken, -1 if (odd + parity) % 2 else 1,
+                 local_rows(local)) for taken, local, odd in picks]
 
     def minors(make_var):
         return column_minors(lambda u, v: value(make_var(u, v)), accumulate, one)
 
-    xminor, yminor = minors(xvar), minors(yvar)
-    # superrow j of Z is rows low..low + F_j - 1, local rows 1..F_j: the
-    # rows it leaves to x block j are the bits of mask >> low & span
-    spans = [(superrow[j - 1][0], (1 << triple.f(j)) - 1)
-             for j in range(1, triple.r + 1)] if with_x else []
-
-    tails = {}         # xproduct(mask, j) for j > 0, by j and the rows it reads
-
-    def xproduct(mask, j=0):
-        """The product of x blocks j + 1..r on the rows left in `mask`."""
-        if j == len(spans):
-            return one
-        low, span = spans[j]
-        bits = mask >> low & span
-        minor = xminor(tuple(i + 1 for i in range(bits.bit_length())
-                             if bits >> i & 1))
-        if not minor or j + 1 == len(spans):
-            return minor
-        key = (j + 1, mask >> spans[j + 1][0])
-        if key not in tails:
-            tails[key] = xproduct(mask, j + 1)
-        rest = tails[key]
-        return rest and accumulate(None, minor, rest, 1)
-
-    # a suffix of grid columns is a node: (the counts its first block takes
-    # from each superrow, the node of the columns after it); None is empty
+    # a column of the grid is the counts (superrow, rows) its block takes;
+    # det Z's x block j is one more column, taking D_j rows of superrow j
+    xcolumns = [((j, triple.d(j)),)
+                for j in range(1, triple.r + 1)] if with_x else []
+    block_minors = [minors(yvar)] * triple.s + [minors(xvar)] * len(xcolumns)
+    # a suffix of grid columns is a node: (the counts of its first column,
+    # the node of the columns after it); None is empty
     ids, suffix, roots = {}, [], []
     for grid in grids:
         node = None
-        for column in reversed(list(zip(*grid))):
-            key = (tuple((j, c) for j, c in enumerate(column, 1) if c), node)
+        columns = [tuple((j, c) for j, c in enumerate(column, 1) if c)
+                   for column in zip(*grid)]
+        for counts in reversed(columns + xcolumns):
+            key = (counts, node)
             if key not in ids:
                 ids[key] = len(suffix)
                 suffix.append(key)
             node = ids[key]
         roots.append(node)
-    start = (1 << len(rows)) - 1
     states = {(start, node) for node in roots}
-    blocks = []        # per y block: {state after it: [(state before, sign, minor)]}
-    for _ in range(triple.s):
+    blocks = []        # per block: {state after it: [(state before, sign, minor)]}
+    for minor in block_minors:
         into = {}
         for state in states:
             counts, node = suffix[state[1]]
             for rest, sign, local in choices(state[0], counts):
-                ys = yminor(local)
-                if ys:
-                    into.setdefault((rest, node), []).append((state, sign, ys))
+                m = minor(local)
+                if m:
+                    into.setdefault((rest, node), []).append((state, sign, m))
         blocks.append(into)
         states = into
-    below = None       # the values after the block summed next; None: x products
+    below = {(0, None): one}     # the values after the block summed next
     while blocks:
         into, above = blocks.pop(), {}
         for state, edges in into.items():
-            after = (xproduct(state[0]) if below is None
-                     else below.pop(state, None))
+            after = below.pop(state, None)
             if after:
-                for before, sign, ys in edges:
-                    above[before] = accumulate(above.get(before), ys, after, sign)
+                for before, sign, m in edges:
+                    above[before] = accumulate(above.get(before), m, after, sign)
         below = above
-    out = [xproduct(start) if below is None else below.get((start, node))
-           for node in roots]
+    out = [below.get((start, node)) for node in roots]
     if with_x and triple.D.size * triple.E.size % 2:
         out = [v and accumulate(None, v, one, -1) for v in out]
     return out

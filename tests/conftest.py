@@ -5,8 +5,7 @@ from pathlib import Path
 import pytest
 
 from lrbasis import enumerate_lr, monomial_M, parse_partition, validate_triple
-from lrbasis.errors import UnorderedVariable
-from lrbasis.hwv import _rows
+from lrbasis.errors import DimensionMismatch, UnorderedVariable
 from lrbasis.polyring import (Layout, Polynomial, bvar, column_minors,
                               mono_text, triple_layout, var_key, xvar, yvar,
                               zvar)
@@ -181,6 +180,18 @@ def mono_mul(m1, m2):
     return mono_from_dict(merged)
 
 
+def matrix_rows(triple, with_x=True):
+    """The rows of Z (with_x) or of Yo, as (superrow j, local row u) pairs.
+
+    Superrow j of Z is rows 1..F_j of the x and y matrices; of Yo, rows
+    D_j + 1..F_j, so Yo needs D_j <= F_j.
+    """
+    if not with_x and not triple.dt_in_ft:
+        raise DimensionMismatch("some F_j < D_j; the reduced matrix is undefined")
+    return [(j, u) for j in range(1, triple.t + 1)
+            for u in range(1 if with_x else triple.d(j) + 1, triple.f(j) + 1)]
+
+
 def tuple_add_product(acc, p, q, c=1):
     """acc + c * p * q on tuple-form term dicts, summed into acc in place;
     None is zero."""
@@ -215,7 +226,7 @@ def laplace_plan(triple, grid, with_x):
     moves them past all |E| y rows: a sign of (-1)^(|D| |E|).  Only edges
     that lead to `final` are kept.
     """
-    rows = _rows(triple, with_x)   # (superrow, local index), in matrix order
+    rows = matrix_rows(triple, with_x)   # (superrow, local row), in order
     superrow = [[p for p, (i, _) in enumerate(rows) if i == j]
                 for j in range(1, triple.t + 1)]
 
@@ -375,13 +386,13 @@ def tableau_by_rows(tabs, rows):
 
 def build_Yo(triple, B="symbolic"):
     """The rows of Yo: Z's y columns on rows D_j + 1..F_j of superrow j."""
-    from lrbasis.hwv import _coefficients, _rows
+    from lrbasis.hwv import _coefficients
     B = _coefficients(triple, B, "B")
     layout = triple_layout(triple)
     return [[c * Polynomial.variable(yvar(u, v), layout)
              for c, w in zip(B[j - 1], triple.E.parts)
              for v in range(1, w + 1)]
-            for j, u in _rows(triple, False)]
+            for j, u in matrix_rows(triple, False)]
 
 
 def b_variable_coefficients(tr, with_x=True):
@@ -725,7 +736,7 @@ def entries_eager(triple, A, B, value):
              for M, make_var, widths in blocks
              for c, w in zip(M[j - 1], widths)
              for v in range(1, w + 1)]
-            for j, u in _rows(triple)]
+            for j, u in matrix_rows(triple)]
 
 
 def matmul(X, Y, ncols):

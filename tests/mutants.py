@@ -27,6 +27,8 @@ ROOT = Path(__file__).resolve().parents[1]
 ELIMINATE = ["tests/test_verify.py::test_eliminate_matches_eager",
              "tests/test_hwv.py::test_eliminate_matches_eager_on_delta_eval_matrices"]
 
+SHARED_SUM = ["tests/test_hwv.py::test_shared_sum_matches_forward_plans"]
+
 # name: (file, old text, new text, tests expected to catch it)
 MUTANTS = {
     # intlinalg._eliminate: the lazy row scaling
@@ -62,18 +64,46 @@ MUTANTS = {
         "into.setdefault((rest, node), [])",
         "into.setdefault(next((k for k in into if k[0] == rest),"
         " (rest, node)), [])",
-        ["tests/test_hwv.py::test_shared_sum_matches_forward_plans"]),
+        SHARED_SUM),
     "global sign applied twice": (
         "hwv.py",
         "out = [v and accumulate(None, v, one, -1) for v in out]",
         "out = [v and accumulate(None, accumulate(None, v, one, -1), one, -1)"
         " for v in out]",
-        ["tests/test_hwv.py::test_shared_sum_matches_forward_plans"]),
+        SHARED_SUM),
+    "picks blind to crossings between superrows": (
+        "hwv.py",
+        "odd + p + (local and sum(",
+        "odd + p + 0 * (local and sum(",
+        SHARED_SUM),
+    "picks blind to the rows left in earlier superrows": (
+        "hwv.py",
+        "            parity += c * ((mask & ((1 << low) - 1)).bit_count()"
+        " - earlier)\n",
+        "",
+        SHARED_SUM),
+    "det Yo started from all the rows of Z": (
+        "hwv.py",
+        "start |= ((1 << f) - (1 << skip)) << low",
+        "start |= ((1 << f) - 1) << low",
+        SHARED_SUM),
+    # polyring.leading_monomial
+    "y order read row by row": (
+        "polyring.py",
+        "sorted((v[2], v[1], s) for v, s in lay.shift.items()",
+        "sorted((v[1], v[2], s) for v, s in lay.shift.items()",
+        ["tests/test_polyring.py::test_y_order_single_variables"]),
     # polyring._sorted_terms
     "sort key without the degree": (
         "polyring.py",
         "key = sum(e for _, e in fields) << top",
         "key = 0",
+        ["tests/test_polyring.py::test_writers_match_oracle_on_random_polynomials",
+         "tests/test_polyring.py::test_output_order_edge_cases"]),
+    "sort key in forward field order": (
+        "polyring.py",
+        "key += e << top - (k + 1) * w",
+        "key += e << k * w",
         ["tests/test_polyring.py::test_writers_match_oracle_on_random_polynomials",
          "tests/test_polyring.py::test_output_order_edge_cases"]),
     # verify.check_basis
@@ -83,12 +113,31 @@ MUTANTS = {
         "    if False:\n",
         ["tests/test_verify.py::test_check_basis_reuses_given_vectors",
          "tests/test_cli.py::test_verify_builds_each_vector_once"]),
+    "symbolic rank with no all-columns fallback": (
+        "verify.py",
+        "        if rank < len(polys):\n",
+        "        if False:\n",
+        ["tests/test_verify.py::test_symbolic_rank_reads_all_columns_only_when_needed"]),
     # cli._triple_and_tableau
     "tableau content check removed": (
         "cli.py",
         "    if tuple(content) != triple.Et.parts:\n",
         "    if False:\n",
         ["tests/test_cli.py::test_tableau_of_another_triple_exit_1"]),
+    # cli._Command
+    "add_parser keywords dropped": (
+        "cli.py",
+        "parser = argparse.ArgumentParser(**self.kwargs)",
+        "parser = argparse.ArgumentParser()",
+        ["tests/test_cli.py::test_main_agrees_with_eager_parser"]),
+    "every subcommand built up front": (
+        "cli.py",
+        "        self.command, self.kwargs = command, kwargs\n",
+        "        self.command, self.kwargs = command, kwargs\n"
+        "        parser = argparse.ArgumentParser(**kwargs)\n"
+        "        for add in COMMANDS[command][1]:\n"
+        "            add(parser)\n",
+        ["tests/test_cli.py::test_parser_built_for_the_named_command"]),
 }
 
 
@@ -105,7 +154,7 @@ def run_tests(src, tests):
 def outcome(name, work):
     """What became of one mutant: "killed", or why it is reported."""
     file, old, new, tests = MUTANTS[name]
-    src = work / name.replace(" ", "_")
+    src = work / "".join(ch if ch.isalnum() else "_" for ch in name)
     shutil.copytree(ROOT / "src", src)
     path = src / "lrbasis" / file
     text = path.read_text()

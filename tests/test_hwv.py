@@ -8,14 +8,13 @@ import pytest
 from conftest import (RUNNING_TABLEAUX, admissible_grids, all_triples,
                       b_variable_coefficients, build_Yo, eliminate_eager,
                       entries_eager, evaluate, grid_support,
-                      interpolation_coefficient, laplace_plan, plan_sum,
-                      random_triple, tableau_by_rows, triangular_pair,
-                      zero_one_coefficient)
+                      interpolation_coefficient, laplace_plan, matrix_rows,
+                      plan_sum, random_triple, tableau_by_rows,
+                      triangular_pair, zero_one_coefficient)
 from lrbasis import (build_Ztilde, delta, delta_MT, delta_MT_eval,
                      delta_MT_values, delta_TY, delta_eval, enumerate_lr, hwv,
                      intlinalg, monomial_M, parse_partition, validate_triple)
 from lrbasis.errors import DimensionMismatch
-from lrbasis.hwv import _rows
 from lrbasis.polyring import ONE, Polynomial, poly_text, triple_layout
 from lrbasis.verify import random_point
 
@@ -41,7 +40,7 @@ def test_block_sizes(running):
     Yo = build_Yo(running)
     assert len(Yo) == len(Yo[0]) == 9
     # superrow j of Yo has F_j - D_j rows
-    superrows = [j for j, _ in _rows(running, False)]
+    superrows = [j for j, _ in matrix_rows(running, False)]
     assert [superrows.count(j) for j in range(1, 7)] == [2, 2, 2, 2, 0, 1]
 
 
@@ -52,6 +51,16 @@ def test_dimension_guards():
         delta_eval(tr, [[1, 2]], [[1]], {})
     with pytest.raises(DimensionMismatch):
         build_Ztilde(tr, B=[[1], [1], [1]])
+    # Yo keeps rows D_j + 1..F_j of superrow j, so it needs D_j <= F_j;
+    # det Z is defined, and with A = J its x block 1 has two columns on
+    # one row, or for D = (1, 1) and F = (2) x block 2 has no row: no term
+    ring = (lambda v: [1], hwv._add_products, [1])
+    tr = validate_triple([2], [1], [1, 1, 1])
+    with pytest.raises(DimensionMismatch):
+        hwv._laplace_sums(tr, [((0,), (1,), (0,))], False, *ring)
+    assert hwv._laplace_sums(tr, [((0,), (1,), (0,))], True, *ring) == [None]
+    tr = validate_triple([1, 1], [], [2])
+    assert hwv._laplace_sums(tr, [((),)], True, *ring) == [None]
 
 
 def _assert_yo_is_restricted_z(tr):
