@@ -140,7 +140,7 @@ def cmd_verify(args):
         report["weights"] = all(verify.weight_profile(p).matches(triple)
                                 for p in polys)
     if args.leading or run_all:
-        report["leading"] = all(verify.check_leading_term(triple, T) for T in tabs)
+        report["leading"] = verify.check_leading_term(triple, tabs, polys)
     if args.basis or run_all:
         basis = verify.check_basis(triple, seed=args.seed, tableaux=tabs,
                                    polys=polys)

@@ -23,7 +23,10 @@ triple: grids that end in the same columns share that part of it.  Over
 polynomial minors, each expanded once by polyring.column_minors, it gives
 the coefficients (delta_MT, delta_MT_all, delta_TY); over lists of
 integers, one per point, their exact values at all the points
-(delta_MT_values).  Nothing it builds outlives the call.
+(delta_MT_values); over a max-plus ring of tops, (key, count) with the
+key ordered as the y order, the leading term of each coefficient of
+det Yo with none of them expanded (leading_terms_TY).
+Nothing it builds outlives the call.
 """
 
 from functools import cache
@@ -111,7 +114,10 @@ def _laplace_sums(triple, grids, with_x, value, accumulate, one):
     k+1..); its value is computed once and shared by every grid with those
     columns.  The states and the edges into them are found forward; then
     the blocks are summed from the last back, each state's value dropped
-    once the states before it hold it.  A state with no term has no value.
+    once the states before it hold it.  A state with one edge out, as is
+    each state before an x column, is valued only when the block before it
+    is summed, so the values of a layer of such states are never all held
+    at once.  A state with no term has no value.
 
     value maps a variable into the ring; accumulate(acc, p, q, c) returns
     acc + c * p * q, None being zero, and may sum into acc in place, so a
@@ -198,15 +204,29 @@ def _laplace_sums(triple, grids, with_x, value, accumulate, one):
                     into.setdefault((rest, node), []).append((state, sign, m))
         blocks.append(into)
         states = into
-    below = {(0, None): one}     # the values after the block summed next
+    # the values after the block summed next; a state with one edge out so
+    # far waits as (minor, value after it, sign), and is valued only when
+    # the block before it is summed
+    below, waiting = {(0, None): one}, {}
     while blocks:
-        into, above = blocks.pop(), {}
+        into, above, held = blocks.pop(), {}, {}
         for state, edges in into.items():
-            after = below.pop(state, None)
+            first = waiting.pop(state, None)
+            after = (accumulate(None, *first) if first
+                     else below.pop(state, None))
             if after:
                 for before, sign, m in edges:
-                    above[before] = accumulate(above.get(before), m, after, sign)
-        below = above
+                    acc = above.get(before)
+                    if acc is None:
+                        first = held.pop(before, None)
+                        if first is None:
+                            held[before] = m, after, sign
+                            continue
+                        acc = accumulate(None, *first)
+                    above[before] = accumulate(acc, m, after, sign)
+        below, waiting = above, held
+    for state, first in waiting.items():
+        below[state] = accumulate(None, *first)
     out = [below.get((start, node)) for node in roots]
     if with_x and triple.D.size * triple.E.size % 2:
         out = [v and accumulate(None, v, one, -1) for v in out]
@@ -260,6 +280,50 @@ def _add_products(acc, p, q, c):
     if c == 1:
         return [a + x * y for a, x, y in zip(acc, p, q)]
     return [a - x * y for a, x, y in zip(acc, p, q)]
+
+
+def _add_tops(acc, p, q, c):
+    """acc + c * p * q in the max-plus ring of tops (key, count), for
+    c = +-1; None is zero.  A product adds the keys and multiplies the
+    counts; a sum keeps the larger key, and adds the counts of equal keys.
+    A count that cancels to 0 is kept: the top is then unknown."""
+    key = p[0] + q[0]
+    if acc is None or key > acc[0]:
+        return key, c * p[1] * q[1]
+    if key == acc[0]:
+        return key, acc[1] + c * p[1] * q[1]
+    return acc
+
+
+def leading_terms_TY(triple, grids):
+    """The leading term of the coefficient of b^grid in det Yo, under the y
+    order of polyring.leading_monomial, for each grid: (tuple-form
+    monomial, coefficient), or None where its top cancelled or it has no
+    term.
+
+    One Laplace sum for all the grids, in the max-plus ring of _add_tops.
+    The key of y[u,v] holds a degree of 1 above one exponent field per
+    variable, in column-major order, y[1,1], y[2,1], ..., y[1,2], ..., the
+    first on top, each wide enough for |F|: keys then compare as the y
+    order does, the key of a product is the sum of the keys, and the top's
+    monomial is read back off its key.  The top of a column-initial minor
+    on sorted rows is its diagonal, with +1, so no minor's top cancels;
+    only a sum of products can.
+    """
+    width = triple.F.size.bit_length() + 1
+    ys = sorted((yvar(u, v) for u in range(1, triple.F.width + 1)
+                 for v in range(1, triple.E.width + 1)),
+                key=lambda v: (v[2], v[1]), reverse=True)
+    shift = {v: k * width for k, v in enumerate(ys)}
+    degree, mask = len(ys) * width, (1 << width) - 1
+    value = {v: ((1 << degree) + (1 << s), 1) for v, s in shift.items()}
+    tops = _laplace_sums(triple, grids, False, value.__getitem__, _add_tops,
+                         (0, 1))
+
+    def monomial(key):
+        fields = ((v, key >> shift[v] & mask) for v in sorted(shift))
+        return tuple((v, e) for v, e in fields if e)
+    return [(monomial(t[0]), t[1]) if t and t[1] else None for t in tops]
 
 
 def delta_MT_values(triple, tableaux, points):

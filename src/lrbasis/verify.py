@@ -12,10 +12,11 @@ from collections import namedtuple
 
 from .errors import NotHomogeneous, ZeroPolynomial
 from .intlinalg import int_rank
-from .hwv import delta_MT_values, delta_TY
+from .hwv import delta_MT_values, delta_TY, leading_terms_TY
 from .oracle import lr_coefficient
-from .polyring import Polynomial, leading_monomial, xvar, yvar
-from .tableaux import enumerate_lr, monomial_bigE, monomial_e
+from .polyring import (Polynomial, leading_monomial, triple_layout, xvar,
+                       yvar)
+from .tableaux import enumerate_lr, monomial_M, monomial_bigE, monomial_e
 
 
 def _move_one_power(p, families, axis, src, dst):
@@ -118,10 +119,34 @@ def weight_profile(p):
     return WeightProfile(*vectors)
 
 
-def check_leading_term(triple, T):
-    """Leading y-monomial of the reduced coefficient is e(T), up to sign."""
-    m, c = leading_monomial(delta_TY(triple, T))
-    return m == monomial_e(T) and abs(c) == 1
+def check_leading_term(triple, tableaux, polys=None):
+    """Whether the leading y-term of delta_TY(triple, T) is e(T) with
+    coefficient +-1, for every tableau T, read with no det Yo expanded.
+
+    Given the vectors delta_MT of the tableaux, in order, the terms are read
+    off them: Yo is Z at x = I, so delta_TY(T) is +- the coefficient of
+    x0 = prod_v x[v,v]^(D'_v) in delta_MT(T), its only x part with no
+    off-diagonal variable.  Without them, one max-plus Laplace sum over det
+    Yo gives the leading term of every tableau (hwv.leading_terms_TY); a
+    tableau whose top cancelled there, so that the term below it is
+    unknown, falls back to expanding its delta_TY.
+    """
+    if not tableaux:     # and D may not even fit inside F
+        return True
+    if polys is None:
+        tops = leading_terms_TY(triple, [monomial_M(T).m for T in tableaux])
+        leads = (top or leading_monomial(delta_TY(triple, T))
+                 for T, top in zip(tableaux, tops))
+    else:
+        lay = triple_layout(triple)
+        xbits = sum(lay.mask << s for v, s in lay.shift.items() if v[0] == "x")
+        x0 = sum(d << lay.shift[xvar(v, v)]
+                 for v, d in enumerate(triple.Dt.parts, 1))
+        leads = (leading_monomial(Polynomial(
+                     {m - x0: c for m, c in p.terms.items() if m & xbits == x0},
+                     lay)) for p in polys)
+    return all(m == monomial_e(T) and abs(c) == 1
+               for T, (m, c) in zip(tableaux, leads))
 
 
 class BasisReport(namedtuple("BasisReport",

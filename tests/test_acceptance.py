@@ -49,7 +49,7 @@ def test_acceptance_03_leading_term(running, capsys):
         d = delta_TY(running, T)
         lm, c = leading_monomial(d)
         assert lm == monomial_e(T) and abs(c) == 1
-        assert check_leading_term(running, T)
+        assert check_leading_term(running, [T])
     elapsed = time.time() - t0
     assert elapsed < 60
     _report(capsys, 3, "leading y-monomials are the e monomials with unit coefficient",

@@ -13,7 +13,7 @@ import pytest
 import cli_agreement
 from cli_agreement import SMALL, TABLEAU_USAGE_ERRORS
 from conftest import readme_block
-from lrbasis import cli, enumerate_lr, hwv, validate_triple
+from lrbasis import cli, enumerate_lr, hwv, validate_triple, verify
 from lrbasis.polyring import Layout
 
 # the child process imports lrbasis from where this one found it
@@ -346,10 +346,11 @@ def test_parser_built_once():
 
 def test_verify_builds_each_vector_once(monkeypatch, capsys):
     # every delta_MT comes from one Laplace sum over all the tableaux,
-    # which the rank check reuses; the leading-term check sums det Yo.
-    # Without --hwv, --weights or --all no polynomial is expanded: the rank
-    # is taken of values, from one sum over lists of integers.  The ring of
-    # a sum shows in its `one`: a list for values, a dict for polynomials
+    # which the rank and leading-term checks reuse.  Without --hwv,
+    # --weights or --all no polynomial is expanded: the rank is taken of
+    # values, from one sum over lists of integers, and the leading terms
+    # come from one max-plus sum over det Yo.  The ring of a sum shows in
+    # its `one`: a list for values, a dict for polynomials, a tuple for tops
     calls = []
     original = hwv._laplace_sums
 
@@ -360,14 +361,34 @@ def test_verify_builds_each_vector_once(monkeypatch, capsys):
     two = ["--D", "2,1", "--E", "2,1", "--F", "3,2,1"]
     for checks, sums in (
             (["--basis"], [(2, True, "list")]),
-            (["--basis", "--leading"],
-             [(1, False, "dict"), (1, False, "dict"), (2, True, "list")]),
-            (["--all"],
-             [(1, False, "dict"), (1, False, "dict"), (2, True, "dict")])):
+            (["--basis", "--leading"], [(2, False, "tuple"), (2, True, "list")]),
+            (["--all"], [(2, True, "dict")])):
         calls.clear()
         assert cli.main(["verify", *two, *checks]) == 0
         assert json.loads(capsys.readouterr().out)["rank"] == 2
         assert sorted(calls) == sums, checks
+
+
+def test_leading_on_the_frontier_triple_expands_nothing(monkeypatch, capsys):
+    # |F| = 24 and |E| = 21 rows of y: expanding delta_TY of its two
+    # tableaux took 10 s and 196 MB; one max-plus sum over det Yo gives
+    # both leading terms, and no tableau falls back to the expansion
+    calls = []
+    original = hwv._laplace_sums
+
+    def counting(triple, grids, with_x, value, accumulate, one):
+        calls.append((len(grids), with_x, type(one).__name__))
+        return original(triple, grids, with_x, value, accumulate, one)
+
+    def expanding(*args):
+        raise AssertionError("delta_TY expanded")
+    monkeypatch.setattr(hwv, "_laplace_sums", counting)
+    monkeypatch.setattr(verify, "delta_TY", expanding)
+    argv = ["verify", "--D", "2,1", "--E", "5,4,4,3,3,2", "--F", "6,5,4,4,3,2",
+            "--leading"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {"leading": True, "pass": True}
+    assert calls == [(2, False, "tuple")]
 
 
 def test_import_loads_no_dataclasses():

@@ -213,6 +213,8 @@ def lrb_runs(tableau_file):
         (0, ["verify", *TWO, "--all"], ""),
         # no check that needs the polynomials: the rank is of values at points
         (0, ["verify", *TWO, "--basis"], ""),
+        # the leading terms with no vectors: a max-plus sum over det Yo
+        (0, ["verify", *TWO, "--basis", "--leading"], ""),
         (0, ["oracle", *TWO], ""),
         (0, ["sl4-table"], ""),
         (0, ["bz-grade", "--dots", "x21,z12,y11,y22,x13"], ""),

@@ -15,7 +15,8 @@ from lrbasis import (build_Ztilde, delta, delta_MT, delta_MT_eval,
                      delta_MT_values, delta_TY, delta_eval, enumerate_lr, hwv,
                      intlinalg, monomial_M, parse_partition, validate_triple)
 from lrbasis.errors import DimensionMismatch
-from lrbasis.polyring import ONE, Polynomial, poly_text, triple_layout
+from lrbasis.polyring import (ONE, Polynomial, leading_monomial, poly_text,
+                              triple_layout, yvar)
 from lrbasis.verify import random_point
 
 POOL = Path(__file__).resolve().parents[1] / "bench" / "pools" / "verify-large.json"
@@ -150,6 +151,83 @@ def test_delta_TY_relation_to_delta_MT():
             assert y_part in (ty.terms, (-1 * ty).terms)
             signs.add(y_part == ty.terms)
         assert len(signs) == 1
+
+
+def test_leading_terms_match_expansion(running):
+    # one max-plus sum over det Yo gives the leading term of delta_TY, with
+    # its coefficient, of every tableau with |F| <= 8 (D or E empty among
+    # them), of the worked example and of the verify-large pool; no top
+    # cancels on any of them
+    n, empty = 0, set()
+    for tr in [*all_triples(8), running, *pool_triples()]:
+        tabs = enumerate_lr(tr)
+        if not tabs:
+            continue
+        assert hwv.leading_terms_TY(tr, [monomial_M(T).m for T in tabs]) == [
+            leading_monomial(delta_TY(tr, T)) for T in tabs]
+        empty |= {name for name, part in (("D", tr.D), ("E", tr.E))
+                  if not part.size}
+        n += len(tabs)
+    assert n == 1350 + 4 + 43 and empty == {"D", "E"}
+
+
+def _hand_built_sum(terms):
+    """A stand-in for hwv._laplace_sums that sums the polynomial with the
+    (coefficient, variables) terms, in the ring it is handed."""
+    def laplace_sums(triple, grids, with_x, value, accumulate, one):
+        acc = None
+        for c, variables in terms:
+            product = one
+            for v in variables:
+                product = accumulate(None, product, value(v), 1)
+            acc = accumulate(acc, product, one, c)
+        return [acc]
+    return laplace_sums
+
+
+def test_max_plus_ring_on_hand_built_sums(monkeypatch):
+    # no coefficient of det Yo with |F| <= 8, of any admissible grid, has
+    # another leading term in row-major y order (y[1,1] > y[1,2] > ...
+    # > y[2,1]); these sums do.  Each runs in the ring that
+    # leading_terms_TY hands the Laplace sum, against leading_monomial
+    tr = validate_triple([], [2, 2], [2, 2])     # y[1..2, 1..2]
+    layout = triple_layout(tr)
+    y11, y12, y21, y22 = (yvar(u, v) for u in (1, 2) for v in (1, 2))
+    cases = [
+        # y[2,1] > y[1,2]: column-major, the paper's order
+        ([(1, [y12]), (1, [y21])], ((y21, 1),), 1),
+        # keys add in a product; a degree-2 term passes a degree-1 one
+        ([(1, [y12, y12]), (3, [y21, y12]), (1, [y11])],
+         ((y12, 1), (y21, 1)), 3),
+        # equal keys add their counts
+        ([(1, [y21, y22]), (-1, [y11]), (-3, [y22, y21])],
+         ((y21, 1), (y22, 1)), -2),
+    ]
+    packed = (lambda v: {1 << layout.shift[v]: 1}, layout.add_product,
+              {ONE: 1})
+    for terms, lead, c in cases:
+        p, = _hand_built_sum(terms)(tr, [None], False, *packed)
+        assert leading_monomial(Polynomial(p, layout)) == (lead, c)
+        monkeypatch.setattr(hwv, "_laplace_sums", _hand_built_sum(terms))
+        assert hwv.leading_terms_TY(tr, [None]) == [(lead, c)]
+    # a top that cancels is marked, though a term below it is left
+    monkeypatch.setattr(hwv, "_laplace_sums", _hand_built_sum(
+        [(1, [y21]), (1, [y12]), (-1, [y21])]))
+    assert hwv.leading_terms_TY(tr, [None]) == [None]
+
+
+def test_cancelled_top_of_det_Yo():
+    # grid ((1, 0), (1, 1)) of D = 2, E = 2,1, F = 3,2: picking row 1 or
+    # row 2 of superrow 2 for y block 1 gives y[1,1] y[2,1] y[3,2] twice,
+    # with opposite signs; the two terms below it survive
+    tr = validate_triple([2], [2, 1], [3, 2])
+    grid = ((1, 0), (1, 1))
+    layout = triple_layout(tr)
+    packed = (lambda v: {1 << layout.shift[v]: 1}, layout.add_product,
+              {ONE: 1})
+    coefficient, = hwv._laplace_sums(tr, [grid], False, *packed)
+    assert len(coefficient) == 2
+    assert hwv.leading_terms_TY(tr, [grid]) == [None]
 
 
 def test_admissible_grids_running(running):

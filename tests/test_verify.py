@@ -19,7 +19,8 @@ from lrbasis.intlinalg import bareiss_det, int_rank
 from lrbasis.polyring import (Layout, Polynomial, mono, triple_layout, xvar,
                               yvar)
 
-POOL = Path(__file__).resolve().parents[1] / "bench" / "pools" / "verify-symbolic.json"
+POOLS = Path(__file__).resolve().parents[1] / "bench" / "pools"
+POOL = POOLS / "verify-symbolic.json"
 
 
 def P(v):
@@ -138,7 +139,8 @@ def test_delta_MT_profiles_random():
             p = delta_MT(tr, T)
             assert weight_profile(p).matches(tr)
             assert check_hwv(p, tr)
-            assert check_leading_term(tr, T)
+            assert check_leading_term(tr, [T])
+            assert check_leading_term(tr, [T], [p])
             assert check_e1_factorization(tr, T)
 
 
@@ -404,10 +406,72 @@ def test_evaluation_basis_is_one_shared_sum(running, monkeypatch):
     assert len(one_pass) == 4 and {len(row) for row in one_pass} == {8}
 
 
+def test_leading_terms_read_off_the_vectors(monkeypatch):
+    # given the vectors, the leading term of the x0 coefficient of each,
+    # x0 = prod_v x[v,v]^(D'_v), is that of delta_TY up to one sign per
+    # triple, on every tableau with |F| <= 8 (D or E empty among them) and
+    # on the verify-symbolic and verify-large pools; both signs occur
+    leads, lead = [], verify.leading_monomial
+
+    def recording(p):
+        leads.append(lead(p))
+        return leads[-1]
+    monkeypatch.setattr(verify, "leading_monomial", recording)
+    triples = [*all_triples(8),
+               *(validate_triple(D, E, F) for D, E, F, *_ in
+                 json.loads(POOL.read_text())["triples"]),
+               *(validate_triple(D, E, F) for D, E, F, *_ in
+                 json.loads((POOLS / "verify-large.json").read_text())["triples"])]
+    n, signs = 0, set()
+    for tr in triples:
+        tabs = enumerate_lr(tr)
+        if not tabs:
+            continue
+        leads.clear()
+        assert check_leading_term(tr, tabs, delta_MT_all(tr, tabs))
+        expanded = [lead(delta_TY(tr, T)) for T in tabs]
+        assert [m for m, _ in leads] == [m for m, _ in expanded]
+        signs |= {c * d for (_, c), (_, d) in zip(leads, expanded)}
+        n += len(tabs)
+    assert n == 1350 + 837 + 43 and signs == {1, -1}
+    # no tableau passes, though x[2,2] of x0 is not a variable of D = 2,
+    # F = 1,1
+    assert check_leading_term(validate_triple([2], [], [1, 1]), [], [])
+    # the vectors of the wrong tableaux fail
+    tr = validate_triple([2, 1], [2, 1], [3, 2, 1])
+    tabs = enumerate_lr(tr)
+    assert not check_leading_term(tr, tabs, delta_MT_all(tr, tabs)[::-1])
+
+
+def test_leading_term_falls_back_when_a_top_cancels(running, monkeypatch):
+    # a tableau whose top cancelled in the max-plus sum, here the second,
+    # has its delta_TY expanded, and only that one; the verdict is the same
+    tabs = enumerate_lr(running)
+    tops, expanded = verify.leading_terms_TY, []
+
+    def cancelled(triple, grids):
+        out = tops(triple, grids)
+        out[1] = None
+        return out
+
+    def expanding(triple, T):
+        expanded.append(T)
+        return delta_TY(triple, T)
+    monkeypatch.setattr(verify, "leading_terms_TY", cancelled)
+    monkeypatch.setattr(verify, "delta_TY", expanding)
+    assert check_leading_term(running, tabs)
+    assert expanded == [tabs[1]]
+    # the fallback's term is checked like any other
+    monkeypatch.setattr(verify, "delta_TY", lambda triple, T: delta_TY(
+        triple, tabs[0]))
+    assert not check_leading_term(running, tabs)
+
+
 def test_leading_term_deep_E():
     # |E| = 16 rows of y: the b-variable determinant of Yo ran past 60 s
-    # and 940 MB here; the block Laplace sum takes a few seconds
+    # and 940 MB, and expanding delta_TY by the block Laplace sum a few
+    # seconds; the max-plus sum takes milliseconds
     tr = validate_triple([2, 1], [4, 4, 3, 3, 2], [5, 4, 4, 3, 2, 1])
     tabs = enumerate_lr(tr)
     assert tabs
-    assert all(check_leading_term(tr, T) for T in tabs)
+    assert check_leading_term(tr, tabs)
