@@ -242,8 +242,7 @@ def _tableau_coefficients(triple, tableaux, with_x):
                         layout.add_product, {ONE: 1})
     if not all(out):
         raise ZeroCoefficient("the tableau coefficient vanished")
-    out.reverse()      # each sum is let go once its Polynomial holds a copy
-    return [Polynomial(out.pop(), layout) for _ in range(len(out))]
+    return [Polynomial(terms, layout) for terms in out]
 
 
 def delta_MT(triple, T):

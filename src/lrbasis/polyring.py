@@ -12,8 +12,8 @@ A product of monomials is then the sum of their ints.  The top bit of
 each field is a guard that no exponent reaches; a product or operator that
 sets one raises ExponentOverflow.  Polynomials are dicts mapping packed
 monomials to nonzero integer coefficients, summed in place by
-Layout.add_product; a Polynomial wraps one with its layout and multiplies,
-with no sum or comparison of its own.
+Layout.add_product.  A Polynomial owns its dict, copied only to drop a zero,
+and nothing sums into it after; it multiplies, with no sum or comparison.
 
 Monomials take the tuple form, the (variable, exponent) pairs in variable
 order, only at the edges: leading monomials, the tableau monomials e(T) and
@@ -104,12 +104,11 @@ class Layout:
         return out
 
     def read_parts(self, monomials, read):
-        """For each of the monomials in turn, the list of read(fields(part))
-        over its nonzero parts in one family, in family order.  The terms of
-        a polynomial share such parts, as products of the same x minors, so
-        read runs once for each distinct part."""
+        """Yield, for each of the monomials in turn, the list of
+        read(fields(part)) over its nonzero parts in one family, in family
+        order.  The terms of a polynomial share such parts, as products of
+        the same x minors, so read runs once for each distinct part."""
         memo = {}
-        out = []
         for m in monomials:
             parts = []
             for bits in self.families:
@@ -119,8 +118,7 @@ class Layout:
                     if got is None:
                         got = memo[part] = read(self.fields(part))
                     parts.append(got)
-            out.append(parts)
-        return out
+            yield parts
 
     def unpack(self, m):
         """The tuple form of a packed monomial."""
@@ -185,12 +183,14 @@ def mono_restrict(m, families):
 class Polynomial:
     """Integer polynomial stored as {packed monomial: coefficient} with its
     layout: variables, products by a polynomial or an integer, and the zero
-    test."""
+    test.  It keeps the dict it is given, copied only to drop a zero
+    coefficient; nothing changes the dict after, so two may share it."""
 
     __slots__ = ("terms", "layout")
 
     def __init__(self, terms, layout):
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = (terms if all(terms.values())
+                      else {m: c for m, c in terms.items() if c})
         self.layout = layout
 
     @classmethod
@@ -202,8 +202,8 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Polynomial({m: c * other for m, c in self.terms.items()},
-                              self.layout)
+            return Polynomial({m: c * other for m, c in self.terms.items()}
+                              if other else {}, self.layout)
         if other.layout != self.layout:
             raise ValueError("the polynomials have different layouts")
         return Polynomial(self.layout.add_product(None, self.terms, other.terms),
@@ -310,7 +310,7 @@ def determinant(matrix):
 # ---------------------------------------------------------------------------
 
 def _sorted_terms(p, show):
-    """(coefficient, shown) for each term of p in output order, where shown
+    """(key, coefficient, shown) for each term of p in output order: shown
     lists show(pairs) for the tuple-form pairs of each nonzero family part
     of its monomial, in family order; show runs once per distinct part."""
     lay = p.layout
@@ -329,7 +329,7 @@ def _sorted_terms(p, show):
     out = [(sum(key for key, _ in parts), c, [shown for _, shown in parts])
            for parts, c in zip(lay.read_parts(p.terms, read), p.terms.values())]
     out.sort(reverse=True)    # the keys differ, so c and shown never compare
-    return [(c, shown) for _, c, shown in out]
+    return out
 
 
 def mono_text(m):
@@ -349,7 +349,7 @@ def poly_text(p):
         return "0"
     return " ".join(f"{'+' if c >= 0 else '-'}{abs(c)}"
                     + "".join("*" + text for text in texts)
-                    for c, texts in _sorted_terms(p, mono_text))
+                    for _, c, texts in _sorted_terms(p, mono_text))
 
 
 def poly_to_json(p):
@@ -361,4 +361,4 @@ def poly_to_json(p):
 
     return '{"terms": [%s]}' % ", ".join(
         '{"c": "%d", "m": [%s]}' % (c, ", ".join(parts))
-        for c, parts in _sorted_terms(p, show))
+        for _, c, parts in _sorted_terms(p, show))

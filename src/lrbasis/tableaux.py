@@ -25,16 +25,16 @@ from .shapes import Partition
 
 
 class LRTableau:
-    """A filling of a skew shape, entries keyed by (row, column)."""
+    """A filling of a skew shape: the dict it is given, (row, column) -> entry."""
 
     __slots__ = ("shape", "entries")
 
     def __init__(self, shape, entries):
         self.shape = shape
-        self.entries = dict(entries)
-        if set(self.entries) != set(shape.cells):
+        self.entries = entries
+        if set(entries) != set(shape.cells):
             raise ShapeError("entries do not cover the shape exactly")
-        for v in self.entries.values():
+        for v in entries.values():
             if type(v) is not int or v < 1:   # a bool is no entry
                 raise ShapeError(f"entries must be positive integers, got {v!r}")
 

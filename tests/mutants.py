@@ -142,6 +142,30 @@ MUTANTS = {
         "key += e << k * w",
         ["tests/test_polyring.py::test_writers_match_oracle_on_random_polynomials",
          "tests/test_polyring.py::test_output_order_edge_cases"]),
+    # verify._move_one_power, check_hwv and weight_profile
+    "operator image without the exponent factor": (
+        "verify.py",
+        "total = out.get(m2, 0) + c * e",
+        "total = out.get(m2, 0) + c",
+        ["tests/test_verify.py::test_raising_operator_rows_basic",
+         "tests/test_verify.py::test_packed_against_tuple_monomials"]),
+    "row operators from row 3": (
+        "verify.py",
+        "for d in range(2, triple.F.width + 1):",
+        "for d in range(3, triple.F.width + 1):",
+        ["tests/test_verify.py::test_row_operator_kills_determinant",
+         "tests/test_verify.py::test_packed_against_tuple_monomials"]),
+    "weight profile keeps trailing zero degrees": (
+        "verify.py",
+        "        while vec and not vec[-1]:\n            vec.pop()\n",
+        "",
+        ["tests/test_verify.py::test_weight_profile_values"]),
+    # polyring.Polynomial
+    "Polynomial keeps a zero coefficient": (
+        "polyring.py",
+        "else {m: c for m, c in terms.items() if c})",
+        "else terms)",
+        ["tests/test_polyring.py::test_polynomial_keeps_its_dict"]),
     # verify.check_basis
     "check_basis ignores the polynomials it is handed": (
         "verify.py",

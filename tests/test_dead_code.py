@@ -10,7 +10,8 @@ whose name another method shares; a method that only a library calls
 is exempt from it by name, with the reason, in CALLED_FROM_OUTSIDE.
 The dynamic one runs `lrb` commands and the benchmark's calls under a
 call hook: it sees every function, method and lambda that runs, dunders
-included, but no class.
+included, but no class.  The same runs also check that no package code
+hands a Polynomial a zero coefficient, which would cost it a copy.
 """
 
 import ast
@@ -301,3 +302,22 @@ def test_every_function_runs(tmp_path):
         return _key(inspect.unwrap(fn).__code__) in ran
     assert sorted(name for name in benchmark_reached()
                   if not benchmark_call_ran(*name)) == []
+
+
+def test_no_zero_coefficient_handed_to_polynomial(tmp_path, monkeypatch):
+    # a Polynomial keeps the dict it is given unless it holds a zero; no
+    # package code in the `lrb` runs or benchmark calls hands it one
+    tableau_file = tmp_path / "tableau.json"
+    tableau_file.write_text(TABLEAU)
+    init, zeros = polyring.Polynomial.__init__, []
+
+    def checked(self, terms, layout):
+        zeros.append(sum(not c for c in terms.values()))
+        init(self, terms, layout)
+    monkeypatch.setattr(polyring.Polynomial, "__init__", checked)
+    runs = lrb_runs(str(tableau_file))
+    clear_caches()
+    assert [run_lrb(argv, stdin) for _, argv, stdin in runs] == [
+        code for code, _, _ in runs]
+    run_benchmark_calls()
+    assert zeros and not any(zeros)

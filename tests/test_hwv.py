@@ -402,6 +402,28 @@ def test_repeated_tableau_in_one_sum():
         [evaluate(delta_MT(tr, T), pt) for pt in pts] for T in (T0, T0, T1)]
 
 
+def test_vectors_own_the_sums(monkeypatch):
+    # delta_MT_all wraps each dict the Laplace sum returns, with no copy; a
+    # repeated tableau's vectors share one dict when no global sign is
+    # applied, |D| |E| even, and hold a dict each when it is
+    returned, laplace_sums = [], hwv._laplace_sums
+
+    def recording(*args):
+        returned.append(laplace_sums(*args))
+        return returned[-1]
+    monkeypatch.setattr(hwv, "_laplace_sums", recording)
+    for D, E, F, shared in (([2, 1], [2, 1], [3, 2, 1], False),
+                            ([2, 1], [3, 1], [4, 2, 1], True)):
+        tr = validate_triple(D, E, F)
+        T0, T1 = enumerate_lr(tr)
+        returned.clear()
+        polys = hwv.delta_MT_all(tr, [T0, T1, T0])
+        assert len(returned) == 1
+        assert [id(p.terms) for p in polys] == [id(t) for t in returned[0]]
+        assert (polys[0].terms is polys[2].terms) == shared
+        assert polys[0].terms == polys[2].terms
+
+
 def test_delta_eval_matches_symbolic_numeric():
     rng = random.Random(17)
     for _ in range(10):

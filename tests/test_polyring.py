@@ -49,6 +49,15 @@ def test_arithmetic_basics():
     assert add(dict(x.terms), x.terms, {ONE: 1}, -1) == {}
 
 
+def test_polynomial_keeps_its_dict():
+    # a dict with no zero coefficient is kept, not copied; zeros are dropped
+    x, y = pack(mono((xvar(1, 1), 1))), pack(mono((yvar(2, 1), 1)))
+    terms = {x: 2, y: -1}
+    assert Polynomial(terms, LAYOUT).terms is terms
+    assert Polynomial({x: 0}, LAYOUT).is_zero()
+    assert Polynomial({x: 0, y: 3}, LAYOUT).terms == {y: 3}
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(0)
     add = LAYOUT.add_product
