@@ -9,8 +9,8 @@ from .tableaux import (ExponentMatrix, LRTableau, PeelingTrace, check_lr1,
                        recover_from_e, standard_peeling)
 from .polyring import (Polynomial, determinant, leading_monomial, poly_text,
                        poly_to_json)
-from .hwv import (build_Ztilde, delta, delta_eval, delta_MT, delta_MT_all,
-                  delta_MT_eval, delta_MT_values, delta_TY)
+from .hwv import (build_Ztilde, delta, delta_eval, delta_MT, delta_MT_eval,
+                  delta_MT_values, delta_TY)
 from .verify import (BasisReport, WeightProfile, check_basis, check_hwv,
                      check_leading_term, raising_operator_cols,
                      raising_operator_rows, weight_profile)

@@ -130,24 +130,22 @@ def cmd_verify(args):
     triple = _triple(args)
     report = {}
     run_all = args.all or not (args.hwv or args.weights or args.leading or args.basis)
+    group = args.hwv or args.weights or run_all
     tabs = enumerate_lr(triple)
-    polys = None
-    if args.hwv or args.weights or run_all:
-        polys = hwv.delta_MT_all(triple, tabs)
+    grids = [monomial_M(T).m for T in tabs]
+    if group or args.basis:
+        basis = verify.check_basis(triple, args.seed, tabs, grids, group)
     if args.hwv or run_all:
-        report["hwv"] = all(verify.check_hwv(p, triple) for p in polys)
+        report["hwv"] = basis.hwv
     if args.weights or run_all:
-        report["weights"] = all(verify.weight_profile(p).matches(triple)
-                                for p in polys)
+        report["weights"] = basis.weights
+    if group:
+        report["sz_bound"] = basis.bound
     if args.leading or run_all:
-        report["leading"] = verify.check_leading_term(triple, tabs, polys)
+        report["leading"] = verify.check_leading_term(triple, tabs, grids)
     if args.basis or run_all:
-        basis = verify.check_basis(triple, seed=args.seed, tableaux=tabs,
-                                   polys=polys)
-        report["rank"] = basis.rank
-        report["lr_count"] = basis.lr_count
-        report["oracle_count"] = basis.oracle_count
-        report["basis"] = basis.passed
+        report.update(rank=basis.rank, lr_count=basis.lr_count,
+                      oracle_count=basis.oracle_count, basis=basis.passed)
     report["pass"] = all(v for k, v in report.items()
                          if k in ("hwv", "weights", "leading", "basis"))
     print(json.dumps(report))
@@ -197,7 +195,9 @@ def _delta_options(parser):
 def _verify_options(parser):
     for flag in ("--hwv", "--weights", "--leading", "--basis", "--all"):
         parser.add_argument(flag, action="store_true")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seeds the integer points the checks evaluate "
+                             "the vectors at (default 0)")
 
 
 def _bz_grade_options(parser):

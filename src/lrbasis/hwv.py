@@ -21,11 +21,11 @@ column block, and one Laplace sum, a walk over the columns of the exponent
 grid run backward from the last, gives those of all the tableaux of a
 triple: grids that end in the same columns share that part of it.  Over
 polynomial minors, each expanded once by polyring.column_minors, it gives
-the coefficients (delta_MT, delta_MT_all, delta_TY); over lists of
-integers, one per point, their exact values at all the points
-(delta_MT_values); over a max-plus ring of tops, (key, count) with the
-key ordered as the y order, the leading term of each coefficient of
-det Yo with none of them expanded (leading_terms_TY).
+the coefficients (delta_MT, delta_TY); over lists of integers, one per
+point, their exact values at all the points (delta_MT_values); over a
+max-plus ring of tops, (key, count) with the key ordered as the y order,
+the leading term of each coefficient of det Yo with none of them
+expanded (leading_terms_TY).
 Nothing it builds outlives the call.
 """
 
@@ -250,11 +250,6 @@ def delta_MT(triple, T):
     return _tableau_coefficients(triple, [T], True)[0]
 
 
-def delta_MT_all(triple, tableaux):
-    """delta_MT of each tableau, in order, from one sum over their grids."""
-    return _tableau_coefficients(triple, tableaux, True)
-
-
 def delta_TY(triple, T):
     """Coefficient of the tableau's b-monomial in det Yo; pure y variables."""
     return _tableau_coefficients(triple, [T], False)[0]
@@ -325,16 +320,16 @@ def leading_terms_TY(triple, grids):
     return [(monomial(t[0]), t[1]) if t and t[1] else None for t in tops]
 
 
-def delta_MT_values(triple, tableaux, points):
+def delta_MT_values(triple, grids, points):
     """Exact values of delta_MT(triple, T) at integer (x, y) points: one
-    row per tableau T, one entry per point.
+    row per tableau T, given by its grid M(T), one entry per point.
 
     One Laplace sum for all the tableaux, over lists of integers, one
     entry per point: its minors are expanded by column_minors on the
     points' coordinates, all points together.  A list of zeros is not
     falsy, so a minor that vanishes at every point is summed, not skipped.
     """
-    out = _laplace_sums(triple, [monomial_M(T).m for T in tableaux], True,
+    out = _laplace_sums(triple, grids, True,
                         lambda v: [pt[v] for pt in points], _add_products,
                         [1] * len(points))
     return [row or [0] * len(points) for row in out]
@@ -342,4 +337,4 @@ def delta_MT_values(triple, tableaux, points):
 
 def delta_MT_eval(triple, T, assignment):
     """Exact value of delta_MT(triple, T) at one integer (x, y) point."""
-    return delta_MT_values(triple, [T], [assignment])[0][0]
+    return delta_MT_values(triple, [monomial_M(T).m], [assignment])[0][0]

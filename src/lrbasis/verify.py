@@ -1,22 +1,28 @@
-"""Checks that the constructed polynomials behave as claimed.
+"""Checks that the constructed vectors behave as claimed.
 
 A polynomial in the x and y variables is a highest weight vector when it
 is killed by every simple raising operator: the row operators sum
 x[a,b] d/d(x[d,b]) + y[a,c] d/d(y[d,c]) over all columns for adjacent
 rows a = d - 1, and the column operators sum v[i,b] d/d(v[i,d]) over all
-rows within a single family for adjacent columns b = d - 1.
+rows within a single family for adjacent columns b = d - 1.  They are the
+derivatives of x, y -> n x u_x, n y u_y for n lower and u upper
+unitriangular, which check_basis applies at integer points instead.
 """
 
 import random
 from collections import namedtuple
+from fractions import Fraction
+from math import prod
 
 from .errors import NotHomogeneous, ZeroPolynomial
 from .intlinalg import int_rank
 from .hwv import delta_MT_values, delta_TY, leading_terms_TY
 from .oracle import lr_coefficient
-from .polyring import (Polynomial, leading_monomial, triple_layout, xvar,
-                       yvar)
+from .polyring import Polynomial, leading_monomial, xvar, yvar
 from .tableaux import enumerate_lr, monomial_M, monomial_bigE, monomial_e
+
+BASE_POINTS = 2     # k: the rank points whose translates are checked
+SPAN = 10**6        # coordinates: the 2 * SPAN nonzero integers in [-SPAN, SPAN]
 
 
 def _move_one_power(p, families, axis, src, dst):
@@ -65,16 +71,11 @@ def check_hwv(p, triple):
     """Whether every simple raising operator on the triple's variables
     annihilates p: rows 2..F_1, x columns 2..D_1 and y columns 2..E_1.
     An operator past these finds no variable of the triple's vectors."""
-    for d in range(2, triple.F.width + 1):
-        if not raising_operator_rows(p, d - 1, d).is_zero():
-            return False
-    for d in range(2, triple.D.width + 1):
-        if not raising_operator_cols(p, "x", d - 1, d).is_zero():
-            return False
-    for d in range(2, triple.E.width + 1):
-        if not raising_operator_cols(p, "y", d - 1, d).is_zero():
-            return False
-    return True
+    return (all(raising_operator_rows(p, d - 1, d).is_zero()
+                for d in range(2, triple.F.width + 1))
+            and all(raising_operator_cols(p, f, d - 1, d).is_zero()
+                    for f, width in (("x", triple.D.width), ("y", triple.E.width))
+                    for d in range(2, width + 1)))
 
 
 class WeightProfile(namedtuple("WeightProfile",
@@ -93,65 +94,41 @@ def weight_profile(p):
     """The common multidegree of all terms; NotHomogeneous otherwise."""
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial has no weight profile")
-    lay = p.layout
-    # a term's degrees as one int, a slot of `room` bits for each row, x
-    # column and y column in turn: no degree reaches len(variables) times
-    # 2**(width - 1), so the degrees of a term's x and y parts add as ints
-    xy = [v for v in lay.variables if v[0] in ("x", "y")]
-    lengths = [max((v[1] for v in xy), default=0)]
-    lengths += [max((v[2] for v in xy if v[0] == f), default=0) for f in "xy"]
-    base = {"x": lengths[0], "y": lengths[0] + lengths[1]}
-    room = lay.width + len(lay.variables).bit_length()
-    step = [(1 << (v[1] - 1) * room) + (1 << (base[v[0]] + v[2] - 1) * room)
-            if v[0] in base else 0 for v in lay.variables]
-    profiles = {sum(parts) for parts in lay.read_parts(
-        p.terms, lambda fields: sum(e * step[k] for k, e in fields))}
+    profiles = set()
+    for m in p.terms:
+        degrees = {"r": {}, "x": {}, "y": {}}    # by row, x and y column
+        for (family, i, j), e in p.layout.unpack(m):
+            if family in degrees:
+                for axis, k in (("r", i), (family, j)):
+                    degrees[axis][k] = degrees[axis].get(k, 0) + e
+        profiles.add(tuple(tuple(d.get(k, 0) for k in range(1, max(d, default=0) + 1))
+                           for d in degrees.values()))
     if len(profiles) > 1:
         raise NotHomogeneous("terms have different multidegrees")
-    profile = profiles.pop()
-    vectors = []
-    for n in lengths:
-        vec = [profile >> i * room & (1 << room) - 1 for i in range(n)]
-        profile >>= n * room
-        while vec and not vec[-1]:
-            vec.pop()
-        vectors.append(tuple(vec))
-    return WeightProfile(*vectors)
+    return WeightProfile(*profiles.pop())
 
 
-def check_leading_term(triple, tableaux, polys=None):
+def check_leading_term(triple, tableaux, grids=None):
     """Whether the leading y-term of delta_TY(triple, T) is e(T) with
     coefficient +-1, for every tableau T, read with no det Yo expanded.
 
-    Given the vectors delta_MT of the tableaux, in order, the terms are read
-    off them: Yo is Z at x = I, so delta_TY(T) is +- the coefficient of
-    x0 = prod_v x[v,v]^(D'_v) in delta_MT(T), its only x part with no
-    off-diagonal variable.  Without them, one max-plus Laplace sum over det
-    Yo gives the leading term of every tableau (hwv.leading_terms_TY); a
-    tableau whose top cancelled there, so that the term below it is
-    unknown, falls back to expanding its delta_TY.
+    One max-plus Laplace sum over det Yo, on the grids M(T) of the
+    tableaux, gives the leading term of every tableau
+    (hwv.leading_terms_TY); a tableau whose top cancelled there, so that
+    the term below it is unknown, falls back to expanding its delta_TY.
     """
     if not tableaux:     # and D may not even fit inside F
         return True
-    if polys is None:
-        tops = leading_terms_TY(triple, [monomial_M(T).m for T in tableaux])
-        leads = (top or leading_monomial(delta_TY(triple, T))
-                 for T, top in zip(tableaux, tops))
-    else:
-        lay = triple_layout(triple)
-        xbits = sum(lay.mask << s for v, s in lay.shift.items() if v[0] == "x")
-        x0 = sum(d << lay.shift[xvar(v, v)]
-                 for v, d in enumerate(triple.Dt.parts, 1))
-        leads = (leading_monomial(Polynomial(
-                     {m - x0: c for m, c in p.terms.items() if m & xbits == x0},
-                     lay)) for p in polys)
+    tops = leading_terms_TY(triple, grids or [monomial_M(T).m for T in tableaux])
+    leads = (top or leading_monomial(delta_TY(triple, T))
+             for T, top in zip(tableaux, tops))
     return all(m == monomial_e(T) and abs(c) == 1
                for T, (m, c) in zip(tableaux, leads))
 
 
-class BasisReport(namedtuple("BasisReport",
-                             "lr_count oracle_count leading_distinct rank mode")):
-    """Outcome of the spanning-family rank check for one triple."""
+class BasisReport(namedtuple("BasisReport", "lr_count oracle_count "
+                             "leading_distinct rank hwv weights bound")):
+    """Outcome of check_basis; hwv, weights and bound None unless asked."""
 
     __slots__ = ()
 
@@ -161,58 +138,86 @@ class BasisReport(namedtuple("BasisReport",
                 and self.leading_distinct)
 
 
-def random_point(rng, triple, lo=-10**6, hi=10**6):
+def _draw(rng, lo, hi):
+    """A random nonzero integer in [lo, hi]."""
+    v = 0
+    while v == 0:
+        v = rng.randint(lo, hi)
+    return v
+
+
+def random_point(rng, triple, lo=-SPAN, hi=SPAN):
     """Random nonzero integers in [lo, hi] for every x and y variable of
     the triple."""
-    def draw():
-        v = 0
-        while v == 0:
-            v = rng.randint(lo, hi)
-        return v
     assignment = {}
     for i in range(1, triple.F.width + 1):
         for j in range(1, max(1, triple.D.width) + 1):
-            assignment[xvar(i, j)] = draw()
+            assignment[xvar(i, j)] = _draw(rng, lo, hi)
         for j in range(1, max(1, triple.E.width) + 1):
-            assignment[yvar(i, j)] = draw()
+            assignment[yvar(i, j)] = _draw(rng, lo, hi)
     return assignment
 
 
-def _coefficient_rank(polys, monos):
-    """Rank of the coefficients of the polynomials at the given monomials."""
-    return int_rank([[p.terms.get(m, 0) for m in monos] for p in polys])
+def _translates(rng, triple, point):
+    """A unipotent translate (n x u_x, n y u_y) of an integer point, a
+    torus translate (t x s_x, t y s_y), and the torus character
+    prod t_u^F'_u * prod s_x,v^D'_v * prod s_y,w^E'_w: n lower, u_x and
+    u_y upper unitriangular, t, s_x and s_y diagonal, their free entries
+    drawn as random_point draws, n, u_x, u_y, t, s_x, s_y in turn."""
+    rows = range(1, triple.F.width + 1)
+    cols = [(f, v) for f, width in (("x", triple.D.width), ("y", triple.E.width))
+            for v in range(1, width + 1)]
+    n = {(i, a): _draw(rng, -SPAN, SPAN) for i in rows for a in rows if a < i}
+    u = {(b, c): _draw(rng, -SPAN, SPAN) for c in cols for b in cols
+         if b[0] == c[0] and b[1] < c[1]}
+    t = {i: _draw(rng, -SPAN, SPAN) for i in rows}
+    s = {c: _draw(rng, -SPAN, SPAN) for c in cols}
+    # n and u hold the entries off the diagonal; a missing one is 1 on it
+    nx = {(i, c): sum(n.get((i, a), a == i) * point[c[0], a, c[1]] for a in rows)
+          for i in rows for c in cols}
+    unipotent = {(c[0], i, c[1]): sum(nx[i, b] * u.get((b, c), b == c) for b in cols)
+                 for i in rows for c in cols}
+    torus = {(f, i, v): t[i] * point[f, i, v] * s[f, v] for i in rows for f, v in cols}
+    chi = prod(t[i] ** e for i, e in zip(rows, triple.Ft.parts))
+    chi *= prod(s[c] ** e for c, e in zip(cols, triple.Dt.parts + triple.Et.parts))
+    return unipotent, torus, chi
 
 
-def check_basis(triple, seed=0, tableaux=None, polys=None):
-    """Count, construct, and rank the tableau coefficients of a triple.
+def check_basis(triple, seed=0, tableaux=None, grids=None, group=False):
+    """Count, construct, and rank the tableau coefficients of a triple;
+    with group, also test that they are highest weight vectors of weight
+    (F', D', E').
 
-    Given the vectors delta_MT of the tableaux, in order, the rank is that
-    of their exact coefficient matrix (mode "symbolic").  Its columns at
-    each vector's largest packed monomial are ranked first: rank c there
-    is the full rank, as it is whenever those c monomials are distinct
-    (the c x c minor is then triangular in their order), and only when it
-    falls short (a repeated or zero vector, say) is every column ranked.
-    Without the vectors no polynomial is built: one Laplace sum over all c
-    tableaux gives their exact values at c + 4 integer points drawn from
-    `seed`, and the rank is that of this c x (c + 4) matrix (mode
-    "evaluation"), at most the rank of the coefficient matrix, which is at
-    most c; so equality of rank, count and oracle is conclusive either
-    way.  A caller that holds the enumerated tableaux passes them in so
-    they are not rebuilt.
+    One Laplace sum over all c tableaux, on their grids M(T), gives their
+    exact values at c + 4 integer points drawn from `seed`, and the rank
+    is that of this c x (c + 4) matrix, at most the rank of the
+    coefficient matrix, which is at most c; so equality of rank, count and
+    oracle is conclusive.  With group the sum also covers a unipotent and
+    a torus translate of each of the first BASE_POINTS rank points, drawn
+    next: each vector must keep its value at the first, take chi times it
+    at the second, and be nonzero at a base point.  Each identity has
+    degree 3|F| in the drawn entries, so a vector that fails it passes at
+    one point with probability at most 3|F| / (2 SPAN) (Schwartz-Zippel);
+    `bound` is that for all the points.
     """
     tabs = enumerate_lr(triple) if tableaux is None else tableaux
-    oracle_count = lr_coefficient(triple)
-    distinct = len({monomial_bigE(T, triple) for T in tabs}) == len(tabs)
-    if not tabs:
-        return BasisReport(0, oracle_count, True, 0, "empty")
-    if polys is not None:
-        rank = _coefficient_rank(polys, {max(p.terms, default=0) for p in polys})
-        if rank < len(polys):
-            rank = _coefficient_rank(polys, {m for p in polys for m in p.terms})
-        mode = "symbolic"
-    else:
-        rng = random.Random(seed)
-        points = [random_point(rng, triple) for _ in range(len(tabs) + 4)]
-        rank = int_rank(delta_MT_values(triple, tabs, points))
-        mode = "evaluation"
-    return BasisReport(len(tabs), oracle_count, distinct, rank, mode)
+    grids = grids or [monomial_M(T).m for T in tabs]
+    rng = random.Random(seed)
+    points = [random_point(rng, triple) for _ in range(len(tabs) + 4)]
+    n, chis = len(points), []
+    for base in points[:BASE_POINTS if group else 0]:
+        unipotent, torus, chi = _translates(rng, triple, base)
+        points += [unipotent, torus]
+        chis.append(chi)
+    values = delta_MT_values(triple, grids, points)
+    report = BasisReport(len(tabs), lr_coefficient(triple),
+                         len({monomial_bigE(T, triple) for T in tabs}) == len(tabs),
+                         int_rank([row[:n] for row in values]), None, None, None)
+    if not group:
+        return report
+    return report._replace(
+        hwv=all(row[n + 2 * i] == row[i] for row in values for i in range(len(chis))),
+        weights=all(any(row[:len(chis)]) and all(row[n + 2 * i + 1] == chi * row[i]
+                                                 for i, chi in enumerate(chis))
+                    for row in values),
+        bound=float(Fraction(3 * triple.F.size, 2 * SPAN) ** len(chis)))

@@ -416,6 +416,42 @@ def b_variable_coefficients(tr, with_x=True):
     return out
 
 
+def grids_of(tabs):
+    """The exponent grid M(T) of each tableau."""
+    return [monomial_M(T).m for T in tabs]
+
+
+def delta_MT_all(triple, tabs):
+    """delta_MT of each tableau, in order, from one sum over their grids:
+    the vectors that the evaluation checks are compared against."""
+    from lrbasis import hwv
+    return hwv._tableau_coefficients(triple, tabs, True)
+
+
+def coefficient_rank(polys):
+    """Rank of the exact coefficient matrix of the polynomials: first on
+    the columns of each one's largest packed monomial, which give the full
+    rank whenever they are distinct (the minor is then triangular in their
+    order), and on every column only when that falls short."""
+    from lrbasis.intlinalg import int_rank
+
+    def rank(monos):
+        return int_rank([[p.terms.get(m, 0) for m in monos] for p in polys])
+    top = rank({max(p.terms, default=0) for p in polys})
+    return top if top == len(polys) else rank({m for p in polys for m in p.terms})
+
+
+def x0_coefficient(triple, p):
+    """The coefficient of x0 = prod_v x[v,v]^(D'_v) in a vector, with x0
+    divided out: its only x part with no off-diagonal variable.  Yo is Z
+    at x = I, so for delta_MT(T) it is +-delta_TY(T)."""
+    lay = p.layout
+    xbits = sum(lay.mask << s for v, s in lay.shift.items() if v[0] == "x")
+    x0 = sum(d << lay.shift[xvar(v, v)] for v, d in enumerate(triple.Dt.parts, 1))
+    return Polynomial({m - x0: c for m, c in p.terms.items() if m & xbits == x0},
+                      lay)
+
+
 def monomial_e1(T):
     """The factors of e(T) recording where each strip starts.
 

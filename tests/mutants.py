@@ -117,12 +117,6 @@ MUTANTS = {
         "if t and t[1] else None",
         "if t else None",
         MAX_PLUS),
-    # verify.check_leading_term
-    "x0 built from D instead of its transpose": (
-        "verify.py",
-        "for v, d in enumerate(triple.Dt.parts, 1))",
-        "for v, d in enumerate(triple.D.parts, 1))",
-        ["tests/test_verify.py::test_leading_terms_read_off_the_vectors"]),
     # polyring.leading_monomial
     "y order read row by row": (
         "polyring.py",
@@ -151,14 +145,14 @@ MUTANTS = {
          "tests/test_verify.py::test_packed_against_tuple_monomials"]),
     "row operators from row 3": (
         "verify.py",
-        "for d in range(2, triple.F.width + 1):",
-        "for d in range(3, triple.F.width + 1):",
+        "for d in range(2, triple.F.width + 1))",
+        "for d in range(3, triple.F.width + 1))",
         ["tests/test_verify.py::test_row_operator_kills_determinant",
          "tests/test_verify.py::test_packed_against_tuple_monomials"]),
-    "weight profile keeps trailing zero degrees": (
+    "x and y column degrees pooled": (
         "verify.py",
-        "        while vec and not vec[-1]:\n            vec.pop()\n",
-        "",
+        "for axis, k in ((\"r\", i), (family, j)):",
+        "for axis, k in ((\"r\", i), (\"x\", j)):",
         ["tests/test_verify.py::test_weight_profile_values"]),
     # polyring.Polynomial
     "Polynomial keeps a zero coefficient": (
@@ -166,27 +160,17 @@ MUTANTS = {
         "else {m: c for m, c in terms.items() if c})",
         "else terms)",
         ["tests/test_polyring.py::test_polynomial_keeps_its_dict"]),
-    # verify.check_basis
-    "check_basis ignores the polynomials it is handed": (
+    # verify._translates
+    "n built upper unitriangular": (
         "verify.py",
-        "    if polys is not None:\n",
-        "    if False:\n",
-        ["tests/test_verify.py::test_check_basis_reuses_given_vectors",
-         "tests/test_cli.py::test_verify_builds_each_vector_once"]),
-    "check_basis expanding when it is handed no vectors": (
+        "for i in rows for a in rows if a < i}",
+        "for i in rows for a in rows if a > i}",
+        ["tests/test_verify.py::test_group_checks_agree_with_exact_checks"]),
+    "torus character read off D, not D'": (
         "verify.py",
-        "    tabs = enumerate_lr(triple) if tableaux is None else tableaux\n",
-        "    tabs = enumerate_lr(triple) if tableaux is None else tableaux\n"
-        "    if polys is None and tabs:\n"
-        "        from .hwv import delta_MT_all\n"
-        "        polys = delta_MT_all(triple, tabs)\n",
-        ["tests/test_verify.py::test_check_basis_reuses_given_vectors",
-         "tests/test_cli.py::test_verify_builds_each_vector_once"]),
-    "symbolic rank with no all-columns fallback": (
-        "verify.py",
-        "        if rank < len(polys):\n",
-        "        if False:\n",
-        ["tests/test_verify.py::test_symbolic_rank_reads_all_columns_only_when_needed"]),
+        "zip(cols, triple.Dt.parts + triple.Et.parts)",
+        "zip(cols, triple.D.parts + triple.Et.parts)",
+        ["tests/test_verify.py::test_group_checks_agree_with_exact_checks"]),
     # cli._triple_and_tableau
     "tableau content check removed": (
         "cli.py",

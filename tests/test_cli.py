@@ -13,7 +13,7 @@ import pytest
 import cli_agreement
 from cli_agreement import SMALL, TABLEAU_USAGE_ERRORS
 from conftest import readme_block
-from lrbasis import cli, enumerate_lr, hwv, validate_triple, verify
+from lrbasis import cli, enumerate_lr, hwv, tableaux, validate_triple, verify
 from lrbasis.polyring import Layout
 
 # the child process imports lrbasis from where this one found it
@@ -92,8 +92,9 @@ def test_verify_all():
     p = run("verify", "--D", "1,1", "--E", "-", "--F", "2", "--all")
     assert p.returncode == 0
     assert json.loads(p.stdout) == {
-        "hwv": True, "weights": True, "leading": True, "rank": 0,
-        "lr_count": 0, "oracle_count": 0, "basis": True, "pass": True}
+        "hwv": True, "weights": True, "sz_bound": 9e-12, "leading": True,
+        "rank": 0, "lr_count": 0, "oracle_count": 0, "basis": True,
+        "pass": True}
 
 
 def test_oracle_cmd():
@@ -345,12 +346,11 @@ def test_parser_built_once():
 
 
 def test_verify_builds_each_vector_once(monkeypatch, capsys):
-    # every delta_MT comes from one Laplace sum over all the tableaux,
-    # which the rank and leading-term checks reuse.  Without --hwv,
-    # --weights or --all no polynomial is expanded: the rank is taken of
-    # values, from one sum over lists of integers, and the leading terms
-    # come from one max-plus sum over det Yo.  The ring of a sum shows in
-    # its `one`: a list for values, a dict for polynomials, a tuple for tops
+    # no polynomial is expanded: the values of all the tableaux at every
+    # point, rank points and translates, come from one sum over lists of
+    # integers, and the leading terms from one max-plus sum over det Yo.
+    # The ring of a sum shows in its `one`: a list for values, a dict for
+    # polynomials, a tuple for tops
     calls = []
     original = hwv._laplace_sums
 
@@ -362,11 +362,28 @@ def test_verify_builds_each_vector_once(monkeypatch, capsys):
     for checks, sums in (
             (["--basis"], [(2, True, "list")]),
             (["--basis", "--leading"], [(2, False, "tuple"), (2, True, "list")]),
-            (["--all"], [(2, True, "dict")])):
+            (["--all"], [(2, False, "tuple"), (2, True, "list")])):
         calls.clear()
         assert cli.main(["verify", *two, *checks]) == 0
         assert json.loads(capsys.readouterr().out)["rank"] == 2
         assert sorted(calls) == sums, checks
+
+
+def test_verify_peels_each_tableau_once(monkeypatch, capsys):
+    # cmd_verify builds each grid M(T) once and hands it to both sums
+    calls = []
+    peel = tableaux.monomial_M
+
+    def counting(T):
+        calls.append(T)
+        return peel(T)
+    for module in (cli, hwv, tableaux, verify):
+        monkeypatch.setattr(module, "monomial_M", counting)
+    argv = ["verify", "--D", "3,2,1", "--E", "3,2,1", "--F", "5,4,2,1"]
+    for checks in (["--all"], ["--basis", "--leading"]):
+        calls.clear()
+        assert cli.main([*argv, *checks]) == 0
+        assert json.loads(capsys.readouterr().out)["lr_count"] == len(calls) == 4
 
 
 def test_leading_on_the_frontier_triple_expands_nothing(monkeypatch, capsys):

@@ -212,9 +212,7 @@ def lrb_runs(tableau_file):
         (0, ["delta", *TWO, "--index", "0"], ""),
         (0, ["--format", "text", "delta-ty", *TWO, "--index", "1"], ""),
         (0, ["verify", *TWO, "--all"], ""),
-        # no check that needs the polynomials: the rank is of values at points
         (0, ["verify", *TWO, "--basis"], ""),
-        # the leading terms with no vectors: a max-plus sum over det Yo
         (0, ["verify", *TWO, "--basis", "--leading"], ""),
         (0, ["oracle", *TWO], ""),
         (0, ["sl4-table"], ""),
@@ -280,9 +278,20 @@ def run_benchmark_calls():
         assert run_lrb(["delta", *TWO, "--index", "0"]) == 0
 
 
-def test_every_function_runs(tmp_path):
+def run_leading_fallback(monkeypatch):
+    """`lrb verify --leading` with the max-plus top of every tableau
+    reported cancelled, so that check_leading_term expands each delta_TY
+    and takes its leading monomial: the fallback that no LR tableau the
+    tests know reaches."""
+    with monkeypatch.context() as m:
+        m.setattr(verify, "leading_terms_TY",
+                  lambda triple, grids: [None] * len(grids))
+        assert run_lrb(["verify", *TWO, "--leading"]) == 0
+
+
+def test_every_function_runs(tmp_path, monkeypatch):
     # every function, method and lambda of the package runs in some `lrb`
-    # command or benchmark call
+    # command or benchmark call, or in the leading-term fallback
     tableau_file = tmp_path / "tableau.json"
     tableau_file.write_text(TABLEAU)
     runs = lrb_runs(str(tableau_file))
@@ -291,6 +300,7 @@ def test_every_function_runs(tmp_path):
     with recording_calls(seen):
         codes = [run_lrb(argv, stdin) for _, argv, stdin in runs]
         run_benchmark_calls()
+        run_leading_fallback(monkeypatch)
     ran = {_key(code) for code in seen}
     never = sorted(package_functions() - ran)
     assert never == [], "never ran:\n" + "\n".join(

@@ -19,7 +19,7 @@ from conftest import all_triples
 from lrbasis import cli, enumerate_lr, validate_triple
 
 POOL = Path(__file__).resolve().parents[1] / "bench" / "pools" / "verify-symbolic.json"
-DIGEST = "e28250c0b2b7f7c958f73be82d8fc6c123485334437acd0bc1c6851f12e1fe65"
+DIGEST = "1cb8ff8fb81295132b6df61313adfbda205ac4345593d24112d08fdeeba7ae87"
 # 12 boxes and 4 tableaux each
 TWELVE = [("3,2,1", "3,2,1", F) for F in ("5,4,2,1", "5,3,2,1,1", "4,3,2,2,1")]
 

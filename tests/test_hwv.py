@@ -1,15 +1,14 @@
 import json
 import random
-import types
 from pathlib import Path
 
 import pytest
 
 from conftest import (RUNNING_TABLEAUX, admissible_grids, all_triples,
-                      b_variable_coefficients, build_Yo, eliminate_eager,
-                      entries_eager, evaluate, grid_support,
-                      interpolation_coefficient, laplace_plan, matrix_rows,
-                      plan_sum, random_triple, tableau_by_rows,
+                      b_variable_coefficients, build_Yo, delta_MT_all,
+                      eliminate_eager, entries_eager, evaluate, grid_support,
+                      grids_of, interpolation_coefficient, laplace_plan,
+                      matrix_rows, plan_sum, random_triple, tableau_by_rows,
                       triangular_pair, zero_one_coefficient)
 from lrbasis import (build_Ztilde, delta, delta_MT, delta_MT_eval,
                      delta_MT_values, delta_TY, delta_eval, enumerate_lr, hwv,
@@ -315,7 +314,7 @@ def test_delta_MT_eval_at_points_with_zeros():
     assert 0 < zero < n
 
 
-def test_delta_MT_values_at_all_points_at_once(monkeypatch):
+def test_delta_MT_values_at_all_points_at_once():
     # one sum over lists gives each tableau's value at each point, at
     # points where about half the coordinates are 0, for one point, and
     # for none
@@ -327,8 +326,9 @@ def test_delta_MT_values_at_all_points_at_once(monkeypatch):
             continue
         pts = [zero_heavy_point(rng, tr) for _ in range(rng.randint(1, 5))]
         values = [[evaluate(delta_MT(tr, T), pt) for pt in pts] for T in tabs]
-        assert delta_MT_values(tr, tabs, pts) == values
-        assert delta_MT_values(tr, tabs, pts[:1]) == [row[:1] for row in values]
+        grids = grids_of(tabs)
+        assert delta_MT_values(tr, grids, pts) == values
+        assert delta_MT_values(tr, grids, pts[:1]) == [row[:1] for row in values]
         zero += sum(row.count(0) for row in values)
         n += len(pts) * len(tabs)
     assert 0 < zero < n
@@ -336,17 +336,15 @@ def test_delta_MT_values_at_all_points_at_once(monkeypatch):
     tabs = enumerate_lr(tr)
     origin = dict.fromkeys(random_point(rng, tr), 0)
     # every term is summed, to a zero list; with no point no term survives
-    assert delta_MT_values(tr, tabs, [origin] * 3) == [[0, 0, 0]] * 2
-    assert delta_MT_values(tr, tabs, []) == [[], []]
+    assert delta_MT_values(tr, grids_of(tabs), [origin] * 3) == [[0, 0, 0]] * 2
+    assert delta_MT_values(tr, grids_of(tabs), []) == [[], []]
     # D = 0, E = 2, F = 1,1: its one grid takes local row 1 of both
     # superrows into y block 1, so every term repeats a row and the sum
     # has no term: a zero row
     dead = validate_triple([], [2], [1, 1])
     assert enumerate_lr(dead) == []
-    monkeypatch.setattr(hwv, "monomial_M",
-                        lambda T: types.SimpleNamespace(m=((1,), (1,))))
     point = dict.fromkeys(random_point(rng, dead), 1)
-    assert delta_MT_values(dead, [None], [point] * 3) == [[0, 0, 0]]
+    assert delta_MT_values(dead, [((1,), (1,))], [point] * 3) == [[0, 0, 0]]
 
 
 def test_shared_sum_matches_forward_plans(running):
@@ -378,7 +376,7 @@ def test_shared_sum_matches_forward_plans(running):
                               for grid in grids]
             assert all(shared)
         if tr.F.size <= 6:
-            assert delta_MT_values(tr, tabs, pts) == [
+            assert delta_MT_values(tr, grids, pts) == [
                 [zero_one_coefficient(tr, T, pt) for pt in pts] for T in tabs]
             for with_x in (True, False):
                 assert [p.terms for p in hwv._tableau_coefficients(
@@ -396,14 +394,14 @@ def test_repeated_tableau_in_one_sum():
     assert tr.D.size * tr.E.size % 2
     T0, T1 = enumerate_lr(tr)
     polys = [delta_MT(tr, T).terms for T in (T0, T1, T0, T0)]
-    assert [p.terms for p in hwv.delta_MT_all(tr, [T0, T1, T0, T0])] == polys
+    assert [p.terms for p in delta_MT_all(tr, [T0, T1, T0, T0])] == polys
     pts = [random_point(random.Random(23), tr)] * 2
-    assert delta_MT_values(tr, [T0, T0, T1], pts) == [
+    assert delta_MT_values(tr, grids_of([T0, T0, T1]), pts) == [
         [evaluate(delta_MT(tr, T), pt) for pt in pts] for T in (T0, T0, T1)]
 
 
 def test_vectors_own_the_sums(monkeypatch):
-    # delta_MT_all wraps each dict the Laplace sum returns, with no copy; a
+    # the vectors wrap each dict the Laplace sum returns, with no copy; a
     # repeated tableau's vectors share one dict when no global sign is
     # applied, |D| |E| even, and hold a dict each when it is
     returned, laplace_sums = [], hwv._laplace_sums
@@ -417,7 +415,7 @@ def test_vectors_own_the_sums(monkeypatch):
         tr = validate_triple(D, E, F)
         T0, T1 = enumerate_lr(tr)
         returned.clear()
-        polys = hwv.delta_MT_all(tr, [T0, T1, T0])
+        polys = delta_MT_all(tr, [T0, T1, T0])
         assert len(returned) == 1
         assert [id(p.terms) for p in polys] == [id(t) for t in returned[0]]
         assert (polys[0].terms is polys[2].terms) == shared

@@ -1,18 +1,23 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import (LAYOUT, all_triples, check_e1_factorization,
-                      eliminate_eager, move_one_power, poly, random_triple,
-                      tuple_coefficient, unpacked, y_order_key)
-from lrbasis import (check_basis, check_hwv, check_leading_term, delta,
-                     delta_MT, delta_MT_all, delta_MT_eval, delta_TY,
-                     enumerate_lr, hwv, intlinalg, leading_monomial,
-                     raising_operator_cols, raising_operator_rows,
-                     validate_triple, verify, weight_profile)
+                      coefficient_rank, delta_MT_all, eliminate_eager,
+                      evaluate, grids_of, move_one_power, poly, random_triple,
+                      tuple_coefficient, unpacked, x0_coefficient,
+                      y_order_key)
+from lrbasis import (check_basis, check_hwv, check_leading_term, cli, delta,
+                     delta_MT, delta_TY, enumerate_lr, hwv, intlinalg,
+                     leading_monomial, raising_operator_cols,
+                     raising_operator_rows, validate_triple, verify,
+                     weight_profile)
 from lrbasis.errors import (ExponentOverflow, NonSquare, NotHomogeneous,
                             ZeroPolynomial)
 from lrbasis.intlinalg import bareiss_det, int_rank
@@ -140,7 +145,6 @@ def test_delta_MT_profiles_random():
             assert weight_profile(p).matches(tr)
             assert check_hwv(p, tr)
             assert check_leading_term(tr, [T])
-            assert check_leading_term(tr, [T], [p])
             assert check_e1_factorization(tr, T)
 
 
@@ -311,7 +315,7 @@ def test_int_rank_random_vs_fractions():
 
 def test_check_basis_small():
     rep = check_basis(validate_triple([1], [1], [2]))
-    assert rep.passed and rep.rank == 1 and rep.mode == "evaluation"
+    assert rep.passed and rep.rank == 1
     rep = check_basis(validate_triple([2, 1], [2, 1], [3, 2, 1]))
     assert rep.passed and rep.lr_count == 2 and rep.rank == 2
 
@@ -323,45 +327,22 @@ def test_check_basis_empty():
 
 
 def test_check_basis_reuses_given_vectors():
+    # the tableaux and grids a caller hands in are what gets ranked: a
+    # repeated grid drops the rank, and so does a repeated tableau
     tr = validate_triple([2, 1], [2, 1], [3, 2, 1])
     tabs = enumerate_lr(tr)
-    polys = [delta_MT(tr, T) for T in tabs]
-    rep = check_basis(tr, tableaux=tabs, polys=polys)
-    assert rep.passed and rep.rank == 2 and rep.mode == "symbolic"
-    # the given vectors are what gets ranked: a repeated one drops the rank
-    rep = check_basis(tr, tableaux=tabs, polys=[polys[0], polys[0]])
+    grids = grids_of(tabs)
+    rep = check_basis(tr, tableaux=tabs, grids=grids)
+    assert rep.passed and rep.rank == 2 and rep.hwv is None
+    rep = check_basis(tr, tableaux=tabs, grids=[grids[0], grids[0]])
     assert rep.rank == 1 and not rep.passed
-    # and without them the values are: a repeated tableau drops the rank
     rep = check_basis(tr, tableaux=[tabs[0], tabs[0]])
-    assert rep.mode == "evaluation" and rep.rank == 1 and not rep.passed
+    assert rep.rank == 1 and not rep.passed
 
-
-def test_symbolic_rank_reads_all_columns_only_when_needed(monkeypatch):
-    # vectors with distinct largest monomials are ranked on those c columns
-    # alone; p and p + q share theirs, so that minor has rank 1 and every
-    # column is ranked, which finds the rank 2 of the pair
-    widths, rank = [], verify.int_rank
-
-    def recording(matrix):
-        widths.append(len(matrix[0]))
-        return rank(matrix)
-    monkeypatch.setattr(verify, "int_rank", recording)
-    tr = validate_triple([2, 1], [2, 1], [3, 2, 1])
-    tabs = enumerate_lr(tr)
-    polys = delta_MT_all(tr, tabs)
-    assert check_basis(tr, tableaux=tabs, polys=polys).rank == 2
-    assert widths == [2]
-    widths.clear()
-    p, q = sorted(polys, key=lambda v: max(v.terms), reverse=True)
-    p_plus_q = Polynomial({m: p.terms.get(m, 0) + q.terms.get(m, 0)
-                           for m in p.terms.keys() | q.terms.keys()}, p.layout)
-    rep = check_basis(tr, tableaux=tabs, polys=[p, p_plus_q])
-    assert rep.rank == 2 and rep.passed and rep.mode == "symbolic"
-    assert widths == [1, len(p.terms.keys() | q.terms.keys())]
 
 def test_evaluation_rank_agrees_with_symbolic():
-    # the rank of the values at the seeded points, and so the report with
-    # its `passed`, is that of the coefficient matrix on every triple with
+    # the rank of the values at the seeded points is that of the
+    # coefficient matrix on every triple with
     # |F| <= 8, on the verify-symbolic pool and on three 12-box triples of
     # 4 tableaux
     pool = json.loads(POOL.read_text())["triples"]
@@ -371,15 +352,15 @@ def test_evaluation_rank_agrees_with_symbolic():
                  for F in ([5, 4, 2, 1], [5, 3, 2, 1, 1], [4, 3, 2, 2, 1]))]
     for tr in triples:
         tabs = enumerate_lr(tr)
-        values = check_basis(tr, tableaux=tabs)
-        polys = check_basis(tr, tableaux=tabs, polys=delta_MT_all(tr, tabs))
-        assert values[:4] == polys[:4], (tr.D, tr.E, tr.F)
+        rep = check_basis(tr, tableaux=tabs)
+        assert rep.rank == coefficient_rank(delta_MT_all(tr, tabs)), (
+            tr.D, tr.E, tr.F)
 
 
 def test_evaluation_basis_is_one_shared_sum(running, monkeypatch):
-    # without polynomials one Laplace sum over all c tableaux gives their
-    # values at all c + 4 points, not one sum per tableau or per point, and
-    # the ranked matrix is the one built point by point
+    # one Laplace sum over all c tableaux gives their values at all c + 4
+    # points, not one sum per tableau or per point, and the ranked matrix
+    # is the one built point by point
     sums, matrices = [], []
     laplace_sums, rank = hwv._laplace_sums, verify.int_rank
 
@@ -394,11 +375,11 @@ def test_evaluation_basis_is_one_shared_sum(running, monkeypatch):
     monkeypatch.setattr(hwv, "_laplace_sums", counting)
     monkeypatch.setattr(verify, "int_rank", recording)
     rep = check_basis(running, seed=7)
-    assert rep.mode == "evaluation" and rep.passed
+    assert rep.passed
     assert sums == [rep.lr_count] == [4]
-    monkeypatch.setattr(verify, "delta_MT_values", lambda tr, tabs, points:
-                        [[delta_MT_eval(tr, T, pt) for pt in points]
-                         for T in tabs])
+    monkeypatch.setattr(verify, "delta_MT_values", lambda tr, grids, points:
+                        [[hwv.delta_MT_values(tr, [grid], [pt])[0][0]
+                          for pt in points] for grid in grids])
     assert check_basis(running, seed=7) == rep
     assert sums == [4] + [1] * 4 * 8
     one_pass, per_point = matrices
@@ -406,17 +387,12 @@ def test_evaluation_basis_is_one_shared_sum(running, monkeypatch):
     assert len(one_pass) == 4 and {len(row) for row in one_pass} == {8}
 
 
-def test_leading_terms_read_off_the_vectors(monkeypatch):
-    # given the vectors, the leading term of the x0 coefficient of each,
-    # x0 = prod_v x[v,v]^(D'_v), is that of delta_TY up to one sign per
-    # triple, on every tableau with |F| <= 8 (D or E empty among them) and
-    # on the verify-symbolic and verify-large pools; both signs occur
-    leads, lead = [], verify.leading_monomial
-
-    def recording(p):
-        leads.append(lead(p))
-        return leads[-1]
-    monkeypatch.setattr(verify, "leading_monomial", recording)
+def test_leading_terms_read_off_the_vectors():
+    # Yo is Z at x = I: the leading term of the x0 coefficient of each
+    # vector, x0 = prod_v x[v,v]^(D'_v), is that of delta_TY up to one sign
+    # per triple, and e(T) with coefficient +-1 as the max-plus sum finds,
+    # on every tableau with |F| <= 8 (D or E empty among them) and on the
+    # verify-symbolic and verify-large pools; both signs occur
     triples = [*all_triples(8),
                *(validate_triple(D, E, F) for D, E, F, *_ in
                  json.loads(POOL.read_text())["triples"]),
@@ -427,20 +403,20 @@ def test_leading_terms_read_off_the_vectors(monkeypatch):
         tabs = enumerate_lr(tr)
         if not tabs:
             continue
-        leads.clear()
-        assert check_leading_term(tr, tabs, delta_MT_all(tr, tabs))
-        expanded = [lead(delta_TY(tr, T)) for T in tabs]
+        assert check_leading_term(tr, tabs, grids_of(tabs))
+        leads = [leading_monomial(x0_coefficient(tr, p))
+                 for p in delta_MT_all(tr, tabs)]
+        expanded = [leading_monomial(delta_TY(tr, T)) for T in tabs]
         assert [m for m, _ in leads] == [m for m, _ in expanded]
         signs |= {c * d for (_, c), (_, d) in zip(leads, expanded)}
         n += len(tabs)
     assert n == 1350 + 837 + 43 and signs == {1, -1}
-    # no tableau passes, though x[2,2] of x0 is not a variable of D = 2,
-    # F = 1,1
-    assert check_leading_term(validate_triple([2], [], [1, 1]), [], [])
-    # the vectors of the wrong tableaux fail
+    # no tableau passes, though D = 2 does not fit inside F = 1,1
+    assert check_leading_term(validate_triple([2], [], [1, 1]), [])
+    # the grids of the wrong tableaux fail
     tr = validate_triple([2, 1], [2, 1], [3, 2, 1])
     tabs = enumerate_lr(tr)
-    assert not check_leading_term(tr, tabs, delta_MT_all(tr, tabs)[::-1])
+    assert not check_leading_term(tr, tabs, grids_of(tabs)[::-1])
 
 
 def test_leading_term_falls_back_when_a_top_cancels(running, monkeypatch):
@@ -475,3 +451,65 @@ def test_leading_term_deep_E():
     tabs = enumerate_lr(tr)
     assert tabs
     assert check_leading_term(tr, tabs)
+
+
+def test_group_checks_agree_with_exact_checks():
+    # the hwv and weights verdicts of the group action at translated points
+    # are those of check_hwv and weight_profile on the expanded vectors, on
+    # every triple with |F| <= 7 that has a tableau
+    n = 0
+    for tr in all_triples(7):
+        tabs = enumerate_lr(tr)
+        if not tabs:
+            continue
+        rep = check_basis(tr, tableaux=tabs, group=True)
+        polys = delta_MT_all(tr, tabs)
+        assert rep.hwv == all(check_hwv(p, tr) for p in polys)
+        assert rep.weights == all(weight_profile(p).matches(tr) for p in polys)
+        assert rep.bound == pytest.approx((3 * tr.F.size / 2e6) ** 2)
+        n += 1
+    assert n == 631
+
+
+def _group_verdicts(monkeypatch, tr, p):
+    """(hwv, weights) of check_basis when every vector's values are those
+    of the polynomial p."""
+    monkeypatch.setattr(verify, "delta_MT_values", lambda triple, grids, points:
+                        [[evaluate(p, pt) for pt in points]])
+    rep = check_basis(tr, group=True)
+    return rep.hwv, rep.weights
+
+
+def test_group_checks_catch_a_wrong_vector(monkeypatch):
+    # on D = 1, E = 1, F = 2 (weight (1,1), (1), (1)): x11 y21 has the
+    # weight, and only the row operator fails to kill it; x11 y11 is killed
+    # by it and has the wrong weight; the zero vector has no weight
+    tr = validate_triple([1], [1], [2])
+    lay = triple_layout(tr)
+    x11, y11, y21 = (Polynomial.variable(v, lay)
+                     for v in (xvar(1, 1), yvar(1, 1), yvar(2, 1)))
+    for p, verdicts in ((x11 * y21, (False, True)), (x11 * y11, (True, False)),
+                        (Polynomial({}, lay), (True, False))):
+        assert _group_verdicts(monkeypatch, tr, p) == verdicts
+        assert check_hwv(p, tr) == verdicts[0]
+    # on D = 2, E = 3, F = 4,1 each variable is killed by every operator
+    # but one: the row operator into row 3, an x column operator, a y
+    # column operator
+    tr = validate_triple([2], [3], [4, 1])
+    for v in (xvar(4, 1), xvar(1, 2), yvar(1, 3)):
+        p = Polynomial.variable(v, triple_layout(tr))
+        assert _group_verdicts(monkeypatch, tr, p)[0] is False, v
+        assert not check_hwv(p, tr)
+
+
+def test_same_seed_same_report():
+    # `verify --all` prints the same bytes for the same --seed, whatever
+    # the hash seed of the process
+    argv = ["-m", "lrbasis.cli", "verify", "--D", "3,2,1", "--E", "3,2,1",
+            "--F", "5,4,2,1", "--all", "--seed", "7"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    outs = {subprocess.run([sys.executable, *argv], capture_output=True,
+                           env=dict(env, PYTHONHASHSEED=h)).stdout
+            for h in ("1", "2")}
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["pass"]
