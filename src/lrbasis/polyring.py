@@ -17,8 +17,9 @@ and nothing sums into it after; it multiplies, with no sum or comparison.
 
 Monomials take the tuple form, the (variable, exponent) pairs in variable
 order, only at the edges: leading monomials, the tableau monomials e(T) and
-E(T), and output.  Text and JSON output take it once for each distinct
-family part of a monomial, sort the terms on one int key each, and write
+E(T), and output.  Text and JSON output split each monomial into its
+family parts themselves, in one pass over the terms, take the tuple form
+once for each distinct part, sort the terms on one int key each, and write
 the text directly: poly_to_json returns the JSON text, not a dict.
 """
 
@@ -70,11 +71,11 @@ class Layout:
     """The exponent fields of a fixed set of variables.
 
     Each field is width bits wide, one more than `degree` needs; shift maps
-    a variable to the offset of its field, guard has the top bit of every
-    field set and families has, for each family, all bits of its fields.
+    a variable to the offset of its field and guard has the top bit of every
+    field set.  The writer, `_sorted_terms`, groups each term by family itself.
     """
 
-    __slots__ = ("variables", "width", "mask", "shift", "guard", "families")
+    __slots__ = ("variables", "width", "mask", "shift", "guard")
 
     def __init__(self, variables, degree):
         self.variables = tuple(sorted(set(variables), key=var_key))
@@ -82,10 +83,6 @@ class Layout:
         self.mask = (1 << w) - 1
         self.shift = {v: k * w for k, v in enumerate(self.variables)}
         self.guard = sum(1 << (s + w - 1) for s in self.shift.values())
-        families = {}
-        for v, s in self.shift.items():
-            families[v[0]] = families.get(v[0], 0) | self.mask << s
-        self.families = tuple(families.values())
 
     def __eq__(self, other):
         return (isinstance(other, Layout) and self.width == other.width
@@ -102,23 +99,6 @@ class Layout:
             m -= e << k * w
         out.reverse()
         return out
-
-    def read_parts(self, monomials, read):
-        """Yield, for each of the monomials in turn, the list of
-        read(fields(part)) over its nonzero parts in one family, in family
-        order.  The terms of a polynomial share such parts, as products of
-        the same x minors, so read runs once for each distinct part."""
-        memo = {}
-        for m in monomials:
-            parts = []
-            for bits in self.families:
-                part = m & bits
-                if part:
-                    got = memo.get(part)
-                    if got is None:
-                        got = memo[part] = read(self.fields(part))
-                    parts.append(got)
-            yield parts
 
     def unpack(self, m):
         """The tuple form of a packed monomial."""
@@ -312,22 +292,38 @@ def determinant(matrix):
 def _sorted_terms(p, show):
     """(key, coefficient, shown) for each term of p in output order: shown
     lists show(pairs) for the tuple-form pairs of each nonzero family part
-    of its monomial, in family order; show runs once per distinct part."""
+    of its monomial, in family order.  The terms of a polynomial share such
+    parts, as products of the same x minors, so each distinct part is read
+    and shown once."""
     lay = p.layout
     w, variables = lay.width, lay.variables
     top = len(variables) * w
+    families = {}    # family: all bits of its fields, in family order
+    for v, s in lay.shift.items():
+        families[v[0]] = families.get(v[0], 0) | lay.mask << s
 
-    def read(fields):
+    def read(part):
         # field k moves to (n - 1 - k) * w, the first variable's on top; a
         # term's parts hold different variables, so their keys add with no
         # carry, and their degrees add above every field
+        fields = lay.fields(part)
         key = sum(e for _, e in fields) << top
         for k, e in fields:
             key += e << top - (k + 1) * w
         return key, show(tuple((variables[k], e) for k, e in fields))
 
-    out = [(sum(key for key, _ in parts), c, [shown for _, shown in parts])
-           for parts, c in zip(lay.read_parts(p.terms, read), p.terms.values())]
+    memo, out = {}, []
+    for m, c in p.terms.items():
+        key, shown = 0, []
+        for bits in families.values():
+            part = m & bits
+            if part:
+                got = memo.get(part)
+                if got is None:
+                    got = memo[part] = read(part)
+                key += got[0]
+                shown.append(got[1])
+        out.append((key, c, shown))
     out.sort(reverse=True)    # the keys differ, so c and shown never compare
     return out
 

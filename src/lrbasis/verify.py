@@ -151,9 +151,9 @@ def random_point(rng, triple, lo=-SPAN, hi=SPAN):
     the triple."""
     assignment = {}
     for i in range(1, triple.F.width + 1):
-        for j in range(1, max(1, triple.D.width) + 1):
+        for j in range(1, triple.D.width + 1):
             assignment[xvar(i, j)] = _draw(rng, lo, hi)
-        for j in range(1, max(1, triple.E.width) + 1):
+        for j in range(1, triple.E.width + 1):
             assignment[yvar(i, j)] = _draw(rng, lo, hi)
     return assignment
 

@@ -136,6 +136,11 @@ MUTANTS = {
         "key += e << k * w",
         ["tests/test_polyring.py::test_writers_match_oracle_on_random_polynomials",
          "tests/test_polyring.py::test_output_order_edge_cases"]),
+    "a part shown again for every term": (
+        "polyring.py",
+        "got = memo[part] = read(part)",
+        "got = read(part)",
+        ["tests/test_polyring.py::test_writer_shows_each_distinct_part_once"]),
     # verify._move_one_power, check_hwv and weight_profile
     "operator image without the exponent factor": (
         "verify.py",

@@ -304,8 +304,10 @@ def test_main_agrees_with_eager_parser_under(python):
     # on its parser_class and add_parser passing its keywords through:
     # checked under each of these Pythons that is on PATH and starts
     exe = shutil.which(python)
-    if exe is None or subprocess.run([exe, "-c", ""], capture_output=True).returncode:
+    if exe is None:
         pytest.skip(f"no {python} on PATH")
+    if subprocess.run([exe, "-c", ""], capture_output=True).returncode:
+        pytest.skip(f"{python} is on PATH but does not start")
     proc = subprocess.run([exe, cli_agreement.__file__], capture_output=True,
                           text=True, env=dict(ENV, COLUMNS="80"))
     assert proc.returncode == 0, proc.stdout + proc.stderr

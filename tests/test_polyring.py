@@ -7,7 +7,7 @@ import pytest
 from conftest import (LAYOUT, all_triples, determinant_naive, evaluate,
                       mono_mul, oracle_json, oracle_text, pack, poly, unpacked,
                       y_order_key)
-from lrbasis import delta, delta_MT, enumerate_lr
+from lrbasis import delta, delta_MT, enumerate_lr, polyring
 from lrbasis.errors import (ExponentOverflow, NonSquare, UnorderedVariable,
                             ZeroPolynomial)
 from lrbasis.intlinalg import bareiss_det
@@ -268,6 +268,22 @@ def test_writers_match_oracle_on_delta_MT():
     for triple in all_triples(7):
         for T in enumerate_lr(triple):
             assert_writes_as_oracle(delta_MT(triple, T))
+
+
+def test_writer_shows_each_distinct_part_once(monkeypatch):
+    # the 40 terms of this delta_MT hold 80 x and y parts, 29 of them
+    # distinct: poly_text shows each of those once
+    triple = validate_triple((2, 2), (2, 1), (3, 3, 1))
+    p = delta_MT(triple, enumerate_lr(triple)[0])
+    parts = [part for m in p.terms for f in "xy"
+             if (part := tuple(ve for ve in p.layout.unpack(m) if ve[0][0] == f))]
+    assert len(set(parts)) < len(parts)
+    expected = oracle_text(p)
+    shown = []
+    monkeypatch.setattr(polyring, "mono_text",
+                        lambda m: shown.append(m) or mono_text(m))
+    assert poly_text(p) == expected
+    assert sorted(shown) == sorted(set(parts))
 
 
 def test_writers_match_oracle_on_symbolic_delta():
