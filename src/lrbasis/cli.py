@@ -133,8 +133,8 @@ def cmd_verify(args):
     group = args.hwv or args.weights or run_all
     tabs = enumerate_lr(triple)
     grids = [monomial_M(T).m for T in tabs]
-    if group or args.basis:
-        basis = verify.check_basis(triple, args.seed, tabs, grids, group)
+    basis = (verify.check_basis(triple, args.seed, tabs, grids, group)
+             if group or args.basis else None)
     if args.hwv or run_all:
         report["hwv"] = basis.hwv
     if args.weights or run_all:
@@ -142,7 +142,8 @@ def cmd_verify(args):
     if group:
         report["sz_bound"] = basis.bound
     if args.leading or run_all:
-        report["leading"] = verify.check_leading_term(triple, tabs, grids)
+        report["leading"] = (basis.leading if basis
+                             else verify.check_leading_term(triple, tabs, grids))
     if args.basis or run_all:
         report.update(rank=basis.rank, lr_count=basis.lr_count,
                       oracle_count=basis.oracle_count, basis=basis.passed)

@@ -10,7 +10,12 @@ grid yields one member of the spanning family.
 
 The companion matrix Yo keeps only the y columns and, of superrow j, the
 rows D_j + 1..F_j below the diagonal x block.  The coefficient of the same
-b-monomial in det Yo is the pure-y part used for leading-term arguments.
+b-monomial in det Yo is the pure-y part used for leading-term arguments:
+at x = I each x block's minor is nonzero only on local rows 1..D_j, so a
+tableau's coefficient of det Z at (I, y) is +- its coefficient of det Yo
+at y.  verify.check_basis therefore ranks det Yo values, and only
+delta_MT, delta_MT_eval and the group check of check_basis walk the x
+blocks.
 
 The layout is written down once: _entries fills in the rows of Z, as
 polynomials (build_Ztilde) or as integers at a point (delta_eval).
@@ -25,7 +30,8 @@ the coefficients (delta_MT, delta_TY); over lists of integers, one per
 point, their exact values at all the points (delta_MT_values); over a
 max-plus ring of tops, (key, count) with the key ordered as the y order,
 the leading term of each coefficient of det Yo with none of them
-expanded (leading_terms_TY).
+expanded (leading_terms_TY); over pairs of the two, both for det Yo
+(delta_TY_values_and_leads).
 Nothing it builds outlives the call.
 """
 
@@ -289,13 +295,17 @@ def _add_tops(acc, p, q, c):
     return acc
 
 
-def leading_terms_TY(triple, grids):
-    """The leading term of the coefficient of b^grid in det Yo, under the y
-    order of polyring.leading_monomial, for each grid: (tuple-form
-    monomial, coefficient), or None where its top cancelled or it has no
-    term.
+def _add_pairs(acc, p, q, c):
+    """acc + c * p * q on pairs (values, top), in the rings of
+    _add_products and _add_tops; None is zero."""
+    values, top = acc or (None, None)
+    return _add_products(values, p[0], q[0], c), _add_tops(top, p[1], q[1], c)
 
-    One Laplace sum for all the grids, in the max-plus ring of _add_tops.
+
+def _y_tops(triple):
+    """The max-plus ring of leading_terms_TY: the top of each y variable,
+    and the leading term a sum's top stands for.
+
     The key of y[u,v] holds a degree of 1 above one exponent field per
     variable, in column-major order, y[1,1], y[2,1], ..., y[1,2], ..., the
     first on top, each wide enough for |F|: keys then compare as the y
@@ -310,14 +320,25 @@ def leading_terms_TY(triple, grids):
                 key=lambda v: (v[2], v[1]), reverse=True)
     shift = {v: k * width for k, v in enumerate(ys)}
     degree, mask = len(ys) * width, (1 << width) - 1
-    value = {v: ((1 << degree) + (1 << s), 1) for v, s in shift.items()}
-    tops = _laplace_sums(triple, grids, False, value.__getitem__, _add_tops,
-                         (0, 1))
 
-    def monomial(key):
-        fields = ((v, key >> shift[v] & mask) for v in sorted(shift))
-        return tuple((v, e) for v, e in fields if e)
-    return [(monomial(t[0]), t[1]) if t and t[1] else None for t in tops]
+    def lead(top):
+        if not (top and top[1]):
+            return None
+        fields = ((v, top[0] >> shift[v] & mask) for v in sorted(shift))
+        return tuple((v, e) for v, e in fields if e), top[1]
+    return {v: ((1 << degree) + (1 << s), 1) for v, s in shift.items()}, lead
+
+
+def leading_terms_TY(triple, grids):
+    """The leading term of the coefficient of b^grid in det Yo, under the y
+    order of polyring.leading_monomial, for each grid: (tuple-form
+    monomial, coefficient), or None where its top cancelled or it has no
+    term.  One Laplace sum for all the grids, in the max-plus ring of
+    _add_tops and _y_tops.
+    """
+    top, lead = _y_tops(triple)
+    return [lead(t) for t in _laplace_sums(triple, grids, False, top.__getitem__,
+                                           _add_tops, (0, 1))]
 
 
 def delta_MT_values(triple, grids, points):
@@ -333,6 +354,19 @@ def delta_MT_values(triple, grids, points):
                         lambda v: [pt[v] for pt in points], _add_products,
                         [1] * len(points))
     return [row or [0] * len(points) for row in out]
+
+
+def delta_TY_values_and_leads(triple, grids, points):
+    """The exact values of delta_TY(triple, T) at integer y points, as
+    delta_MT_values gives those of delta_MT, and the leading terms of
+    leading_terms_TY, for the tableaux T of the grids M(T): one Laplace
+    sum over det Yo, on pairs (values, top)."""
+    top, lead = _y_tops(triple)
+    out = _laplace_sums(triple, grids, False,
+                        lambda v: ([pt[v] for pt in points], top[v]), _add_pairs,
+                        ([1] * len(points), (0, 1)))
+    return ([v[0] if v else [0] * len(points) for v in out],
+            [lead(v and v[1]) for v in out])
 
 
 def delta_MT_eval(triple, T, assignment):

@@ -16,12 +16,13 @@ from math import prod
 
 from .errors import NotHomogeneous, ZeroPolynomial
 from .intlinalg import int_rank
-from .hwv import delta_MT_values, delta_TY, leading_terms_TY
+from .hwv import (delta_MT_values, delta_TY, delta_TY_values_and_leads,
+                  leading_terms_TY)
 from .oracle import lr_coefficient
 from .polyring import Polynomial, leading_monomial, xvar, yvar
 from .tableaux import enumerate_lr, monomial_M, monomial_bigE, monomial_e
 
-BASE_POINTS = 2     # k: the rank points whose translates are checked
+BASE_POINTS = 2     # k: the points whose translates are checked
 SPAN = 10**6        # coordinates: the 2 * SPAN nonzero integers in [-SPAN, SPAN]
 
 
@@ -108,18 +109,20 @@ def weight_profile(p):
     return WeightProfile(*profiles.pop())
 
 
-def check_leading_term(triple, tableaux, grids=None):
+def check_leading_term(triple, tableaux, grids=None, tops=None):
     """Whether the leading y-term of delta_TY(triple, T) is e(T) with
     coefficient +-1, for every tableau T, read with no det Yo expanded.
 
     One max-plus Laplace sum over det Yo, on the grids M(T) of the
     tableaux, gives the leading term of every tableau
-    (hwv.leading_terms_TY); a tableau whose top cancelled there, so that
-    the term below it is unknown, falls back to expanding its delta_TY.
+    (hwv.leading_terms_TY), unless the caller holds them as tops; a
+    tableau whose top cancelled there, so that the term below it is
+    unknown, falls back to expanding its delta_TY.
     """
     if not tableaux:     # and D may not even fit inside F
         return True
-    tops = leading_terms_TY(triple, grids or [monomial_M(T).m for T in tableaux])
+    if tops is None:
+        tops = leading_terms_TY(triple, grids or [monomial_M(T).m for T in tableaux])
     leads = (top or leading_monomial(delta_TY(triple, T))
              for T, top in zip(tableaux, tops))
     return all(m == monomial_e(T) and abs(c) == 1
@@ -127,7 +130,7 @@ def check_leading_term(triple, tableaux, grids=None):
 
 
 class BasisReport(namedtuple("BasisReport", "lr_count oracle_count "
-                             "leading_distinct rank hwv weights bound")):
+                             "leading_distinct rank leading hwv weights bound")):
     """Outcome of check_basis; hwv, weights and bound None unless asked."""
 
     __slots__ = ()
@@ -139,85 +142,98 @@ class BasisReport(namedtuple("BasisReport", "lr_count oracle_count "
 
 
 def _draw(rng, lo, hi):
-    """A random nonzero integer in [lo, hi]."""
-    v = 0
-    while v == 0:
-        v = rng.randint(lo, hi)
-    return v
+    """A random nonzero integer in [lo, hi], as rng.randint(lo, hi) draws
+    until one is nonzero: lo + r for the first r of k random bits, k the
+    bit length of the range's size n, with r < n and lo + r != 0."""
+    n = hi - lo + 1
+    k, r = n.bit_length(), -lo
+    while r >= n or r == -lo:
+        r = rng.getrandbits(k)
+    return lo + r
 
 
-def random_point(rng, triple, lo=-SPAN, hi=SPAN):
-    """Random nonzero integers in [lo, hi] for every x and y variable of
-    the triple."""
-    assignment = {}
-    for i in range(1, triple.F.width + 1):
-        for j in range(1, triple.D.width + 1):
-            assignment[xvar(i, j)] = _draw(rng, lo, hi)
-        for j in range(1, triple.E.width + 1):
-            assignment[yvar(i, j)] = _draw(rng, lo, hi)
-    return assignment
+def random_point(rng, triple, lo=-SPAN, hi=SPAN, families=(xvar, yvar)):
+    """Random nonzero integers in [lo, hi] for every variable of the
+    triple in `families`, row by row, x columns before y columns."""
+    widths = {xvar: triple.D.width, yvar: triple.E.width}
+    return {var(i, j): _draw(rng, lo, hi)
+            for i in range(1, triple.F.width + 1)
+            for var in families for j in range(1, widths[var] + 1)}
 
 
-def _translates(rng, triple, point):
-    """A unipotent translate (n x u_x, n y u_y) of an integer point, a
-    torus translate (t x s_x, t y s_y), and the torus character
-    prod t_u^F'_u * prod s_x,v^D'_v * prod s_y,w^E'_w: n lower, u_x and
-    u_y upper unitriangular, t, s_x and s_y diagonal, their free entries
-    drawn as random_point draws, n, u_x, u_y, t, s_x, s_y in turn."""
+def _translates(rng, triple, bases):
+    """For each integer point of bases in turn: a unipotent translate
+    (n x u_x, n y u_y), a torus translate (t x s_x, t y s_y), and the torus
+    character prod t_u^F'_u * prod s_x,v^D'_v * prod s_y,w^E'_w: n lower,
+    u_x and u_y upper unitriangular, t, s_x and s_y diagonal, their free
+    entries drawn as random_point draws, n, u_x, u_y, t, s_x, s_y in turn."""
     rows = range(1, triple.F.width + 1)
     cols = [(f, v) for f, width in (("x", triple.D.width), ("y", triple.E.width))
             for v in range(1, width + 1)]
-    n = {(i, a): _draw(rng, -SPAN, SPAN) for i in rows for a in rows if a < i}
-    u = {(b, c): _draw(rng, -SPAN, SPAN) for c in cols for b in cols
-         if b[0] == c[0] and b[1] < c[1]}
-    t = {i: _draw(rng, -SPAN, SPAN) for i in rows}
-    s = {c: _draw(rng, -SPAN, SPAN) for c in cols}
-    # n and u hold the entries off the diagonal; a missing one is 1 on it
-    nx = {(i, c): sum(n.get((i, a), a == i) * point[c[0], a, c[1]] for a in rows)
-          for i in rows for c in cols}
-    unipotent = {(c[0], i, c[1]): sum(nx[i, b] * u.get((b, c), b == c) for b in cols)
-                 for i in rows for c in cols}
-    torus = {(f, i, v): t[i] * point[f, i, v] * s[f, v] for i in rows for f, v in cols}
-    chi = prod(t[i] ** e for i, e in zip(rows, triple.Ft.parts))
-    chi *= prod(s[c] ** e for c, e in zip(cols, triple.Dt.parts + triple.Et.parts))
-    return unipotent, torus, chi
+    row_degrees = list(zip(rows, triple.Ft.parts))
+    col_degrees = list(zip(cols, triple.Dt.parts + triple.Et.parts))
+    for point in bases:
+        n = {(i, a): _draw(rng, -SPAN, SPAN) for i in rows for a in rows if a < i}
+        u = {(b, c): _draw(rng, -SPAN, SPAN) for c in cols for b in cols
+             if b[0] == c[0] and b[1] < c[1]}
+        t = {i: _draw(rng, -SPAN, SPAN) for i in rows}
+        s = {c: _draw(rng, -SPAN, SPAN) for c in cols}
+        # n and u hold the entries below and above the diagonal, whose 1 is
+        # the term outside each sum
+        nx = {(i, c): point[c[0], i, c[1]]
+              + sum(n[i, a] * point[c[0], a, c[1]] for a in range(1, i))
+              for i in rows for c in cols}
+        unipotent = {(f, i, v): nx[i, (f, v)]
+                     + sum(nx[i, (f, b)] * u[(f, b), (f, v)] for b in range(1, v))
+                     for i in rows for f, v in cols}
+        torus = {(f, i, v): t[i] * point[f, i, v] * s[f, v] for i in rows for f, v in cols}
+        chi = prod(t[i] ** e for i, e in row_degrees)
+        yield unipotent, torus, chi * prod(s[c] ** e for c, e in col_degrees)
 
 
 def check_basis(triple, seed=0, tableaux=None, grids=None, group=False):
-    """Count, construct, and rank the tableau coefficients of a triple;
-    with group, also test that they are highest weight vectors of weight
-    (F', D', E').
+    """Count, construct, and rank the tableau coefficients of a triple,
+    and check their leading terms; with group, also test that they are
+    highest weight vectors of weight (F', D', E').
 
-    One Laplace sum over all c tableaux, on their grids M(T), gives their
-    exact values at c + 4 integer points drawn from `seed`, and the rank
-    is that of this c x (c + 4) matrix, at most the rank of the
-    coefficient matrix, which is at most c; so equality of rank, count and
-    oracle is conclusive.  With group the sum also covers a unipotent and
-    a torus translate of each of the first BASE_POINTS rank points, drawn
-    next: each vector must keep its value at the first, take chi times it
-    at the second, and be nonzero at a base point.  Each identity has
-    degree 3|F| in the drawn entries, so a vector that fails it passes at
-    one point with probability at most 3|F| / (2 SPAN) (Schwartz-Zippel);
-    `bound` is that for all the points.
+    At x = I each x block's minor is nonzero only on local rows 1..D_j, so
+    delta_MT(T) at (I, y) is +-delta_TY(T) at y, and a linear relation
+    among the delta_MT is one among the delta_TY.  One Laplace sum over
+    det Yo, for all c tableaux on their grids M(T), gives the exact values
+    of the delta_TY at c + 4 y points drawn from `seed`, and their leading
+    terms, for check_leading_term; the rank is that of this c x (c + 4)
+    matrix, at most the rank of the coefficient matrix of the delta_MT,
+    which is at most c, so equality of rank, count and oracle is
+    conclusive.  With group, BASE_POINTS (x, y) points are drawn
+    next, and a unipotent and a torus translate of each; one Laplace sum
+    over det Z gives the values there: each vector must keep its value at
+    the first translate, take chi times it at the second, and be nonzero
+    at a base point.  Each identity has degree 3|F| in the drawn entries,
+    so a vector that fails it passes at one point with probability at
+    most 3|F| / (2 SPAN) (Schwartz-Zippel); `bound` is that for all the
+    base points.
     """
     tabs = enumerate_lr(triple) if tableaux is None else tableaux
     grids = grids or [monomial_M(T).m for T in tabs]
     rng = random.Random(seed)
-    points = [random_point(rng, triple) for _ in range(len(tabs) + 4)]
-    n, chis = len(points), []
-    for base in points[:BASE_POINTS if group else 0]:
-        unipotent, torus, chi = _translates(rng, triple, base)
-        points += [unipotent, torus]
-        chis.append(chi)
-    values = delta_MT_values(triple, grids, points)
+    points = [random_point(rng, triple, families=(yvar,))
+              for _ in range(len(tabs) + 4)]
+    values, tops = delta_TY_values_and_leads(triple, grids, points)
     report = BasisReport(len(tabs), lr_coefficient(triple),
                          len({monomial_bigE(T, triple) for T in tabs}) == len(tabs),
-                         int_rank([row[:n] for row in values]), None, None, None)
+                         int_rank(values), check_leading_term(triple, tabs, grids, tops),
+                         None, None, None)
     if not group:
         return report
+    k = BASE_POINTS
+    bases = [random_point(rng, triple) for _ in range(k)]
+    translates = list(_translates(rng, triple, bases))
+    chis = [chi for _, _, chi in translates]
+    values = delta_MT_values(triple, grids, bases + [
+        pt for unipotent, torus, _ in translates for pt in (unipotent, torus)])
     return report._replace(
-        hwv=all(row[n + 2 * i] == row[i] for row in values for i in range(len(chis))),
-        weights=all(any(row[:len(chis)]) and all(row[n + 2 * i + 1] == chi * row[i]
-                                                 for i, chi in enumerate(chis))
+        hwv=all(row[k + 2 * i] == row[i] for row in values for i in range(k)),
+        weights=all(any(row[:k]) and all(row[k + 2 * i + 1] == chi * row[i]
+                                         for i, chi in enumerate(chis))
                     for row in values),
-        bound=float(Fraction(3 * triple.F.size, 2 * SPAN) ** len(chis)))
+        bound=float(Fraction(3 * triple.F.size, 2 * SPAN) ** k))

@@ -101,7 +101,7 @@ MUTANTS = {
         "acc = accumulate(None, *first)",
         "acc = None",
         SHARED_SUM),
-    # hwv.leading_terms_TY and its max-plus ring
+    # hwv.leading_terms_TY and its max-plus ring, _y_tops
     "max-plus key in row-major y order": (
         "hwv.py",
         "key=lambda v: (v[2], v[1])",
@@ -114,8 +114,8 @@ MUTANTS = {
         MAX_PLUS),
     "a cancelled top left unmarked": (
         "hwv.py",
-        "if t and t[1] else None",
-        "if t else None",
+        "if not (top and top[1]):",
+        "if not top:",
         MAX_PLUS),
     # polyring.leading_monomial
     "y order read row by row": (
@@ -165,7 +165,31 @@ MUTANTS = {
         "else {m: c for m, c in terms.items() if c})",
         "else terms)",
         ["tests/test_polyring.py::test_polynomial_keeps_its_dict"]),
+    # hwv.delta_TY_values_and_leads: the rank of check_basis
+    "rank taken on det Z": (
+        "hwv.py",
+        "out = _laplace_sums(triple, grids, False,\n"
+        "                        lambda v: ([pt[v] for pt in points], top[v])",
+        "out = _laplace_sums(triple, grids, True,\n"
+        "                        lambda v: ([pt[v] for pt in points], top[v])",
+        ["tests/test_cli.py::test_verify_builds_each_vector_once"]),
+    "a pair's top summed without acc": (
+        "hwv.py",
+        "_add_tops(top, p[1], q[1], c)",
+        "_add_tops(None, p[1], q[1], c)",
+        ["tests/test_hwv.py::test_det_Z_at_x_identity_is_det_Yo_up_to_sign"]),
+    # verify._draw
+    "draw accepts r = n": (
+        "verify.py",
+        "while r >= n or r == -lo:",
+        "while r > n or r == -lo:",
+        ["tests/test_verify.py::test_draw_is_the_randint_stream"]),
     # verify._translates
+    "diagonal of n counted twice": (
+        "verify.py",
+        "for a in range(1, i))",
+        "for a in range(1, i + 1))",
+        ["tests/test_verify.py::test_group_checks_agree_with_exact_checks"]),
     "n built upper unitriangular": (
         "verify.py",
         "for i in rows for a in rows if a < i}",

@@ -348,27 +348,47 @@ def test_parser_built_once():
 
 
 def test_verify_builds_each_vector_once(monkeypatch, capsys):
-    # no polynomial is expanded: the values of all the tableaux at every
-    # point, rank points and translates, come from one sum over lists of
-    # integers, and the leading terms from one max-plus sum over det Yo.
-    # The ring of a sum shows in its `one`: a list for values, a dict for
-    # polynomials, a tuple for tops
+    # no polynomial is expanded: the rank and the leading terms come from
+    # one sum over det Yo, on pairs of the values of all the tableaux at
+    # c + 4 y points and their max-plus tops; only the group check walks
+    # det Z, over lists of values at its 2 base points and their 4
+    # translates.  The ring of a sum shows in its `one`
     calls = []
     original = hwv._laplace_sums
 
+    def ring(one):
+        if isinstance(one, list):
+            return "values", len(one)
+        if isinstance(one[0], list):
+            return "values and tops", len(one[0])
+        return "tops", None
+
     def counting(triple, grids, with_x, value, accumulate, one):
-        calls.append((len(grids), with_x, type(one).__name__))
+        calls.append((len(grids), with_x, *ring(one)))
         return original(triple, grids, with_x, value, accumulate, one)
     monkeypatch.setattr(hwv, "_laplace_sums", counting)
     two = ["--D", "2,1", "--E", "2,1", "--F", "3,2,1"]
+    yo = (2, False, "values and tops", 6)
     for checks, sums in (
-            (["--basis"], [(2, True, "list")]),
-            (["--basis", "--leading"], [(2, False, "tuple"), (2, True, "list")]),
-            (["--all"], [(2, False, "tuple"), (2, True, "list")])):
+            (["--basis"], [yo]),
+            (["--basis", "--leading"], [yo]),
+            (["--all"], [yo, (2, True, "values", 6)]),
+            (["--leading"], [(2, False, "tops", None)])):
         calls.clear()
         assert cli.main(["verify", *two, *checks]) == 0
-        assert json.loads(capsys.readouterr().out)["rank"] == 2
-        assert sorted(calls) == sums, checks
+        assert json.loads(capsys.readouterr().out)["pass"]
+        assert calls == sums, checks
+
+
+def test_verify_basis_on_the_76_tableau_triple(capsys):
+    # its det Z walk has 1.4 million states and ran out of memory; the
+    # rank comes from det Yo, whose walk has some 1,200
+    argv = ["verify", "--D", "5,4,3,2,1", "--E", "5,4,3,2,1", "--F", "8,7,6,4,3,2",
+            "--basis", "--leading"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "leading": True, "rank": 76, "lr_count": 76, "oracle_count": 76,
+        "basis": True, "pass": True}
 
 
 def test_verify_peels_each_tableau_once(monkeypatch, capsys):

@@ -214,6 +214,7 @@ def lrb_runs(tableau_file):
         (0, ["verify", *TWO, "--all"], ""),
         (0, ["verify", *TWO, "--basis"], ""),
         (0, ["verify", *TWO, "--basis", "--leading"], ""),
+        (0, ["verify", *TWO, "--leading"], ""),
         (0, ["oracle", *TWO], ""),
         (0, ["sl4-table"], ""),
         (0, ["bz-grade", "--dots", "x21,z12,y11,y22,x13"], ""),

@@ -15,7 +15,7 @@ from lrbasis import (build_Ztilde, delta, delta_MT, delta_MT_eval,
                      intlinalg, monomial_M, parse_partition, validate_triple)
 from lrbasis.errors import DimensionMismatch
 from lrbasis.polyring import (ONE, Polynomial, leading_monomial, poly_text,
-                              triple_layout, yvar)
+                              triple_layout, xvar, yvar)
 from lrbasis.verify import random_point
 
 POOL = Path(__file__).resolve().parents[1] / "bench" / "pools" / "verify-large.json"
@@ -345,6 +345,35 @@ def test_delta_MT_values_at_all_points_at_once():
     assert enumerate_lr(dead) == []
     point = dict.fromkeys(random_point(rng, dead), 1)
     assert delta_MT_values(dead, [((1,), (1,))], [point] * 3) == [[0, 0, 0]]
+
+
+def test_det_Z_at_x_identity_is_det_Yo_up_to_sign():
+    # at x = I each x block's minor is nonzero only on local rows 1..D_j,
+    # so the det Z values of a tableau at (I, y) are its det Yo values at
+    # y times one sign, and the two c x (c + 4) matrices both have rank c,
+    # on every triple with |F| <= 9 that has a tableau; both signs occur.
+    # The sum over pairs gives the leading terms of the max-plus sum
+    rng = random.Random(29)
+    n, signs = 0, set()
+    for tr in all_triples(9):
+        tabs = enumerate_lr(tr)
+        if not tabs:
+            continue
+        pts = [random_point(rng, tr, families=(yvar,)) for _ in range(len(tabs) + 4)]
+        identity = {xvar(u, v): int(u == v) for u in range(1, tr.F.width + 1)
+                    for v in range(1, tr.D.width + 1)}
+        grids = grids_of(tabs)
+        at_identity = delta_MT_values(tr, grids, [{**pt, **identity} for pt in pts])
+        reduced, leads = hwv.delta_TY_values_and_leads(tr, grids, pts)
+        assert leads == hwv.leading_terms_TY(tr, grids)
+        for z_row, yo_row in zip(at_identity, reduced):
+            sign = 1 if z_row[0] == yo_row[0] else -1
+            assert z_row == [sign * v for v in yo_row]
+            signs.add(sign)
+        assert intlinalg.int_rank(at_identity) == intlinalg.int_rank(reduced) == len(tabs)
+        n += 1
+    assert n == 2719
+    assert signs == {1, -1}
 
 
 def test_shared_sum_matches_forward_plans(running):

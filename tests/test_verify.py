@@ -358,15 +358,17 @@ def test_evaluation_rank_agrees_with_symbolic():
 
 
 def test_evaluation_basis_is_one_shared_sum(running, monkeypatch):
-    # one Laplace sum over all c tableaux gives their values at all c + 4
-    # points, not one sum per tableau or per point, and the ranked matrix
-    # is the one built point by point
+    # one Laplace sum over det Yo and all c tableaux gives their values at
+    # all c + 4 y points and their leading terms, not one sum per tableau
+    # or per point, and the ranked matrix is the one built point by point;
+    # the group check adds one sum over det Z and leaves the rank's points
+    # and matrix as they are
     sums, matrices = [], []
     laplace_sums, rank = hwv._laplace_sums, verify.int_rank
 
-    def counting(triple, grids, *args):
-        sums.append(len(grids))
-        return laplace_sums(triple, grids, *args)
+    def counting(triple, grids, with_x, *args):
+        sums.append((len(grids), with_x))
+        return laplace_sums(triple, grids, with_x, *args)
 
     def recording(matrix):
         matrices.append(matrix)
@@ -375,15 +377,22 @@ def test_evaluation_basis_is_one_shared_sum(running, monkeypatch):
     monkeypatch.setattr(hwv, "_laplace_sums", counting)
     monkeypatch.setattr(verify, "int_rank", recording)
     rep = check_basis(running, seed=7)
-    assert rep.passed
-    assert sums == [rep.lr_count] == [4]
-    monkeypatch.setattr(verify, "delta_MT_values", lambda tr, grids, points:
-                        [[hwv.delta_MT_values(tr, [grid], [pt])[0][0]
-                          for pt in points] for grid in grids])
+    assert rep.passed and rep.leading
+    assert sums == [(rep.lr_count, False)] == [(4, False)]
+    sums.clear()
+    assert check_basis(running, seed=7, group=True)[:5] == rep[:5]
+    assert sums == [(4, False), (4, True)]
+    sums.clear()
+
+    def per_point(tr, grids, points):
+        values = [[hwv.delta_TY_values_and_leads(tr, [grid], [pt])[0][0][0]
+                   for pt in points] for grid in grids]
+        return values, hwv.leading_terms_TY(tr, grids)
+    monkeypatch.setattr(verify, "delta_TY_values_and_leads", per_point)
     assert check_basis(running, seed=7) == rep
-    assert sums == [4] + [1] * 4 * 8
-    one_pass, per_point = matrices
-    assert one_pass == per_point
+    assert sums == [(1, False)] * 4 * 8 + [(4, False)]
+    one_pass, grouped, by_point = matrices
+    assert one_pass == grouped == by_point
     assert len(one_pass) == 4 and {len(row) for row in one_pass} == {8}
 
 
@@ -472,8 +481,8 @@ def test_group_checks_agree_with_exact_checks():
 
 
 def _group_verdicts(monkeypatch, tr, p):
-    """(hwv, weights) of check_basis when every vector's values are those
-    of the polynomial p."""
+    """(hwv, weights) of check_basis when every vector's values at (x, y)
+    points are those of the polynomial p."""
     monkeypatch.setattr(verify, "delta_MT_values", lambda triple, grids, points:
                         [[evaluate(p, pt) for pt in points]])
     rep = check_basis(tr, group=True)
@@ -500,6 +509,26 @@ def test_group_checks_catch_a_wrong_vector(monkeypatch):
         p = Polynomial.variable(v, triple_layout(tr))
         assert _group_verdicts(monkeypatch, tr, p)[0] is False, v
         assert not check_hwv(p, tr)
+
+
+def test_draw_is_the_randint_stream():
+    # _draw reads the bits randint reads, and rejects what it rejects
+    # plus 0: the same numbers as the randint-and-reject loop, and the
+    # same state after them, on ranges of odd, even and power-of-two size
+    def old_draw(rng, lo, hi):
+        v = 0
+        while v == 0:
+            v = rng.randint(lo, hi)
+        return v
+    # (-8, 7), (-2**19, 2**19 - 1) and (0, 15) hold a power of two of
+    # integers, half the values of the bits drawn for them
+    for lo, hi in ((-10**6, 10**6), (-30, 30), (-15, 15), (-9, 9), (-8, 8),
+                   (-8, 7), (-2**19, 2**19 - 1), (0, 15), (3, 10), (-5, -2)):
+        for seed in range(5):
+            new, old = random.Random(seed), random.Random(seed)
+            assert ([verify._draw(new, lo, hi) for _ in range(300)]
+                    == [old_draw(old, lo, hi) for _ in range(300)]), (lo, hi, seed)
+            assert new.getstate() == old.getstate()
 
 
 def test_same_seed_same_report():
