@@ -142,8 +142,8 @@ def cmd_verify(args):
     if group:
         report["sz_bound"] = basis.bound
     if args.leading or run_all:
-        report["leading"] = (basis.leading if basis
-                             else verify.check_leading_term(triple, tabs, grids))
+        report["leading"] = verify.check_leading_term(
+            triple, tabs, grids, tops=basis and basis.tops)
     if args.basis or run_all:
         report.update(rank=basis.rank, lr_count=basis.lr_count,
                       oracle_count=basis.oracle_count, basis=basis.passed)

@@ -27,11 +27,11 @@ grid run backward from the last, gives those of all the tableaux of a
 triple: grids that end in the same columns share that part of it.  Over
 polynomial minors, each expanded once by polyring.column_minors, it gives
 the coefficients (delta_MT, delta_TY); over lists of integers, one per
-point, their exact values at all the points (delta_MT_values); over a
-max-plus ring of tops, (key, count) with the key ordered as the y order,
-the leading term of each coefficient of det Yo with none of them
-expanded (leading_terms_TY); over pairs of the two, both for det Yo
-(delta_TY_values_and_leads).
+point, their exact values at all the points (delta_MT_values); over
+pairs of such a list and a max-plus top, (key, count) with the key
+ordered as the y order, the values of each coefficient of det Yo and its
+leading term, with none of them expanded (delta_TY_values_and_leads;
+leading_terms_TY is that sum at no point).
 Nothing it builds outlives the call.
 """
 
@@ -302,45 +302,6 @@ def _add_pairs(acc, p, q, c):
     return _add_products(values, p[0], q[0], c), _add_tops(top, p[1], q[1], c)
 
 
-def _y_tops(triple):
-    """The max-plus ring of leading_terms_TY: the top of each y variable,
-    and the leading term a sum's top stands for.
-
-    The key of y[u,v] holds a degree of 1 above one exponent field per
-    variable, in column-major order, y[1,1], y[2,1], ..., y[1,2], ..., the
-    first on top, each wide enough for |F|: keys then compare as the y
-    order does, the key of a product is the sum of the keys, and the top's
-    monomial is read back off its key.  The top of a column-initial minor
-    on sorted rows is its diagonal, with +1, so no minor's top cancels;
-    only a sum of products can.
-    """
-    width = triple.F.size.bit_length() + 1
-    ys = sorted((yvar(u, v) for u in range(1, triple.F.width + 1)
-                 for v in range(1, triple.E.width + 1)),
-                key=lambda v: (v[2], v[1]), reverse=True)
-    shift = {v: k * width for k, v in enumerate(ys)}
-    degree, mask = len(ys) * width, (1 << width) - 1
-
-    def lead(top):
-        if not (top and top[1]):
-            return None
-        fields = ((v, top[0] >> shift[v] & mask) for v in sorted(shift))
-        return tuple((v, e) for v, e in fields if e), top[1]
-    return {v: ((1 << degree) + (1 << s), 1) for v, s in shift.items()}, lead
-
-
-def leading_terms_TY(triple, grids):
-    """The leading term of the coefficient of b^grid in det Yo, under the y
-    order of polyring.leading_monomial, for each grid: (tuple-form
-    monomial, coefficient), or None where its top cancelled or it has no
-    term.  One Laplace sum for all the grids, in the max-plus ring of
-    _add_tops and _y_tops.
-    """
-    top, lead = _y_tops(triple)
-    return [lead(t) for t in _laplace_sums(triple, grids, False, top.__getitem__,
-                                           _add_tops, (0, 1))]
-
-
 def delta_MT_values(triple, grids, points):
     """Exact values of delta_MT(triple, T) at integer (x, y) points: one
     row per tableau T, given by its grid M(T), one entry per point.
@@ -358,15 +319,43 @@ def delta_MT_values(triple, grids, points):
 
 def delta_TY_values_and_leads(triple, grids, points):
     """The exact values of delta_TY(triple, T) at integer y points, as
-    delta_MT_values gives those of delta_MT, and the leading terms of
-    leading_terms_TY, for the tableaux T of the grids M(T): one Laplace
-    sum over det Yo, on pairs (values, top)."""
-    top, lead = _y_tops(triple)
+    delta_MT_values gives those of delta_MT, and the leading term of each
+    under the y order of polyring.leading_monomial, (tuple-form monomial,
+    coefficient) or None where its top cancelled or it has no term, for
+    the tableaux T of the grids M(T): one Laplace sum over det Yo, on
+    pairs (values, top) in the rings of _add_products and _add_tops.
+
+    The key of y[u,v] holds a degree of 1 above one exponent field per
+    variable, in column-major order, y[1,1], y[2,1], ..., y[1,2], ..., the
+    first on top, each wide enough for |F|: keys then compare as the y
+    order does, the key of a product is the sum of the keys, and the top's
+    monomial is read back off its key.  The top of a column-initial minor
+    on sorted rows is its diagonal, with +1, so no minor's top cancels;
+    only a sum of products can.
+    """
+    width = triple.F.size.bit_length() + 1
+    ys = sorted((yvar(u, v) for u in range(1, triple.F.width + 1)
+                 for v in range(1, triple.E.width + 1)),
+                key=lambda v: (v[2], v[1]), reverse=True)
+    shift = {v: k * width for k, v in enumerate(ys)}
+    degree, mask = len(ys) * width, (1 << width) - 1
+    top = {v: ((1 << degree) + (1 << s), 1) for v, s in shift.items()}
+
+    def lead(pair):
+        key, count = pair[1] if pair else (0, 0)
+        if not count:
+            return None
+        fields = ((v, key >> shift[v] & mask) for v in sorted(shift))
+        return tuple((v, e) for v, e in fields if e), count
     out = _laplace_sums(triple, grids, False,
                         lambda v: ([pt[v] for pt in points], top[v]), _add_pairs,
                         ([1] * len(points), (0, 1)))
-    return ([v[0] if v else [0] * len(points) for v in out],
-            [lead(v and v[1]) for v in out])
+    return [v[0] if v else [0] * len(points) for v in out], [lead(v) for v in out]
+
+
+def leading_terms_TY(triple, grids):
+    """The leading terms of delta_TY_values_and_leads, at no point."""
+    return delta_TY_values_and_leads(triple, grids, [])[1]
 
 
 def delta_MT_eval(triple, T, assignment):

@@ -130,8 +130,10 @@ def check_leading_term(triple, tableaux, grids=None, tops=None):
 
 
 class BasisReport(namedtuple("BasisReport", "lr_count oracle_count "
-                             "leading_distinct rank leading hwv weights bound")):
-    """Outcome of check_basis; hwv, weights and bound None unless asked."""
+                             "leading_distinct rank hwv weights bound tops")):
+    """Outcome of check_basis; hwv, weights and bound None unless asked;
+    tops the leading terms of the vectors' delta_TY, as
+    hwv.leading_terms_TY gives them, for check_leading_term."""
 
     __slots__ = ()
 
@@ -161,47 +163,45 @@ def random_point(rng, triple, lo=-SPAN, hi=SPAN, families=(xvar, yvar)):
             for var in families for j in range(1, widths[var] + 1)}
 
 
-def _translates(rng, triple, bases):
-    """For each integer point of bases in turn: a unipotent translate
-    (n x u_x, n y u_y), a torus translate (t x s_x, t y s_y), and the torus
-    character prod t_u^F'_u * prod s_x,v^D'_v * prod s_y,w^E'_w: n lower,
-    u_x and u_y upper unitriangular, t, s_x and s_y diagonal, their free
-    entries drawn as random_point draws, n, u_x, u_y, t, s_x, s_y in turn."""
+def _translates(rng, triple, point):
+    """A unipotent translate (n x u_x, n y u_y) of an integer point, a
+    torus translate (t x s_x, t y s_y), and the torus character
+    prod t_u^F'_u * prod s_x,v^D'_v * prod s_y,w^E'_w: n lower, u_x and
+    u_y upper unitriangular, t, s_x and s_y diagonal, their free entries
+    drawn as random_point draws, n, u_x, u_y, t, s_x, s_y in turn."""
     rows = range(1, triple.F.width + 1)
     cols = [(f, v) for f, width in (("x", triple.D.width), ("y", triple.E.width))
             for v in range(1, width + 1)]
-    row_degrees = list(zip(rows, triple.Ft.parts))
-    col_degrees = list(zip(cols, triple.Dt.parts + triple.Et.parts))
-    for point in bases:
-        n = {(i, a): _draw(rng, -SPAN, SPAN) for i in rows for a in rows if a < i}
-        u = {(b, c): _draw(rng, -SPAN, SPAN) for c in cols for b in cols
-             if b[0] == c[0] and b[1] < c[1]}
-        t = {i: _draw(rng, -SPAN, SPAN) for i in rows}
-        s = {c: _draw(rng, -SPAN, SPAN) for c in cols}
-        # n and u hold the entries below and above the diagonal, whose 1 is
-        # the term outside each sum
-        nx = {(i, c): point[c[0], i, c[1]]
-              + sum(n[i, a] * point[c[0], a, c[1]] for a in range(1, i))
-              for i in rows for c in cols}
-        unipotent = {(f, i, v): nx[i, (f, v)]
-                     + sum(nx[i, (f, b)] * u[(f, b), (f, v)] for b in range(1, v))
-                     for i in rows for f, v in cols}
-        torus = {(f, i, v): t[i] * point[f, i, v] * s[f, v] for i in rows for f, v in cols}
-        chi = prod(t[i] ** e for i, e in row_degrees)
-        yield unipotent, torus, chi * prod(s[c] ** e for c, e in col_degrees)
+    n = {(i, a): _draw(rng, -SPAN, SPAN) for i in rows for a in rows if a < i}
+    u = {(b, c): _draw(rng, -SPAN, SPAN) for c in cols for b in cols
+         if b[0] == c[0] and b[1] < c[1]}
+    t = {i: _draw(rng, -SPAN, SPAN) for i in rows}
+    s = {c: _draw(rng, -SPAN, SPAN) for c in cols}
+    # n and u hold the entries below and above the diagonal, whose 1 is
+    # the term outside each sum
+    nx = {(i, c): point[c[0], i, c[1]]
+          + sum(n[i, a] * point[c[0], a, c[1]] for a in range(1, i))
+          for i in rows for c in cols}
+    unipotent = {(f, i, v): nx[i, (f, v)]
+                 + sum(nx[i, (f, b)] * u[(f, b), (f, v)] for b in range(1, v))
+                 for i in rows for f, v in cols}
+    torus = {(f, i, v): t[i] * point[f, i, v] * s[f, v] for i in rows for f, v in cols}
+    chi = prod(t[i] ** e for i, e in zip(rows, triple.Ft.parts))
+    chi *= prod(s[c] ** e for c, e in zip(cols, triple.Dt.parts + triple.Et.parts))
+    return unipotent, torus, chi
 
 
 def check_basis(triple, seed=0, tableaux=None, grids=None, group=False):
-    """Count, construct, and rank the tableau coefficients of a triple,
-    and check their leading terms; with group, also test that they are
-    highest weight vectors of weight (F', D', E').
+    """Count, construct, and rank the tableau coefficients of a triple;
+    with group, also test that they are highest weight vectors of weight
+    (F', D', E').
 
     At x = I each x block's minor is nonzero only on local rows 1..D_j, so
     delta_MT(T) at (I, y) is +-delta_TY(T) at y, and a linear relation
     among the delta_MT is one among the delta_TY.  One Laplace sum over
     det Yo, for all c tableaux on their grids M(T), gives the exact values
     of the delta_TY at c + 4 y points drawn from `seed`, and their leading
-    terms, for check_leading_term; the rank is that of this c x (c + 4)
+    terms, the report's tops; the rank is that of this c x (c + 4)
     matrix, at most the rank of the coefficient matrix of the delta_MT,
     which is at most c, so equality of rank, count and oracle is
     conclusive.  With group, BASE_POINTS (x, y) points are drawn
@@ -221,16 +221,16 @@ def check_basis(triple, seed=0, tableaux=None, grids=None, group=False):
     values, tops = delta_TY_values_and_leads(triple, grids, points)
     report = BasisReport(len(tabs), lr_coefficient(triple),
                          len({monomial_bigE(T, triple) for T in tabs}) == len(tabs),
-                         int_rank(values), check_leading_term(triple, tabs, grids, tops),
-                         None, None, None)
+                         int_rank(values), None, None, None, tops)
     if not group:
         return report
     k = BASE_POINTS
-    bases = [random_point(rng, triple) for _ in range(k)]
-    translates = list(_translates(rng, triple, bases))
-    chis = [chi for _, _, chi in translates]
-    values = delta_MT_values(triple, grids, bases + [
-        pt for unipotent, torus, _ in translates for pt in (unipotent, torus)])
+    points, chis = [random_point(rng, triple) for _ in range(k)], []
+    for base in points[:k]:
+        unipotent, torus, chi = _translates(rng, triple, base)
+        points += [unipotent, torus]
+        chis.append(chi)
+    values = delta_MT_values(triple, grids, points)
     return report._replace(
         hwv=all(row[k + 2 * i] == row[i] for row in values for i in range(k)),
         weights=all(any(row[:k]) and all(row[k + 2 * i + 1] == chi * row[i]

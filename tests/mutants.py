@@ -101,7 +101,8 @@ MUTANTS = {
         "acc = accumulate(None, *first)",
         "acc = None",
         SHARED_SUM),
-    # hwv.leading_terms_TY and its max-plus ring, _y_tops
+    # the max-plus tops of hwv.delta_TY_values_and_leads, which
+    # leading_terms_TY reads
     "max-plus key in row-major y order": (
         "hwv.py",
         "key=lambda v: (v[2], v[1])",
@@ -114,8 +115,8 @@ MUTANTS = {
         MAX_PLUS),
     "a cancelled top left unmarked": (
         "hwv.py",
-        "if not (top and top[1]):",
-        "if not top:",
+        "if not count:",
+        "if not pair:",
         MAX_PLUS),
     # polyring.leading_monomial
     "y order read row by row": (
@@ -177,7 +178,7 @@ MUTANTS = {
         "hwv.py",
         "_add_tops(top, p[1], q[1], c)",
         "_add_tops(None, p[1], q[1], c)",
-        ["tests/test_hwv.py::test_det_Z_at_x_identity_is_det_Yo_up_to_sign"]),
+        MAX_PLUS),
     # verify._draw
     "draw accepts r = n": (
         "verify.py",

@@ -352,16 +352,15 @@ def test_verify_builds_each_vector_once(monkeypatch, capsys):
     # one sum over det Yo, on pairs of the values of all the tableaux at
     # c + 4 y points and their max-plus tops; only the group check walks
     # det Z, over lists of values at its 2 base points and their 4
-    # translates.  The ring of a sum shows in its `one`
+    # translates; --leading alone sums the pairs at no point.  The ring of
+    # a sum shows in its `one`
     calls = []
     original = hwv._laplace_sums
 
     def ring(one):
         if isinstance(one, list):
             return "values", len(one)
-        if isinstance(one[0], list):
-            return "values and tops", len(one[0])
-        return "tops", None
+        return "values and tops", len(one[0])
 
     def counting(triple, grids, with_x, value, accumulate, one):
         calls.append((len(grids), with_x, *ring(one)))
@@ -373,7 +372,7 @@ def test_verify_builds_each_vector_once(monkeypatch, capsys):
             (["--basis"], [yo]),
             (["--basis", "--leading"], [yo]),
             (["--all"], [yo, (2, True, "values", 6)]),
-            (["--leading"], [(2, False, "tops", None)])):
+            (["--leading"], [(2, False, "values and tops", 0)])):
         calls.clear()
         assert cli.main(["verify", *two, *checks]) == 0
         assert json.loads(capsys.readouterr().out)["pass"]

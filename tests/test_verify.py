@@ -377,10 +377,12 @@ def test_evaluation_basis_is_one_shared_sum(running, monkeypatch):
     monkeypatch.setattr(hwv, "_laplace_sums", counting)
     monkeypatch.setattr(verify, "int_rank", recording)
     rep = check_basis(running, seed=7)
-    assert rep.passed and rep.leading
+    assert rep.passed
     assert sums == [(rep.lr_count, False)] == [(4, False)]
+    assert check_leading_term(running, enumerate_lr(running), tops=rep.tops)
     sums.clear()
-    assert check_basis(running, seed=7, group=True)[:5] == rep[:5]
+    grouped = check_basis(running, seed=7, group=True)
+    assert grouped[:4] == rep[:4] and grouped.tops == rep.tops
     assert sums == [(4, False), (4, True)]
     sums.clear()
 
