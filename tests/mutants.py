@@ -201,6 +201,67 @@ MUTANTS = {
         "zip(cols, triple.Dt.parts + triple.Et.parts)",
         "zip(cols, triple.D.parts + triple.Et.parts)",
         ["tests/test_verify.py::test_group_checks_agree_with_exact_checks"]),
+    # verify.check_leading_term and BasisReport
+    "leading coefficient not checked": (
+        "verify.py",
+        "m == monomial_e(T) and abs(c) == 1",
+        "m == monomial_e(T) and True",
+        ["tests/test_verify.py::test_leading_term_needs_a_unit_coefficient"]),
+    "basis passed without the oracle count": (
+        "verify.py",
+        "return (self.lr_count == self.oracle_count == self.rank",
+        "return (self.lr_count == self.rank",
+        ["tests/test_verify.py::test_check_basis_reuses_given_vectors"]),
+    # cli.cmd_verify
+    "pass blind to the leading verdict": (
+        "cli.py",
+        'if k in ("hwv", "weights", "leading", "basis"))',
+        'if k in ("hwv", "weights", "basis"))',
+        ["tests/test_cli.py::test_verify_pass_reads_every_verdict"]),
+    "bare verify runs no check": (
+        "cli.py",
+        "run_all = args.all or not (args.hwv or args.weights or args.leading"
+        " or args.basis)",
+        "run_all = args.all",
+        ["tests/test_cli.py::test_bare_verify_runs_every_check"]),
+    # tableaux: enumeration, the LR conditions, peeling and its inverse
+    "lattice check admits one more": (
+        "tableaux.py",
+        "placed[v] + 1 > above[v - 1]",
+        "placed[v] > above[v - 1]",
+        ["tests/test_tableaux.py::test_running_example_enumeration"]),
+    "lattice word condition not strict": (
+        "tableaux.py",
+        "if prefix[m] > prev[m - 1]:",
+        "if prefix[m] >= prev[m - 1]:",
+        ["tests/test_tableaux.py::test_enumerated_tableaux_are_lr"]),
+    "peeling takes the leftmost cell": (
+        "tableaux.py",
+        "key=lambda rc: (rc[0], -rc[1])",
+        "key=lambda rc: (rc[0], rc[1])",
+        ["tests/test_tableaux.py::test_peeling_strip_geometry"]),
+    "recovered columns in increasing order": (
+        "tableaux.py",
+        "cols.sort(reverse=True)",
+        "cols.sort()",
+        ["tests/test_tableaux.py::test_recover_roundtrips"]),
+    # oracle: the horizontal strips of _kostka and the sign of w
+    "strip bounded by its own row only": (
+        "oracle.py",
+        "range(min(k, shape[row] - below), -1, -1)",
+        "range(min(k, shape[row]), -1, -1)",
+        ["tests/test_oracle.py::test_schur_known_small"]),
+    "sign of w dropped": (
+        "oracle.py",
+        "total += -rest if k % 2 else rest",
+        "total += rest",
+        ["tests/test_oracle.py::test_lr_coefficient_symmetry"]),
+    # shapes.LRTriple
+    "dt_in_ft containment reversed": (
+        "shapes.py",
+        "F.transpose().contains(D.transpose())",
+        "D.transpose().contains(F.transpose())",
+        ["tests/test_tableaux.py::test_running_example_enumeration"]),
     # cli._triple_and_tableau
     "tableau content check removed": (
         "cli.py",

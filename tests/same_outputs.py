@@ -3,8 +3,8 @@
 Two versions of the package that should print the same give the same
 digest.  The sweep runs cli.main in-process, with empty stdin, on:
 
-- `verify --all` and `verify --basis --leading` for every triple with
-  |F| <= 7;
+- `verify` with each flag set of VERIFY_FLAGS, no flag among them, for
+  every triple with |F| <= 7;
 - `delta --index i` and `delta-ty --index i` for each tableau of those
   triples, in JSON and in `--format text`;
 - `delta --A J` and `delta --A symbolic` for every triple with |F| <= 5;
@@ -29,6 +29,8 @@ from cli_agreement import outcome
 from lrbasis import cli, enumerate_lr, validate_triple
 
 POOL = Path(__file__).resolve().parents[1] / "bench" / "pools" / "verify-symbolic.json"
+VERIFY_FLAGS = (["--all"], ["--basis", "--leading"], ["--leading"], ["--basis"],
+                ["--hwv"], ["--weights"], [])
 
 
 def partitions(n, largest=None):
@@ -60,8 +62,8 @@ def sweep():
     """The argv lists of the sweep, in order."""
     for D, E, F in small_triples(7):
         triple = triple_argv(D, E, F)
-        yield ["verify", *triple, "--all"]
-        yield ["verify", *triple, "--basis", "--leading"]
+        for flags in VERIFY_FLAGS:
+            yield ["verify", *triple, *flags]
         for i in range(len(enumerate_lr(validate_triple(D, E, F)))):
             for command in ("delta", "delta-ty"):
                 yield [command, *triple, "--index", str(i)]

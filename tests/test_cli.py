@@ -379,6 +379,26 @@ def test_verify_builds_each_vector_once(monkeypatch, capsys):
         assert calls == sums, checks
 
 
+def test_bare_verify_runs_every_check(capsys):
+    # no check named is every check, as --all
+    two = ["--D", "2,1", "--E", "2,1", "--F", "3,2,1"]
+    assert cli.main(["verify", *two]) == 0
+    bare = capsys.readouterr().out
+    assert cli.main(["verify", *two, "--all"]) == 0
+    assert capsys.readouterr().out == bare
+    assert list(json.loads(bare)) == ["hwv", "weights", "sz_bound", "leading",
+                                      "rank", "lr_count", "oracle_count",
+                                      "basis", "pass"]
+
+
+def test_verify_pass_reads_every_verdict(monkeypatch, capsys):
+    # a failed leading verdict fails the report and the exit status
+    monkeypatch.setattr(verify, "check_leading_term", lambda *args, **kw: False)
+    argv = ["verify", "--D", "2,1", "--E", "2,1", "--F", "3,2,1", "--leading"]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {"leading": False, "pass": False}
+
+
 def test_verify_basis_on_the_76_tableau_triple(capsys):
     # its det Z walk has 1.4 million states and ran out of memory; the
     # rank comes from det Yo, whose walk has some 1,200

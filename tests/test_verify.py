@@ -338,6 +338,9 @@ def test_check_basis_reuses_given_vectors():
     assert rep.rank == 1 and not rep.passed
     rep = check_basis(tr, tableaux=[tabs[0], tabs[0]])
     assert rep.rank == 1 and not rep.passed
+    # one of the two tableaux ranks fully, and falls short of the oracle
+    rep = check_basis(tr, tableaux=tabs[:1])
+    assert rep.lr_count == rep.rank == 1 and not rep.passed
 
 
 def test_evaluation_rank_agrees_with_symbolic():
@@ -452,6 +455,16 @@ def test_leading_term_falls_back_when_a_top_cancels(running, monkeypatch):
     monkeypatch.setattr(verify, "delta_TY", lambda triple, T: delta_TY(
         triple, tabs[0]))
     assert not check_leading_term(running, tabs)
+
+
+def test_leading_term_needs_a_unit_coefficient(running):
+    # each top must be e(T) with coefficient +-1: either sign passes, and
+    # e(T) with coefficient 2 fails
+    tabs = enumerate_lr(running)
+    tops = check_basis(running, tableaux=tabs).tops
+    assert check_leading_term(running, tabs, tops=tops)
+    assert check_leading_term(running, tabs, tops=[(m, -c) for m, c in tops])
+    assert not check_leading_term(running, tabs, tops=[(tops[0][0], 2), *tops[1:]])
 
 
 def test_leading_term_deep_E():
