@@ -132,9 +132,7 @@ def cmd_verify(args):
     run_all = args.all or not (args.hwv or args.weights or args.leading or args.basis)
     group = args.hwv or args.weights or run_all
     tabs = enumerate_lr(triple)
-    grids = [monomial_M(T).m for T in tabs]
-    basis = (verify.check_basis(triple, args.seed, tabs, grids, group)
-             if group or args.basis else None)
+    basis = verify.check_basis(triple, args.seed, tabs, group)
     if args.hwv or run_all:
         report["hwv"] = basis.hwv
     if args.weights or run_all:
@@ -142,8 +140,7 @@ def cmd_verify(args):
     if group:
         report["sz_bound"] = basis.bound
     if args.leading or run_all:
-        report["leading"] = verify.check_leading_term(
-            triple, tabs, grids, tops=basis and basis.tops)
+        report["leading"] = verify.check_leading_term(triple, tabs, basis.tops)
     if args.basis or run_all:
         report.update(rank=basis.rank, lr_count=basis.lr_count,
                       oracle_count=basis.oracle_count, basis=basis.passed)

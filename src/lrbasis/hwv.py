@@ -30,8 +30,8 @@ the coefficients (delta_MT, delta_TY); over lists of integers, one per
 point, their exact values at all the points (delta_MT_values); over
 pairs of such a list and a max-plus top, (key, count) with the key
 ordered as the y order, the values of each coefficient of det Yo and its
-leading term, with none of them expanded (delta_TY_values_and_leads;
-leading_terms_TY is that sum at no point).
+leading term, with none of them expanded (delta_TY_values_and_leads,
+which verify.check_basis calls for every check of `lrb verify`).
 Nothing it builds outlives the call.
 """
 
@@ -351,11 +351,6 @@ def delta_TY_values_and_leads(triple, grids, points):
                         lambda v: ([pt[v] for pt in points], top[v]), _add_pairs,
                         ([1] * len(points), (0, 1)))
     return [v[0] if v else [0] * len(points) for v in out], [lead(v) for v in out]
-
-
-def leading_terms_TY(triple, grids):
-    """The leading terms of delta_TY_values_and_leads, at no point."""
-    return delta_TY_values_and_leads(triple, grids, [])[1]
 
 
 def delta_MT_eval(triple, T, assignment):

@@ -46,8 +46,7 @@ class Partition:
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
     def contains(self, other):
-        """Whether other fits inside self row by row."""
-        other = Partition(other)
+        """Whether the Partition other fits inside self row by row."""
         return all(self.part(i) >= other.part(i) for i in range(1, other.depth + 1))
 
     def transpose(self):
@@ -119,7 +118,8 @@ class SkewShape:
 
 class LRTriple(namedtuple("LRTriple", "D E F dt_in_ft")):
     """Diagrams (D, E, F) with |D| + |E| = |F|, and whether transpose(D)
-    is contained in transpose(F).
+    is contained in transpose(F), as D is in F: transposing keeps
+    containment.
 
     The paper's x and y matrices have n rows and k and ell columns, for
     any sizes large enough: the triple's vectors use only x[1..F_1, 1..D_1]
@@ -129,8 +129,7 @@ class LRTriple(namedtuple("LRTriple", "D E F dt_in_ft")):
     __slots__ = ()
 
     def __new__(cls, D, E, F):
-        return super().__new__(cls, D, E, F,
-                               F.transpose().contains(D.transpose()))
+        return super().__new__(cls, D, E, F, F.contains(D))
 
     @property
     def r(self):

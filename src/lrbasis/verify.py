@@ -16,8 +16,7 @@ from math import prod
 
 from .errors import NotHomogeneous, ZeroPolynomial
 from .intlinalg import int_rank
-from .hwv import (delta_MT_values, delta_TY, delta_TY_values_and_leads,
-                  leading_terms_TY)
+from .hwv import delta_MT_values, delta_TY, delta_TY_values_and_leads
 from .oracle import lr_coefficient
 from .polyring import Polynomial, leading_monomial, xvar, yvar
 from .tableaux import enumerate_lr, monomial_M, monomial_bigE, monomial_e
@@ -109,20 +108,14 @@ def weight_profile(p):
     return WeightProfile(*profiles.pop())
 
 
-def check_leading_term(triple, tableaux, grids=None, tops=None):
+def check_leading_term(triple, tableaux, tops):
     """Whether the leading y-term of delta_TY(triple, T) is e(T) with
-    coefficient +-1, for every tableau T, read with no det Yo expanded.
+    coefficient +-1, for every tableau T, given tops, the leading terms
+    of those delta_TY that check_basis reports, in the same order.
 
-    One max-plus Laplace sum over det Yo, on the grids M(T) of the
-    tableaux, gives the leading term of every tableau
-    (hwv.leading_terms_TY), unless the caller holds them as tops; a
-    tableau whose top cancelled there, so that the term below it is
-    unknown, falls back to expanding its delta_TY.
+    A tableau whose top cancelled in check_basis's max-plus sum, so that
+    the term below it is unknown, falls back to expanding its delta_TY.
     """
-    if not tableaux:     # and D may not even fit inside F
-        return True
-    if tops is None:
-        tops = leading_terms_TY(triple, grids or [monomial_M(T).m for T in tableaux])
     leads = (top or leading_monomial(delta_TY(triple, T))
              for T, top in zip(tableaux, tops))
     return all(m == monomial_e(T) and abs(c) == 1
@@ -133,7 +126,9 @@ class BasisReport(namedtuple("BasisReport", "lr_count oracle_count "
                              "leading_distinct rank hwv weights bound tops")):
     """Outcome of check_basis; hwv, weights and bound None unless asked;
     tops the leading terms of the vectors' delta_TY, as
-    hwv.leading_terms_TY gives them, for check_leading_term."""
+    hwv.delta_TY_values_and_leads gives them, which check_leading_term
+    judges.  passed is the rank verdict: count, oracle and rank agree,
+    and the tableaux's E monomials are distinct."""
 
     __slots__ = ()
 
@@ -146,7 +141,10 @@ class BasisReport(namedtuple("BasisReport", "lr_count oracle_count "
 def _draw(rng, lo, hi):
     """A random nonzero integer in [lo, hi], as rng.randint(lo, hi) draws
     until one is nonzero: lo + r for the first r of k random bits, k the
-    bit length of the range's size n, with r < n and lo + r != 0."""
+    bit length of the range's size n, with r < n and lo + r != 0.
+    ValueError, before any draw, when [lo, hi] holds no nonzero integer."""
+    if lo > hi or lo == hi == 0:
+        raise ValueError(f"[{lo}, {hi}] holds no nonzero integer")
     n = hi - lo + 1
     k, r = n.bit_length(), -lo
     while r >= n or r == -lo:
@@ -191,7 +189,7 @@ def _translates(rng, triple, point):
     return unipotent, torus, chi
 
 
-def check_basis(triple, seed=0, tableaux=None, grids=None, group=False):
+def check_basis(triple, seed=0, tableaux=None, group=False):
     """Count, construct, and rank the tableau coefficients of a triple;
     with group, also test that they are highest weight vectors of weight
     (F', D', E').
@@ -201,20 +199,20 @@ def check_basis(triple, seed=0, tableaux=None, grids=None, group=False):
     among the delta_MT is one among the delta_TY.  One Laplace sum over
     det Yo, for all c tableaux on their grids M(T), gives the exact values
     of the delta_TY at c + 4 y points drawn from `seed`, and their leading
-    terms, the report's tops; the rank is that of this c x (c + 4)
-    matrix, at most the rank of the coefficient matrix of the delta_MT,
-    which is at most c, so equality of rank, count and oracle is
-    conclusive.  With group, BASE_POINTS (x, y) points are drawn
-    next, and a unipotent and a torus translate of each; one Laplace sum
-    over det Z gives the values there: each vector must keep its value at
-    the first translate, take chi times it at the second, and be nonzero
-    at a base point.  Each identity has degree 3|F| in the drawn entries,
-    so a vector that fails it passes at one point with probability at
-    most 3|F| / (2 SPAN) (Schwartz-Zippel); `bound` is that for all the
-    base points.
+    terms, the report's tops, which check_leading_term judges.  The rank
+    is that of this c x (c + 4) matrix, at most the rank of the
+    coefficient matrix of the delta_MT, which is at most c, so equality
+    of rank, count and oracle is conclusive.  With group, BASE_POINTS
+    (x, y) points are drawn next, and a unipotent and a torus translate
+    of each; one Laplace sum over det Z gives the values there: each
+    vector must keep its value at the first translate, take chi times it
+    at the second, and be nonzero at a base point.  Each identity has
+    degree 3|F| in the drawn entries, so a vector that fails it passes at
+    one point with probability at most 3|F| / (2 SPAN) (Schwartz-Zippel);
+    `bound` is that for all the base points.
     """
     tabs = enumerate_lr(triple) if tableaux is None else tableaux
-    grids = grids or [monomial_M(T).m for T in tabs]
+    grids = [monomial_M(T).m for T in tabs]
     rng = random.Random(seed)
     points = [random_point(rng, triple, families=(yvar,))
               for _ in range(len(tabs) + 4)]

@@ -101,8 +101,7 @@ MUTANTS = {
         "acc = accumulate(None, *first)",
         "acc = None",
         SHARED_SUM),
-    # the max-plus tops of hwv.delta_TY_values_and_leads, which
-    # leading_terms_TY reads
+    # the max-plus tops of hwv.delta_TY_values_and_leads
     "max-plus key in row-major y order": (
         "hwv.py",
         "key=lambda v: (v[2], v[1])",
@@ -185,6 +184,11 @@ MUTANTS = {
         "while r >= n or r == -lo:",
         "while r > n or r == -lo:",
         ["tests/test_verify.py::test_draw_is_the_randint_stream"]),
+    "draw from a range with no nonzero integer": (
+        "verify.py",
+        "    if lo > hi or lo == hi == 0:\n",
+        "    if False:\n",
+        ["tests/test_verify.py::test_draw_rejects_a_range_with_no_nonzero_integer"]),
     # verify._translates
     "diagonal of n counted twice": (
         "verify.py",
@@ -259,8 +263,8 @@ MUTANTS = {
     # shapes.LRTriple
     "dt_in_ft containment reversed": (
         "shapes.py",
-        "F.transpose().contains(D.transpose())",
-        "D.transpose().contains(F.transpose())",
+        "F.contains(D)",
+        "D.contains(F)",
         ["tests/test_tableaux.py::test_running_example_enumeration"]),
     # cli._triple_and_tableau
     "tableau content check removed": (

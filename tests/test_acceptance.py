@@ -45,11 +45,12 @@ def test_acceptance_02_monomial_fidelity(running, capsys):
 
 def test_acceptance_03_leading_term(running, capsys):
     t0 = time.time()
-    for T in enumerate_lr(running):
+    tabs = enumerate_lr(running)
+    for T, top in zip(tabs, check_basis(running, tableaux=tabs).tops):
         d = delta_TY(running, T)
         lm, c = leading_monomial(d)
         assert lm == monomial_e(T) and abs(c) == 1
-        assert check_leading_term(running, [T])
+        assert check_leading_term(running, [T], [top])
     elapsed = time.time() - t0
     assert elapsed < 60
     _report(capsys, 3, "leading y-monomials are the e monomials with unit coefficient",

@@ -348,14 +348,14 @@ def test_parser_built_once():
 
 
 def test_verify_builds_each_vector_once(monkeypatch, capsys):
-    # no polynomial is expanded: the rank and the leading terms come from
-    # one sum over det Yo, on pairs of the values of all the tableaux at
-    # c + 4 y points and their max-plus tops; only the group check walks
-    # det Z, over lists of values at its 2 base points and their 4
-    # translates; --leading alone sums the pairs at no point.  The ring of
-    # a sum shows in its `one`
-    calls = []
-    original = hwv._laplace_sums
+    # every flag set makes one check_basis call, and no polynomial is
+    # expanded: the rank and the leading terms come from one sum over
+    # det Yo, on pairs of the values of all the tableaux at c + 4 y points
+    # and their max-plus tops; only a group check (--hwv, --weights,
+    # --all, no flag) walks det Z, over lists of values at its 2 base
+    # points and their 4 translates.  The ring of a sum shows in its `one`
+    calls, bases = [], []
+    original, check_basis = hwv._laplace_sums, verify.check_basis
 
     def ring(one):
         if isinstance(one, list):
@@ -365,18 +365,26 @@ def test_verify_builds_each_vector_once(monkeypatch, capsys):
     def counting(triple, grids, with_x, value, accumulate, one):
         calls.append((len(grids), with_x, *ring(one)))
         return original(triple, grids, with_x, value, accumulate, one)
+    def basis(*args):
+        bases.append(args)
+        return check_basis(*args)
     monkeypatch.setattr(hwv, "_laplace_sums", counting)
+    monkeypatch.setattr(verify, "check_basis", basis)
     two = ["--D", "2,1", "--E", "2,1", "--F", "3,2,1"]
-    yo = (2, False, "values and tops", 6)
+    yo, z = (2, False, "values and tops", 6), (2, True, "values", 6)
     for checks, sums in (
+            (["--leading"], [yo]),
             (["--basis"], [yo]),
             (["--basis", "--leading"], [yo]),
-            (["--all"], [yo, (2, True, "values", 6)]),
-            (["--leading"], [(2, False, "values and tops", 0)])):
+            (["--hwv"], [yo, z]),
+            (["--weights"], [yo, z]),
+            (["--all"], [yo, z]),
+            ([], [yo, z])):
         calls.clear()
+        bases.clear()
         assert cli.main(["verify", *two, *checks]) == 0
         assert json.loads(capsys.readouterr().out)["pass"]
-        assert calls == sums, checks
+        assert calls == sums and len(bases) == 1, checks
 
 
 def test_bare_verify_runs_every_check(capsys):
@@ -411,7 +419,7 @@ def test_verify_basis_on_the_76_tableau_triple(capsys):
 
 
 def test_verify_peels_each_tableau_once(monkeypatch, capsys):
-    # cmd_verify builds each grid M(T) once and hands it to both sums
+    # check_basis builds each grid M(T) once and hands it to both sums
     calls = []
     peel = tableaux.monomial_M
 

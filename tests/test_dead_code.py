@@ -281,12 +281,16 @@ def run_benchmark_calls():
 
 def run_leading_fallback(monkeypatch):
     """`lrb verify --leading` with the max-plus top of every tableau
-    reported cancelled, so that check_leading_term expands each delta_TY
-    and takes its leading monomial: the fallback that no LR tableau the
-    tests know reaches."""
+    reported cancelled by check_basis's det Yo walk, so that
+    check_leading_term expands each delta_TY and takes its leading
+    monomial: the fallback that no LR tableau the tests know reaches."""
+    walk = verify.delta_TY_values_and_leads
+
+    def cancelled(triple, grids, points):
+        values, tops = walk(triple, grids, points)
+        return values, [None] * len(tops)
     with monkeypatch.context() as m:
-        m.setattr(verify, "leading_terms_TY",
-                  lambda triple, grids: [None] * len(grids))
+        m.setattr(verify, "delta_TY_values_and_leads", cancelled)
         assert run_lrb(["verify", *TWO, "--leading"]) == 0
 
 

@@ -162,7 +162,7 @@ def test_leading_terms_match_expansion(running):
         tabs = enumerate_lr(tr)
         if not tabs:
             continue
-        assert hwv.leading_terms_TY(tr, [monomial_M(T).m for T in tabs]) == [
+        assert hwv.delta_TY_values_and_leads(tr, grids_of(tabs), [])[1] == [
             leading_monomial(delta_TY(tr, T)) for T in tabs]
         empty |= {name for name, part in (("D", tr.D), ("E", tr.E))
                   if not part.size}
@@ -188,7 +188,8 @@ def test_max_plus_ring_on_hand_built_sums(monkeypatch):
     # no coefficient of det Yo with |F| <= 8, of any admissible grid, has
     # another leading term in row-major y order (y[1,1] > y[1,2] > ...
     # > y[2,1]); these sums do.  Each runs in the ring that
-    # leading_terms_TY hands the Laplace sum, against leading_monomial
+    # delta_TY_values_and_leads hands the Laplace sum, at no point,
+    # against leading_monomial
     tr = validate_triple([], [2, 2], [2, 2])     # y[1..2, 1..2]
     layout = triple_layout(tr)
     y11, y12, y21, y22 = (yvar(u, v) for u in (1, 2) for v in (1, 2))
@@ -208,11 +209,11 @@ def test_max_plus_ring_on_hand_built_sums(monkeypatch):
         p, = _hand_built_sum(terms)(tr, [None], False, *packed)
         assert leading_monomial(Polynomial(p, layout)) == (lead, c)
         monkeypatch.setattr(hwv, "_laplace_sums", _hand_built_sum(terms))
-        assert hwv.leading_terms_TY(tr, [None]) == [(lead, c)]
+        assert hwv.delta_TY_values_and_leads(tr, [None], [])[1] == [(lead, c)]
     # a top that cancels is marked, though a term below it is left
     monkeypatch.setattr(hwv, "_laplace_sums", _hand_built_sum(
         [(1, [y21]), (1, [y12]), (-1, [y21])]))
-    assert hwv.leading_terms_TY(tr, [None]) == [None]
+    assert hwv.delta_TY_values_and_leads(tr, [None], [])[1] == [None]
 
 
 def test_cancelled_top_of_det_Yo():
@@ -226,7 +227,7 @@ def test_cancelled_top_of_det_Yo():
               {ONE: 1})
     coefficient, = hwv._laplace_sums(tr, [grid], False, *packed)
     assert len(coefficient) == 2
-    assert hwv.leading_terms_TY(tr, [grid]) == [None]
+    assert hwv.delta_TY_values_and_leads(tr, [grid], [])[1] == [None]
 
 
 def test_admissible_grids_running(running):

@@ -1,7 +1,8 @@
 import pytest
 
-from lrbasis import (Partition, SkewShape, format_partition, parse_partition,
-                     validate_triple)
+from conftest import partitions_of
+from lrbasis import (LRTriple, Partition, SkewShape, format_partition,
+                     parse_partition, validate_triple)
 from lrbasis.errors import ShapeError, SizeMismatch
 
 
@@ -71,3 +72,15 @@ def test_validate_triple_running_example(running):
 def test_validate_triple_errors():
     with pytest.raises(SizeMismatch):
         validate_triple([2], [1], [2])
+
+
+def test_dt_in_ft_is_containment_of_D_in_F():
+    # transposing keeps containment, so a triple reads dt_in_ft off D and
+    # F: the same as on their transposes for every F with |F| <= 8 and D
+    # with |D| <= |F| + 2
+    pairs = [(Partition(F), Partition(D)) for f in range(9)
+             for F in partitions_of(f) for d in range(f + 3) for D in partitions_of(d)]
+    assert len(pairs) == 5807
+    for F, D in pairs:
+        assert (LRTriple(D, Partition(), F).dt_in_ft
+                == F.transpose().contains(D.transpose())), (F, D)

@@ -10,9 +10,8 @@ import pytest
 
 from conftest import (LAYOUT, all_triples, check_e1_factorization,
                       coefficient_rank, delta_MT_all, eliminate_eager,
-                      evaluate, grids_of, move_one_power, poly, random_triple,
-                      tuple_coefficient, unpacked, x0_coefficient,
-                      y_order_key)
+                      evaluate, move_one_power, poly, random_triple,
+                      tuple_coefficient, unpacked, x0_coefficient, y_order_key)
 from lrbasis import (check_basis, check_hwv, check_leading_term, cli, delta,
                      delta_MT, delta_TY, enumerate_lr, hwv, intlinalg,
                      leading_monomial, raising_operator_cols,
@@ -140,11 +139,12 @@ def test_delta_MT_profiles_random():
     rng = random.Random(18)
     for _ in range(10):
         tr = random_triple(rng, 8, require_tableaux=True)
-        for T in enumerate_lr(tr):
+        tabs = enumerate_lr(tr)
+        for T, top in zip(tabs, check_basis(tr, tableaux=tabs).tops):
             p = delta_MT(tr, T)
             assert weight_profile(p).matches(tr)
             assert check_hwv(p, tr)
-            assert check_leading_term(tr, [T])
+            assert check_leading_term(tr, [T], [top])
             assert check_e1_factorization(tr, T)
 
 
@@ -327,15 +327,12 @@ def test_check_basis_empty():
 
 
 def test_check_basis_reuses_given_vectors():
-    # the tableaux and grids a caller hands in are what gets ranked: a
-    # repeated grid drops the rank, and so does a repeated tableau
+    # the tableaux a caller hands in are what gets ranked: a repeated
+    # tableau drops the rank
     tr = validate_triple([2, 1], [2, 1], [3, 2, 1])
     tabs = enumerate_lr(tr)
-    grids = grids_of(tabs)
-    rep = check_basis(tr, tableaux=tabs, grids=grids)
+    rep = check_basis(tr, tableaux=tabs)
     assert rep.passed and rep.rank == 2 and rep.hwv is None
-    rep = check_basis(tr, tableaux=tabs, grids=[grids[0], grids[0]])
-    assert rep.rank == 1 and not rep.passed
     rep = check_basis(tr, tableaux=[tabs[0], tabs[0]])
     assert rep.rank == 1 and not rep.passed
     # one of the two tableaux ranks fully, and falls short of the oracle
@@ -382,7 +379,7 @@ def test_evaluation_basis_is_one_shared_sum(running, monkeypatch):
     rep = check_basis(running, seed=7)
     assert rep.passed
     assert sums == [(rep.lr_count, False)] == [(4, False)]
-    assert check_leading_term(running, enumerate_lr(running), tops=rep.tops)
+    assert check_leading_term(running, enumerate_lr(running), rep.tops)
     sums.clear()
     grouped = check_basis(running, seed=7, group=True)
     assert grouped[:4] == rep[:4] and grouped.tops == rep.tops
@@ -392,7 +389,7 @@ def test_evaluation_basis_is_one_shared_sum(running, monkeypatch):
     def per_point(tr, grids, points):
         values = [[hwv.delta_TY_values_and_leads(tr, [grid], [pt])[0][0][0]
                    for pt in points] for grid in grids]
-        return values, hwv.leading_terms_TY(tr, grids)
+        return values, hwv.delta_TY_values_and_leads(tr, grids, [])[1]
     monkeypatch.setattr(verify, "delta_TY_values_and_leads", per_point)
     assert check_basis(running, seed=7) == rep
     assert sums == [(1, False)] * 4 * 8 + [(4, False)]
@@ -406,7 +403,8 @@ def test_leading_terms_read_off_the_vectors():
     # vector, x0 = prod_v x[v,v]^(D'_v), is that of delta_TY up to one sign
     # per triple, and e(T) with coefficient +-1 as the max-plus sum finds,
     # on every tableau with |F| <= 8 (D or E empty among them) and on the
-    # verify-symbolic and verify-large pools; both signs occur
+    # verify-symbolic and verify-large pools, judged on check_basis's
+    # tops; both signs occur
     triples = [*all_triples(8),
                *(validate_triple(D, E, F) for D, E, F, *_ in
                  json.loads(POOL.read_text())["triples"]),
@@ -417,7 +415,7 @@ def test_leading_terms_read_off_the_vectors():
         tabs = enumerate_lr(tr)
         if not tabs:
             continue
-        assert check_leading_term(tr, tabs, grids_of(tabs))
+        assert check_leading_term(tr, tabs, check_basis(tr, tableaux=tabs).tops)
         leads = [leading_monomial(x0_coefficient(tr, p))
                  for p in delta_MT_all(tr, tabs)]
         expanded = [leading_monomial(delta_TY(tr, T)) for T in tabs]
@@ -426,35 +424,31 @@ def test_leading_terms_read_off_the_vectors():
         n += len(tabs)
     assert n == 1350 + 837 + 43 and signs == {1, -1}
     # no tableau passes, though D = 2 does not fit inside F = 1,1
-    assert check_leading_term(validate_triple([2], [], [1, 1]), [])
-    # the grids of the wrong tableaux fail
+    tr = validate_triple([2], [], [1, 1])
+    assert check_leading_term(tr, [], check_basis(tr).tops)
+    # the tops of the wrong tableaux fail
     tr = validate_triple([2, 1], [2, 1], [3, 2, 1])
     tabs = enumerate_lr(tr)
-    assert not check_leading_term(tr, tabs, grids_of(tabs)[::-1])
+    assert not check_leading_term(tr, tabs, check_basis(tr, tableaux=tabs).tops[::-1])
 
 
 def test_leading_term_falls_back_when_a_top_cancels(running, monkeypatch):
     # a tableau whose top cancelled in the max-plus sum, here the second,
     # has its delta_TY expanded, and only that one; the verdict is the same
-    tabs = enumerate_lr(running)
-    tops, expanded = verify.leading_terms_TY, []
-
-    def cancelled(triple, grids):
-        out = tops(triple, grids)
-        out[1] = None
-        return out
+    tabs, expanded = enumerate_lr(running), []
+    tops = check_basis(running, tableaux=tabs).tops
+    tops[1] = None
 
     def expanding(triple, T):
         expanded.append(T)
         return delta_TY(triple, T)
-    monkeypatch.setattr(verify, "leading_terms_TY", cancelled)
     monkeypatch.setattr(verify, "delta_TY", expanding)
-    assert check_leading_term(running, tabs)
+    assert check_leading_term(running, tabs, tops)
     assert expanded == [tabs[1]]
     # the fallback's term is checked like any other
     monkeypatch.setattr(verify, "delta_TY", lambda triple, T: delta_TY(
         triple, tabs[0]))
-    assert not check_leading_term(running, tabs)
+    assert not check_leading_term(running, tabs, tops)
 
 
 def test_leading_term_needs_a_unit_coefficient(running):
@@ -462,9 +456,9 @@ def test_leading_term_needs_a_unit_coefficient(running):
     # e(T) with coefficient 2 fails
     tabs = enumerate_lr(running)
     tops = check_basis(running, tableaux=tabs).tops
-    assert check_leading_term(running, tabs, tops=tops)
-    assert check_leading_term(running, tabs, tops=[(m, -c) for m, c in tops])
-    assert not check_leading_term(running, tabs, tops=[(tops[0][0], 2), *tops[1:]])
+    assert check_leading_term(running, tabs, tops)
+    assert check_leading_term(running, tabs, [(m, -c) for m, c in tops])
+    assert not check_leading_term(running, tabs, [(tops[0][0], 2), *tops[1:]])
 
 
 def test_leading_term_deep_E():
@@ -474,7 +468,7 @@ def test_leading_term_deep_E():
     tr = validate_triple([2, 1], [4, 4, 3, 3, 2], [5, 4, 4, 3, 2, 1])
     tabs = enumerate_lr(tr)
     assert tabs
-    assert check_leading_term(tr, tabs)
+    assert check_leading_term(tr, tabs, check_basis(tr, tableaux=tabs).tops)
 
 
 def test_group_checks_agree_with_exact_checks():
@@ -544,6 +538,26 @@ def test_draw_is_the_randint_stream():
             assert ([verify._draw(new, lo, hi) for _ in range(300)]
                     == [old_draw(old, lo, hi) for _ in range(300)]), (lo, hi, seed)
             assert new.getstate() == old.getstate()
+
+
+def test_draw_rejects_a_range_with_no_nonzero_integer():
+    # the draw would loop for ever; it raises before drawing, and an rng
+    # that fails after a bounded number of draws stops a regression
+    class Bounded:
+        def __init__(self):
+            self.left, self.rng = 100, random.Random(0)
+
+        def getrandbits(self, k):
+            self.left -= 1
+            assert self.left >= 0, "too many draws"
+            return self.rng.getrandbits(k)
+    tr = validate_triple([1], [1], [2])
+    for lo, hi in ((0, 0), (1, 0), (5, -5)):
+        rng = Bounded()
+        with pytest.raises(ValueError):
+            verify.random_point(rng, tr, lo=lo, hi=hi)
+        assert rng.left == 100
+    assert set(verify.random_point(Bounded(), tr, lo=0, hi=1).values()) == {1}
 
 
 def test_same_seed_same_report():
