@@ -36,11 +36,12 @@ Nothing it builds outlives the call.
 """
 
 from functools import cache
+from itertools import combinations
 
 from .errors import DimensionMismatch, ZeroCoefficient
 from .intlinalg import bareiss_det
 from .polyring import (ONE, Polynomial, avar, bvar, column_minors, determinant,
-                       triple_layout, xvar, yvar)
+                       triple_layout, xvar, y_order, yvar)
 from .tableaux import monomial_M
 
 
@@ -119,11 +120,11 @@ def _laplace_sums(triple, grids, with_x, value, accumulate, one):
     after block k is (mask of the free rows, node of the grid columns
     k+1..); its value is computed once and shared by every grid with those
     columns.  The states and the edges into them are found forward; then
-    the blocks are summed from the last back, each state's value dropped
-    once the states before it hold it.  A state with one edge out, as is
-    each state before an x column, is valued only when the block before it
-    is summed, so the values of a layer of such states are never all held
-    at once.  A state with no term has no value.
+    the blocks are summed from the last back, each state's value pushed
+    into every state before it.  The sum holds the values of two layers at
+    once: those of the states after the block being summed, each popped
+    when read, and those of the states before it, being summed.  A state
+    with no term has no value.
 
     value maps a variable into the ring; accumulate(acc, p, q, c) returns
     acc + c * p * q, None being zero, and may sum into acc in place, so a
@@ -149,16 +150,13 @@ def _laplace_sums(triple, grids, with_x, value, accumulate, one):
     @cache
     def subsets(bits, c):
         """(sub, parity) for each c-subset sub of the local rows `bits`,
-        parity counting the pairs of a row left before a row taken."""
-        if c == 0:
-            return [(0, 0)]
-        if bits.bit_count() < c:
-            return []
-        top = 1 << bits.bit_length() - 1
-        rest = bits ^ top
-        passed = rest.bit_count() - c + 1    # the rows left before a taken top
-        return subsets(rest, c) + [(sub | top, parity + passed)
-                                   for sub, parity in subsets(rest, c - 1)]
+        parity counting the pairs of a row left before a row taken: the
+        i-th row taken, from 0, at position p of the rows has p - i left
+        before it."""
+        rows = local_rows(bits)
+        return [(sum(1 << rows[p] - 1 for p in pick),
+                 sum(pick) - c * (c - 1) // 2)
+                for pick in combinations(range(len(rows)), c)]
 
     def choices(mask, counts):
         """(rows left, sign, sorted local rows) for each way to fill a block."""
@@ -210,29 +208,15 @@ def _laplace_sums(triple, grids, with_x, value, accumulate, one):
                     into.setdefault((rest, node), []).append((state, sign, m))
         blocks.append(into)
         states = into
-    # the values after the block summed next; a state with one edge out so
-    # far waits as (minor, value after it, sign), and is valued only when
-    # the block before it is summed
-    below, waiting = {(0, None): one}, {}
+    below = {(0, None): one}       # the values after the block summed next
     while blocks:
-        into, above, held = blocks.pop(), {}, {}
+        into, above = blocks.pop(), {}
         for state, edges in into.items():
-            first = waiting.pop(state, None)
-            after = (accumulate(None, *first) if first
-                     else below.pop(state, None))
+            after = below.pop(state, None)
             if after:
                 for before, sign, m in edges:
-                    acc = above.get(before)
-                    if acc is None:
-                        first = held.pop(before, None)
-                        if first is None:
-                            held[before] = m, after, sign
-                            continue
-                        acc = accumulate(None, *first)
-                    above[before] = accumulate(acc, m, after, sign)
-        below, waiting = above, held
-    for state, first in waiting.items():
-        below[state] = accumulate(None, *first)
+                    above[before] = accumulate(above.get(before), m, after, sign)
+        below = above
     out = [below.get((start, node)) for node in roots]
     if with_x and triple.D.size * triple.E.size % 2:
         out = [v and accumulate(None, v, one, -1) for v in out]
@@ -326,18 +310,16 @@ def delta_TY_values_and_leads(triple, grids, points):
     pairs (values, top) in the rings of _add_products and _add_tops.
 
     The key of y[u,v] holds a degree of 1 above one exponent field per
-    variable, in column-major order, y[1,1], y[2,1], ..., y[1,2], ..., the
-    first on top, each wide enough for |F|: keys then compare as the y
-    order does, the key of a product is the sum of the keys, and the top's
-    monomial is read back off its key.  The top of a column-initial minor
-    on sorted rows is its diagonal, with +1, so no minor's top cancels;
-    only a sum of products can.
+    y variable of the triple's layout, in polyring.y_order, the first on
+    top, each wide enough for |F|: keys then compare as the y order does,
+    the key of a product is the sum of the keys, and the top's monomial is
+    read back off its key.  The top of a column-initial minor on sorted
+    rows is its diagonal, with +1, so no minor's top cancels; only a sum
+    of products can.
     """
     width = triple.F.size.bit_length() + 1
-    ys = sorted((yvar(u, v) for u in range(1, triple.F.width + 1)
-                 for v in range(1, triple.E.width + 1)),
-                key=lambda v: (v[2], v[1]), reverse=True)
-    shift = {v: k * width for k, v in enumerate(ys)}
+    ys = y_order(triple_layout(triple).variables)
+    shift = {v: k * width for k, v in enumerate(reversed(ys))}
     degree, mask = len(ys) * width, (1 << width) - 1
     top = {v: ((1 << degree) + (1 << s), 1) for v, s in shift.items()}
 

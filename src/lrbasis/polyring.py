@@ -215,15 +215,21 @@ def coefficient_of(p, m, families):
 # larger variable winning.
 # ---------------------------------------------------------------------------
 
+def y_order(variables):
+    """The y variables among `variables`, from the largest down:
+    y[1,1] > y[2,1] > ... > y[1,2] > ..., columns first, then rows."""
+    return sorted((v for v in variables if v[0] == "y"),
+                  key=lambda v: (v[2], v[1]))
+
+
 def leading_monomial(p):
     """(tuple-form monomial, coefficient) maximal under the y order among
-    terms of p.  The key is the degree, then the exponents of y[1,1],
-    y[2,1], ..., y[1,2], ...: the same order, read off the packed ints."""
+    terms of p.  The key is the degree, then the exponents of the y
+    variables in y_order: the same order, read off the packed ints."""
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial has no leading monomial")
     lay, mask = p.layout, p.layout.mask
-    shifts = [s for _, _, s in sorted((v[2], v[1], s) for v, s in lay.shift.items()
-                                      if v[0] == "y")]
+    shifts = [lay.shift[v] for v in y_order(lay.variables)]
     other = functools.reduce(or_, p.terms, 0) & ~sum(mask << s for s in shifts)
     if other:
         raise UnorderedVariable(f"{lay.unpack(other)[0][0]} is not a y variable")

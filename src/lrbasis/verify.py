@@ -111,15 +111,15 @@ def weight_profile(p):
 def check_leading_term(triple, tableaux, tops):
     """Whether the leading y-term of delta_TY(triple, T) is e(T) with
     coefficient +-1, for every tableau T, given tops, the leading terms
-    of those delta_TY that check_basis reports, in the same order.
+    of those delta_TY that check_basis reports, in the same order: one
+    per tableau, or ValueError.
 
     A tableau whose top cancelled in check_basis's max-plus sum, so that
     the term below it is unknown, falls back to expanding its delta_TY.
     """
-    leads = (top or leading_monomial(delta_TY(triple, T))
-             for T, top in zip(tableaux, tops))
     return all(m == monomial_e(T) and abs(c) == 1
-               for T, (m, c) in zip(tableaux, leads))
+               for T, top in zip(tableaux, tops, strict=True)
+               for m, c in [top or leading_monomial(delta_TY(triple, T))])
 
 
 class BasisReport(namedtuple("BasisReport", "lr_count oracle_count "

@@ -96,17 +96,17 @@ MUTANTS = {
         "out = [v and accumulate(accumulate(v, v, one, -1), v, one, -1)"
         " for v in out]",
         SHARED_SUM),
-    "a held state's first edge dropped at its second": (
+    "parity without c(c-1)/2": (
         "hwv.py",
-        "acc = accumulate(None, *first)",
-        "acc = None",
+        "sum(pick) - c * (c - 1) // 2",
+        "sum(pick)",
+        SHARED_SUM),
+    "a state's earlier edges dropped": (
+        "hwv.py",
+        "accumulate(above.get(before), m, after, sign)",
+        "accumulate(None, m, after, sign)",
         SHARED_SUM),
     # the max-plus tops of hwv.delta_TY_values_and_leads
-    "max-plus key in row-major y order": (
-        "hwv.py",
-        "key=lambda v: (v[2], v[1])",
-        "key=lambda v: (v[1], v[2])",
-        MAX_PLUS),
     "equal keys keep the first count": (
         "hwv.py",
         "        return key, acc[1] + c * p[1] * q[1]\n",
@@ -117,12 +117,12 @@ MUTANTS = {
         "if not count:",
         "if not pair:",
         MAX_PLUS),
-    # polyring.leading_monomial
-    "y order read row by row": (
+    # polyring.y_order, read by leading_monomial and the max-plus tops
+    "max-plus key in row-major y order": (
         "polyring.py",
-        "sorted((v[2], v[1], s) for v, s in lay.shift.items()",
-        "sorted((v[1], v[2], s) for v, s in lay.shift.items()",
-        ["tests/test_polyring.py::test_y_order_single_variables"]),
+        "key=lambda v: (v[2], v[1])",
+        "key=lambda v: (v[1], v[2])",
+        ["tests/test_polyring.py::test_y_order_single_variables", *MAX_PLUS]),
     # polyring._sorted_terms
     "sort key without the degree": (
         "polyring.py",
@@ -206,6 +206,11 @@ MUTANTS = {
         "zip(cols, triple.D.parts + triple.Et.parts)",
         ["tests/test_verify.py::test_group_checks_agree_with_exact_checks"]),
     # verify.check_leading_term and BasisReport
+    "tops of another length judged": (
+        "verify.py",
+        "zip(tableaux, tops, strict=True)",
+        "zip(tableaux, tops)",
+        ["tests/test_verify.py::test_leading_term_needs_one_top_per_tableau"]),
     "leading coefficient not checked": (
         "verify.py",
         "m == monomial_e(T) and abs(c) == 1",

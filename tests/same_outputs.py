@@ -7,9 +7,13 @@ digest.  The sweep runs cli.main in-process, with empty stdin, on:
   every triple with |F| <= 7;
 - `delta --index i` and `delta-ty --index i` for each tableau of those
   triples, in JSON and in `--format text`;
+- `count`, `tableaux` and `oracle` for every triple with |F| <= 6,
+  `count` and `tableaux` in JSON and in `--format text`, and `peel` and
+  `monomials` of each of their tableaux;
 - `delta --A J` and `delta --A symbolic` for every triple with |F| <= 5;
 - `verify --all` for each triple of bench/pools/verify-symbolic.json,
-  which is only read.
+  which is only read;
+- `sl4-table`, and `bz-grade --dots` on the dots of each of its rows.
 
 Needs no pytest.  From the repository root:
 
@@ -27,6 +31,7 @@ from pathlib import Path
 
 from cli_agreement import outcome
 from lrbasis import cli, enumerate_lr, validate_triple
+from lrbasis.bz4 import load_table
 
 POOL = Path(__file__).resolve().parents[1] / "bench" / "pools" / "verify-symbolic.json"
 VERIFY_FLAGS = (["--all"], ["--basis", "--leading"], ["--leading"], ["--basis"],
@@ -68,11 +73,23 @@ def sweep():
             for command in ("delta", "delta-ty"):
                 yield [command, *triple, "--index", str(i)]
                 yield ["--format", "text", command, *triple, "--index", str(i)]
+    for D, E, F in small_triples(6):
+        triple = triple_argv(D, E, F)
+        for command in ("count", "tableaux"):
+            yield [command, *triple]
+            yield ["--format", "text", command, *triple]
+        yield ["oracle", *triple]
+        for i in range(len(enumerate_lr(validate_triple(D, E, F)))):
+            for command in ("peel", "monomials"):
+                yield [command, *triple, "--index", str(i)]
     for D, E, F in small_triples(5):
         for A in ("J", "symbolic"):
             yield ["delta", *triple_argv(D, E, F), "--A", A]
     for D, E, F, *_ in json.loads(POOL.read_text())["triples"]:
         yield ["verify", *triple_argv(D, E, F), "--all"]
+    yield ["sl4-table"]
+    for row in load_table():
+        yield ["bz-grade", "--dots", ",".join(row["dots"])]
 
 
 if __name__ == "__main__":

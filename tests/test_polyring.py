@@ -137,6 +137,8 @@ def test_y_order_single_variables():
     assert y_order_key(a) == y_order_key(mono((yvar(1, 1), 1)))
     assert leading_monomial(poly({c: 1, b: 1, a: -1})) == (a, -1)
     assert leading_monomial(poly({c: 1, b: 2})) == (b, 2)
+    assert polyring.y_order([yvar(1, 2), xvar(1, 1), yvar(2, 1), yvar(1, 1)]) == [
+        yvar(1, 1), yvar(2, 1), yvar(1, 2)]
 
 
 def test_y_order_degree_dominates():

@@ -461,6 +461,17 @@ def test_leading_term_needs_a_unit_coefficient(running):
     assert not check_leading_term(running, tabs, [(tops[0][0], 2), *tops[1:]])
 
 
+def test_leading_term_needs_one_top_per_tableau(running):
+    # tops shorter or longer than the tableaux raise, where a tableau left
+    # without a top would go unjudged; no tableau and no top pass
+    tabs = enumerate_lr(running)
+    tops = check_basis(running, tableaux=tabs).tops
+    for wrong in ([], tops[:1], [*tops, tops[0]]):
+        with pytest.raises(ValueError):
+            check_leading_term(running, tabs, wrong)
+    assert check_leading_term(running, [], [])
+
+
 def test_leading_term_deep_E():
     # |E| = 16 rows of y: the b-variable determinant of Yo ran past 60 s
     # and 940 MB, and expanding delta_TY by the block Laplace sum a few
